@@ -137,7 +137,11 @@ def _cmd_schubert(args) -> int:
 
 def _cmd_verify_demazure(args) -> int:
     _progress(f"checking divided-difference relations at n={args.n} ...")
-    cert = verify_demazure_relations(args.n, args.trials, args.seed)
+    try:
+        cert = verify_demazure_relations(args.n, args.trials, args.seed)
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return 2
     _emit(args, cert, _cert_lines(cert))
     return _exit_code([cert])
 

@@ -10,19 +10,29 @@ two-alphabet ones.  For a permutation w of rank n,
 
 with w_0 the longest element.  The single polynomials form a free basis of
 Q[x_1..x_n] over the symmetric polynomials; expand_in_schubert_basis
-computes the (unique) symmetric coefficients degree by degree through an
-exact linear solve over Q, which is cheap at the ranks this package
-targets and avoids any Monk-rule bookkeeping.
+computes the (unique) symmetric coefficients through the d_{w0} pairing,
+under which the Schubert basis has an explicit dual basis, so each
+coefficient is one top divided difference of a product.  Those are
+evaluated by straightening monomials into Schur polynomials, which avoids
+any linear algebra and any Monk-rule bookkeeping.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .perms import Permutation, symmetric_group
-from .poly import Exponent, Poly, demazure, is_symmetric, permute_x, specialize_y_to_x
+from .poly import (
+    Exponent,
+    Poly,
+    demazure,
+    is_symmetric,
+    negate_x,
+    permute_x,
+    specialize_y_to_x,
+)
 
 
 @lru_cache(maxsize=None)
@@ -116,124 +126,99 @@ def specialization_check(w: Permutation, w_prime: Permutation) -> Poly:
 # ----------------------------------------------------------- free basis
 
 
-def _partitions_at_most(d: int, parts: int) -> list[tuple[int, ...]]:
-    """Weakly decreasing positive tuples with at most `parts` parts, sum d."""
-    if d == 0:
-        return [()]
-    out = []
-
-    def rec(remaining: int, cap: int, room: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        if room == 0:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            rec(remaining - part, part, room - 1, prefix + (part,))
-
-    rec(d, d, parts, ())
-    return out
+def _integer_terms(f: Poly) -> tuple[tuple[Exponent, int], ...]:
+    if any(c.denominator != 1 for c in f.terms.values()):
+        raise RuntimeError("expected integer coefficients; this is a bug")
+    return tuple((exp, c.numerator) for exp, c in f.terms.items())
 
 
-def monomial_symmetric(lam: tuple[int, ...], n: int) -> Poly:
-    """Sum of the distinct monomials with exponent multiset lam (padded to n)."""
-    if len(lam) > n:
-        raise ValueError("partition has more parts than variables")
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    exps = set(itertools.permutations(padded))
-    return Poly(n, 0, {e: Fraction(1) for e in exps})
+@lru_cache(maxsize=None)
+def _dual_terms(w: Permutation) -> tuple[tuple[Exponent, int], ...]:
+    """Terms of the element dual to schubert_poly(w) under the d_{w0} pairing.
 
-
-def _monomials_of_degree(n: int, d: int) -> list[Exponent]:
-    out = []
-
-    def rec(slots: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(slots - 1, remaining - e, prefix + (e,))
-
-    rec(n, d, ())
-    return sorted(out)
-
-
-def _solve_unique(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square exact linear system with a unique solution.
-
-    Plain Gaussian elimination over Fraction.  Raises RuntimeError when the
-    matrix is singular; callers treat that as an internal inconsistency.
+    That element is schubert(w w0)(-x_n, ..., -x_1); its coefficients are
+    integers, as every Schubert polynomial's are.
     """
-    m = len(matrix)
-    if any(len(row) != m for row in matrix) or len(rhs) != m:
-        raise RuntimeError("linear system is not square")
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col]), None)
-        if pivot is None:
-            raise RuntimeError("singular linear system; expansion basis failed")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+    w0 = Permutation.longest(w.n)
+    return _integer_terms(negate_x(permute_x(w0, schubert_poly(w * w0))))
 
 
-def _expand_homogeneous(comp: Poly, d: int, perms: tuple[Permutation, ...]) -> dict[Permutation, Poly]:
-    n = comp.nx
-    unknowns: list[tuple[Permutation, tuple[int, ...]]] = []
-    columns: list[Poly] = []
-    for w in perms:
-        ell = w.length()
-        if ell > d:
+@lru_cache(maxsize=None)
+def _top_divided_difference(lam: Exponent) -> tuple[tuple[Exponent, int], ...]:
+    """d_{w0}(x^lam) for strictly decreasing lam: a Schur polynomial."""
+    n = len(lam)
+    return _integer_terms(demazure(Permutation.longest(n), Poly.monomial(lam, 1, n)))
+
+
+@lru_cache(maxsize=None)
+def _expand_monomial(alpha: Exponent) -> tuple[tuple[Permutation, dict[Exponent, int]], ...]:
+    """The coefficients c_w of x^alpha, each as {lam: k} meaning the sum of
+    k * d_{w0}(x^lam) over strictly decreasing lam.
+
+    c_w = d_{w0}(x^alpha * dual_w), taken one monomial at a time:
+    d_{w0}(s h) = sgn(s) d_{w0}(h) for every permutation s of the
+    variables, so a monomial with a repeated exponent maps to zero and any
+    other one to the sign of its sort times its decreasing rearrangement.
+    Terms with length(w) > deg x^alpha are skipped: their product has
+    degree below length(w0), which d_{w0} sends to zero.
+    """
+    n = len(alpha)
+    degree = sum(alpha)
+    out = []
+    for w in symmetric_group(n):
+        if w.length() > degree:
             continue
-        sw = schubert_poly(w)
-        for lam in _partitions_at_most(d - ell, n):
-            unknowns.append((w, lam))
-            columns.append(monomial_symmetric(lam, n) * sw)
-    rows = _monomials_of_degree(n, d)
-    index = {exp: r for r, exp in enumerate(rows)}
-    if len(rows) != len(unknowns):
-        raise RuntimeError("expansion basis has the wrong size; this is a bug")
-    matrix = [[Fraction(0)] * len(unknowns) for _ in rows]
-    for k, colpoly in enumerate(columns):
-        for exp, c in colpoly.terms.items():
-            matrix[index[exp]][k] = c
-    rhs = [Fraction(0)] * len(rows)
-    for exp, c in comp.terms.items():
-        rhs[index[exp]] = c
-    solution = _solve_unique(matrix, rhs)
-    out: dict[Permutation, Poly] = {}
-    for (w, lam), coeff in zip(unknowns, solution):
+        coeff: dict[Exponent, int] = {}
+        for beta, c in _dual_terms(w):
+            gamma = [a + b for a, b in zip(alpha, beta)]
+            if len(set(gamma)) < n:
+                continue
+            inversions = sum(
+                1 for i in range(n) for j in range(i + 1, n) if gamma[i] < gamma[j]
+            )
+            lam = tuple(sorted(gamma, reverse=True))
+            coeff[lam] = coeff.get(lam, 0) + (-c if inversions % 2 else c)
+        coeff = {lam: k for lam, k in coeff.items() if k}
         if coeff:
-            out[w] = out.get(w, Poly.zero(n)) + coeff * monomial_symmetric(lam, n)
-    return out
+            out.append((w, coeff))
+    return tuple(out)
 
 
 def expand_in_schubert_basis(f: Poly) -> dict[Permutation, Poly]:
     """Write f as a sum of symmetric coefficients times Schubert polynomials.
 
     Returns {w: c_w} with every c_w symmetric and nonzero, satisfying
-    f = sum c_w * schubert_poly(w).  Works degree by degree; within one
-    degree the products m_lam * schubert(w) form a basis, so the exact
-    solve has exactly one solution.
+    f = sum c_w * schubert_poly(w).  The coefficients come from the
+    d_{w0} pairing (Macdonald, Notes on Schubert Polynomials, 1991): the
+    Schubert polynomials and their duals schubert(w w0)(-x_n, ..., -x_1)
+    pair to the identity matrix, and the pairing is linear over the
+    symmetric polynomials, so c_w = d_{w0}(f * dual_w).  The work is done
+    per monomial of f and cached; coefficients are kept over the common
+    denominator of f's until the end.
     """
     if f.ny != 0:
         raise ValueError("expansion is defined for x-variable polynomials only")
     n = f.nx
-    perms = symmetric_group(n)
+    denom = lcm(*(c.denominator for c in f.terms.values()))
+    by_lam: dict[Permutation, dict[Exponent, int]] = {}
+    for alpha, c in f.terms.items():
+        scale = c.numerator * (denom // c.denominator)
+        for w, coeff in _expand_monomial(alpha):
+            slot = by_lam.setdefault(w, {})
+            for lam, k in coeff.items():
+                slot[lam] = slot.get(lam, 0) + scale * k
     out: dict[Permutation, Poly] = {}
-    for d, comp in f.homogeneous_components().items():
-        for w, c in _expand_homogeneous(comp, d, perms).items():
-            out[w] = out.get(w, Poly.zero(n)) + c
-    for w in list(out):
-        if out[w].is_zero:
-            del out[w]
-        elif not is_symmetric(out[w]):
+    for w in symmetric_group(n):
+        terms: dict[Exponent, int] = {}
+        for lam, k in by_lam.get(w, {}).items():
+            for exp, v in _top_divided_difference(lam):
+                terms[exp] = terms.get(exp, 0) + k * v
+        c_w = Poly(n, 0, {exp: Fraction(v, denom) for exp, v in terms.items() if v})
+        if c_w.is_zero:
+            continue
+        if not is_symmetric(c_w):
             raise RuntimeError("expansion produced a non-symmetric coefficient; this is a bug")
+        out[w] = c_w
     return out
 
 

@@ -232,6 +232,16 @@ def test_bimodule_closure_certificates():
     assert verify_bimodule_closure(3, 0)["violations"] == []
 
 
+def test_bimodule_closure_certificates_rank4():
+    products = 0
+    for j in range(8):
+        cert = verify_bimodule_closure(4, j)
+        assert cert["violations"] == [], (j, cert["violations"][:3])
+        products += cert["products"]
+    # 4 variables times the 24 + 23 + 20 + 15 + 9 + 4 + 1 + 0 generators.
+    assert products == 384
+
+
 def test_triangular_injectivity_certificates():
     for n in (2, 3):
         cert = verify_triangular_injectivity(n)

@@ -92,6 +92,13 @@ class TestVerifyCommands:
         assert cert["check"] == "demazure_relations"
         assert cert["violations"] == []
 
+    def test_demazure_rank_one_is_usage_error(self, capsys):
+        code, out, err = run(["verify", "demazure", "--n", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: need at least two variables" in err
+        assert "Traceback" not in err
+
     def test_charges_passes(self, capsys):
         argv = [
             "verify", "charges", "--n", "2", "--m", "3",

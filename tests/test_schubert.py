@@ -25,7 +25,6 @@ from schubstab.schubert import (
     double_schubert_expansion,
     expand_in_schubert_basis,
     expansion_to_json,
-    monomial_symmetric,
     schubert_poly,
     specialization_check,
     staircase,
@@ -187,15 +186,6 @@ def test_specialization_diagonal_needs_the_inverse():
 
 
 # ------------------------------------------------------------ expansion
-
-
-def test_monomial_symmetric():
-    assert monomial_symmetric((), 2) == Poly.one(2)
-    assert monomial_symmetric((1,), 2) == x(1, 2) + x(2, 2)
-    assert monomial_symmetric((1, 1), 2) == x(1, 2) * x(2, 2)
-    assert monomial_symmetric((2, 1), 2) == x(1, 2) ** 2 * x(2, 2) + x(1, 2) * x(2, 2) ** 2
-    with pytest.raises(ValueError):
-        monomial_symmetric((1, 1, 1), 2)
 
 
 def test_expand_frozen_rank2():
