@@ -192,7 +192,11 @@ def _cmd_scan_bayer(args) -> int:
             f"exploratory box scan: {2 * args.bound + 1}^{cells} vectors at n={args.n}"
         )
     _progress(f"scanning twist shadow up to bound {args.bound} ...")
-    cert = bayer_shadow_scan(p, args.bound)
+    try:
+        cert = bayer_shadow_scan(p, args.bound)
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return 2
     _emit(args, cert, _cert_lines(cert))
     return _exit_code([cert])
 

@@ -130,6 +130,25 @@ def symmetric_group(n: int) -> tuple[Permutation, ...]:
     return tuple(perms)
 
 
+def length_additive_factorizations(w: Permutation) -> tuple[tuple[Permutation, Permutation], ...]:
+    """All pairs (v, u) with w = v^{-1} u and length(v) + length(u) = length(w).
+
+    These index the terms of the Cauchy formula
+    schubert(w)(x; y) = sum schubert(u)(x) schubert(v)(-y) (Macdonald, Notes
+    on Schubert Polynomials, 1991).  Pairs come in enumeration order of v.
+    """
+    lw = w.length()
+    out = []
+    for v in symmetric_group(w.n):
+        lv = v.length()
+        if lv > lw:
+            break
+        u = v * w
+        if lv + u.length() == lw:
+            out.append((v, u))
+    return tuple(out)
+
+
 def product_of_simples(letters: tuple[int, ...], n: int) -> Permutation:
     """Multiply out s_{a_1} * s_{a_2} * ... * s_{a_k} in rank n."""
     w = Permutation.identity(n)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .perms import Permutation, symmetric_group
+from .perms import Permutation, length_additive_factorizations, symmetric_group
 from .poly import (
     Exponent,
     Poly,
@@ -32,6 +32,8 @@ from .poly import (
     negate_x,
     permute_x,
     specialize_y_to_x,
+    widen_with_y,
+    x_to_neg_y,
 )
 
 
@@ -90,18 +92,9 @@ def double_schubert_expansion(w: Permutation) -> Poly:
     Sums schubert(u)(x) * schubert(v)(-y) over the factorizations w = v^{-1} u
     with length(w) = length(v) + length(u).
     """
-    from .poly import widen_with_y, x_to_neg_y
-
     n = w.n
-    lw = w.length()
     total = Poly.zero(n, n)
-    for v in symmetric_group(n):
-        lv = v.length()
-        if lv > lw:
-            continue
-        u = v * w  # w = v^{-1} u
-        if u.length() + lv != lw:
-            continue
+    for v, u in length_additive_factorizations(w):
         total = total + widen_with_y(schubert_poly(u), n) * x_to_neg_y(schubert_poly(v), n)
     return total
 

@@ -66,10 +66,6 @@ class PhasePoint:
         if z.im == 0 and z.re > 0:
             raise ValueError("positive real charge is outside the strip")
 
-    @classmethod
-    def from_charge(cls, z: ExactComplex, shift: int = 0) -> "PhasePoint":
-        return cls(z, shift)
-
     @property
     def is_phase_one(self) -> bool:
         return self.charge.im == 0
@@ -119,13 +115,6 @@ class PhasePoint:
 def phase(z: ExactComplex) -> PhasePoint:
     """Ordering key for theta in (0, 1]; rejects charges off the strip."""
     return PhasePoint(z, 0)
-
-
-def phase_lower_bound(factor_phases: Sequence[PhasePoint]) -> PhasePoint:
-    """Minimum of the given phase points."""
-    if not factor_phases:
-        raise ValueError("need at least one phase")
-    return min(factor_phases)
 
 
 # ------------------------------------------------- HN on the rational curve
@@ -232,6 +221,9 @@ def hn_slope_regroup(pieces: Sequence[tuple]) -> list[list[tuple]]:
 # ------------------------------------------------------------- shadow scan
 
 
+MAX_SCAN_CLASSES = 100_000
+
+
 def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
     """Check that twisting by the dual ample class never raises the phase.
 
@@ -245,10 +237,19 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
     n >= 2 every component vector in the box [-bound, bound]^(2^n) is
     tried, and vectors leaving the strip (before or after the twist) are
     skipped rather than counted against the check.
+
+    The class count grows like bound^(2^n); beyond MAX_SCAN_CLASSES the
+    scan is refused with a ValueError before any class is tried.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     n = p.n
+    side = 2 * bound + 1
+    classes = bound * side + bound if n == 1 else side ** (2**n)
+    if classes > MAX_SCAN_CLASSES:
+        raise ValueError(
+            f"scan of {classes} classes exceeds the limit of {MAX_SCAN_CLASSES}"
+        )
     scanned = 0
     skipped = 0
     violations: list[dict] = []

@@ -5,6 +5,7 @@ its F-image under s1 is x2 - x1, and so on); rank-3 checks are exhaustive.
 Rank-4 sweeps are in the acceptance suite.
 """
 
+import math
 import random
 
 import pytest
@@ -107,11 +108,15 @@ def test_f_map_is_left_linear():
 def test_f_map_matches_specialization_rank3():
     # Both sides compute the same twisted evaluation of the two-alphabet
     # polynomial of w', whenever the specialization regime applies.
-    for w_prime in symmetric_group(3):
-        for w in symmetric_group(3):
-            if w.length() > w_prime.length():
-                continue
-            assert f_map(w, s_element(w_prime)) == specialization_check(w_prime, w)
+    for n, want_pairs in ((3, 23), (4, 341)):
+        pairs = 0
+        for w_prime in symmetric_group(n):
+            for w in symmetric_group(n):
+                if w.length() > w_prime.length():
+                    continue
+                pairs += 1
+                assert f_map(w, s_element(w_prime)) == specialization_check(w_prime, w)
+        assert pairs == want_pairs == oracle_qualifying_pairs(n)
 
 
 def test_filtration_identity_certificates():
@@ -243,11 +248,27 @@ def test_bimodule_closure_certificates_rank4():
 
 
 def test_triangular_injectivity_certificates():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         cert = verify_triangular_injectivity(n)
         assert cert["violations"] == []
         assert cert["determinant_nonzero"] is True
-        assert cert["matrix_size"] == (2 if n == 2 else 6)
+        assert cert["matrix_size"] == math.factorial(n)
+
+
+def test_certificates_name_a_wrong_diagonal_entry(monkeypatch):
+    bad = perm(2, 3, 1)
+    real_f_map = f_map
+
+    def corrupted(w, elem):
+        got = real_f_map(w, elem)
+        return got + 1 if w == bad and elem == s_element(bad) else got
+
+    monkeypatch.setattr("schubstab.bimodule.f_map", corrupted)
+    identity = verify_filtration_identity(3)
+    assert [(v["w"], v["w_prime"]) for v in identity["violations"]] == [([2, 3, 1], [2, 3, 1])]
+    cert = verify_triangular_injectivity(3)
+    assert [v["w"] for v in cert["violations"]] == [[2, 3, 1]]
+    assert cert["determinant_nonzero"] is False
 
 
 # ------------------------------------------------------------ degree table

@@ -149,6 +149,16 @@ class TestScanCommand:
         assert cert["scanned"] + cert["skipped"] == 81
         assert "exploratory" in err
 
+    def test_default_surface_scan_is_refused(self, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr("schubstab.stability.central_charge", boom)
+        code, out, err = run(["scan", "bayer", "--n", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: scan of 6765201 classes exceeds the limit" in err
+
 
 class TestHnCommand:
     def test_torsion_first(self, capsys):

@@ -15,6 +15,7 @@ import pytest
 from schubstab.perms import (
     Permutation,
     canonical_reduced_word,
+    length_additive_factorizations,
     product_of_simples,
     reduced_words,
     symmetric_group,
@@ -220,3 +221,22 @@ def test_symmetric_group_enumeration(n):
 def test_json_one_line_form():
     assert Permutation((2, 3, 1)).to_json() == [2, 3, 1]
     assert str(Permutation((2, 3, 1))) == "[2,3,1]"
+
+
+def test_length_additive_factorizations_match_brute_force():
+    # Oracle: every pair (v, u) in S_n x S_n, kept when v^{-1} u = w and the
+    # lengths add up.
+    for n in (1, 2, 3, 4):
+        group = symmetric_group(n)
+        for w in group:
+            want = {
+                (v, u)
+                for v in group
+                for u in group
+                if v.inverse() * u == w and v.length() + u.length() == w.length()
+            }
+            got = length_additive_factorizations(w)
+            assert len(got) == len(set(got))
+            assert set(got) == want
+            assert (Permutation.identity(n), w) in want
+            assert (w.inverse(), Permutation.identity(n)) in want

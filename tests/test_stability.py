@@ -38,7 +38,6 @@ from schubstab.stability import (
     hn_split_p1,
     in_strip,
     phase,
-    phase_lower_bound,
     replay_twist_chain,
     restriction_fact,
     weaken_twist,
@@ -116,14 +115,6 @@ class TestPhasePoint:
     def test_json(self):
         p = PhasePoint(ExactComplex.of(F(-2, 3), F(1, 5)), 1)
         assert p.to_json() == {"re": "-2/3", "im": "1/5", "shift": 1}
-
-    def test_lower_bound(self):
-        half = phase(ExactComplex.of(0, 1))
-        one = phase(ExactComplex.of(-1))
-        assert phase_lower_bound([half, one]) == half
-        assert phase_lower_bound([one, one]) == one
-        with pytest.raises(ValueError):
-            phase_lower_bound([])
 
 
 class TestSplitSheafP1:
@@ -320,6 +311,24 @@ class TestBayerShadow:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             bayer_shadow_scan(ChargeParams(F(1), F(0), 1), 0)
+
+    def test_class_limit_is_checked_before_scanning(self, monkeypatch):
+        class ScanStarted(Exception):
+            pass
+
+        def started(*args):
+            raise ScanStarted
+
+        monkeypatch.setattr("schubstab.stability.central_charge", started)
+        # 224 * 449 + 224 = 100800 curve classes, 51^4 surface vectors.
+        for n, bound, count in ((1, 224, 100800), (2, 25, 51**4), (3, 2, 5**8)):
+            with pytest.raises(ValueError, match=f"scan of {count} classes"):
+                bayer_shadow_scan(ChargeParams(F(1), F(0), n), bound)
+        # Admitted: criterion 08's 80400 curve classes, the largest admitted
+        # curve bound (99904 classes), and small surface and threefold boxes.
+        for n, bound in ((1, 200), (1, 223), (2, 3), (3, 1)):
+            with pytest.raises(ScanStarted):
+                bayer_shadow_scan(ChargeParams(F(1), F(0), n), bound)
 
     def test_twist_drops_phase_spot_check(self):
         p = ChargeParams(F(1), F(0), 1)
