@@ -36,6 +36,7 @@ from .stability import (
     derive_twist_chain,
     hn_factors_to_json,
     hn_split_p1,
+    scan_class_count,
 )
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -186,17 +187,18 @@ def _cmd_scan_bayer(args) -> int:
     except ValueError as exc:
         _progress(f"error: {exc}")
         return 2
+    try:
+        scan_class_count(args.n, args.bound)
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return 2
     if args.n >= 2:
         cells = 2**args.n
         _progress(
             f"exploratory box scan: {2 * args.bound + 1}^{cells} vectors at n={args.n}"
         )
     _progress(f"scanning twist shadow up to bound {args.bound} ...")
-    try:
-        cert = bayer_shadow_scan(p, args.bound)
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 2
+    cert = bayer_shadow_scan(p, args.bound)
     _emit(args, cert, _cert_lines(cert))
     return _exit_code([cert])
 

@@ -9,8 +9,12 @@ charges
 
     Z(v) = sum_{s=0}^{n} -(-1)^s (b + ia)^s * (sum over |S| = s of v[S])
 
-consume, with a > 0 and b exact rationals.  Everything here is Fraction
-arithmetic; there is no floating point in any code path.
+consume, with a > 0 and b exact rationals.  Z is a linear functional:
+the level coefficients -(-1)^s (b + ia)^s are computed once per parameter
+set, so a charge is a sum of level sums times those coefficients, and the
+shadow scans in stability.py compare phases of its integer-scaled values
+by cross products.  Everything here is Fraction or int arithmetic; there
+is no floating point in any code path.
 
 Transformation laws implemented and certified exactly:
   * twisting by a line bundle with multidegree c redistributes components
@@ -70,14 +74,6 @@ class ExactComplex:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "ExactComplex":
-        if k < 0:
-            raise ValueError("negative power")
-        out = ExactComplex.of(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -103,10 +99,6 @@ class ChargeParams:
             raise ValueError("parameter a must be positive")
         if self.n < 1:
             raise ValueError("rank must be at least 1")
-
-    @property
-    def b_plus_ia(self) -> ExactComplex:
-        return ExactComplex(self.b, self.a)
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +223,18 @@ def rank_deg(vec: LatticeVector) -> tuple[Fraction, Fraction]:
 # ------------------------------------------------------------- the charge
 
 
+@lru_cache(maxsize=256)
+def _level_coefficients(p: ChargeParams) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(re, im) of -(-1)^s (b+ia)^s for s = 0..n, the coefficients of Z."""
+    out = []
+    re, im = Fraction(1), Fraction(0)
+    for s in range(p.n + 1):
+        sign = 1 if s % 2 else -1  # -(-1)^s
+        out.append((sign * re, sign * im))
+        re, im = re * p.b - im * p.a, re * p.a + im * p.b
+    return tuple(out)
+
+
 def central_charge(p: ChargeParams, vec: LatticeVector) -> ExactComplex:
     """Z(v) = sum_s -(-1)^s (b+ia)^s * (level-s component sum)."""
     if p.n != vec.n:
@@ -238,13 +242,12 @@ def central_charge(p: ChargeParams, vec: LatticeVector) -> ExactComplex:
     levels = [Fraction(0)] * (vec.n + 1)
     for s, v in vec.components.items():
         levels[len(s)] += v
-    total = ExactComplex.of(0)
-    power = ExactComplex.of(1)
-    for s in range(vec.n + 1):
-        sign = 1 if s % 2 else -1  # -(-1)^s
-        total = total + power * (sign * levels[s])
-        power = power * p.b_plus_ia
-    return total
+    re = im = Fraction(0)
+    for level, (c_re, c_im) in zip(levels, _level_coefficients(p)):
+        if level:
+            re += level * c_re
+            im += level * c_im
+    return ExactComplex(re, im)
 
 
 def twist(vec: LatticeVector, c: Sequence[Scalar]) -> LatticeVector:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -173,11 +174,11 @@ def hn_split_p1(
         raise ValueError("the zero sheaf has no HN filtration")
     factors: list[tuple[SplitSheafP1, PhasePoint]] = []
     if sheaf.torsion_lengths:
-        z = ExactComplex(Fraction(-sum(sheaf.torsion_lengths)), Fraction(0))
+        z = central_charge(p, vector_from_rank_deg(0, sum(sheaf.torsion_lengths)))
         factors.append((SplitSheafP1((), sheaf.torsion_lengths), PhasePoint(z)))
     for d in sorted(set(sheaf.bundle_degrees), reverse=True):
         k = sheaf.bundle_degrees.count(d)
-        z = ExactComplex(p.b * k - Fraction(k * d), p.a * k)
+        z = central_charge(p, vector_from_rank_deg(k, k * d))
         factors.append((SplitSheafP1((d,) * k, ()), PhasePoint(z)))
     return factors
 
@@ -224,6 +225,71 @@ def hn_slope_regroup(pieces: Sequence[tuple]) -> list[list[tuple]]:
 MAX_SCAN_CLASSES = 100_000
 
 
+def scan_class_count(n: int, bound: int) -> int:
+    """Number of classes bayer_shadow_scan tries at rank n and this bound.
+
+    Raises ValueError for a bound below 1 and for a count beyond
+    MAX_SCAN_CLASSES, so a caller can refuse a scan before starting it.
+    """
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    side = 2 * bound + 1
+    classes = bound * side + bound if n == 1 else side ** (2**n)
+    if classes > MAX_SCAN_CLASSES:
+        raise ValueError(
+            f"scan of {classes} classes exceeds the limit of {MAX_SCAN_CLASSES}"
+        )
+    return classes
+
+
+def _integer_charge_rows(
+    p: ChargeParams, cells: Sequence[frozenset[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Rows (Re Z, Im Z, Re Z', Im Z') over the cells, Z' = Z(twist(., -1)).
+
+    Both functionals are linear in the class, so their values on the basis
+    vectors determine them; one positive common denominator is cleared,
+    which keeps every ray and the sign of every cross product.
+    """
+    minus_one = [-1] * p.n
+    rows: list[list[Fraction]] = [[], [], [], []]
+    for cell in cells:
+        basis = LatticeVector(p.n, {cell: 1})
+        before = central_charge(p, basis)
+        after = central_charge(p, twist(basis, minus_one))
+        for row, value in zip(rows, (before.re, before.im, after.re, after.im)):
+            row.append(value)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+
+
+def _dot(row: tuple[int, ...], values: tuple[int, ...]) -> int:
+    return sum(map(operator.mul, row, values))
+
+
+def _strip(x: int, y: int) -> bool:
+    """in_strip for an integer-scaled charge x + iy."""
+    return y > 0 or (y == 0 and x < 0)
+
+
+def _phase_below(x1: int, y1: int, x2: int, y2: int) -> bool:
+    """PhasePoint order of two strip charges at shift 0, phase one maximal."""
+    if y1 == 0:
+        return False
+    if y2 == 0:
+        return True
+    return x1 * y2 - x2 * y1 > 0
+
+
+def _exact_phases(p: ChargeParams, vec: LatticeVector) -> tuple[PhasePoint, PhasePoint]:
+    """Phases of vec and of twist(vec, -1) by the exact charge route."""
+    z_before = central_charge(p, vec)
+    z_after = central_charge(p, twist(vec, [-1] * p.n))
+    if not (in_strip(z_before) and in_strip(z_after)):
+        raise RuntimeError(f"integer strip test disagrees with the exact charges at {vec}")
+    return phase(z_before), phase(z_after)
+
+
 def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
     """Check that twisting by the dual ample class never raises the phase.
 
@@ -238,28 +304,33 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
     tried, and vectors leaving the strip (before or after the twist) are
     skipped rather than counted against the check.
 
+    Z and Z(twist(., -1)) are linear, so each class costs two integer dot
+    products against rows built once from central_charge, and phases are
+    compared by integer cross products.  Each finding is rebuilt through
+    central_charge and PhasePoint for its report; a RuntimeError is raised
+    if that disagrees with the integer verdict.
+
     The class count grows like bound^(2^n); beyond MAX_SCAN_CLASSES the
     scan is refused with a ValueError before any class is tried.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
     n = p.n
-    side = 2 * bound + 1
-    classes = bound * side + bound if n == 1 else side ** (2**n)
-    if classes > MAX_SCAN_CLASSES:
-        raise ValueError(
-            f"scan of {classes} classes exceeds the limit of {MAX_SCAN_CLASSES}"
-        )
+    scan_class_count(n, bound)
+    cells = subsets(n)
+    rows = _integer_charge_rows(p, cells)
     scanned = 0
     skipped = 0
     violations: list[dict] = []
     if n == 1:
+        # cells are ((), {1}): a class (r, d) has values (d, r).  Every
+        # class here is in the strip: Im Z = a*r > 0, and torsion has Z = -d.
         for r in range(1, bound + 1):
             for d in range(-bound, bound + 1):
                 scanned += 1
-                before = phase(central_charge(p, vector_from_rank_deg(r, d)))
-                after = phase(central_charge(p, vector_from_rank_deg(r, d - r)))
-                if not after < before:
+                x1, y1, x2, y2 = [_dot(row, (d, r)) for row in rows]
+                if not _phase_below(x2, y2, x1, y1):
+                    before, after = _exact_phases(p, vector_from_rank_deg(r, d))
+                    if after < before:
+                        raise RuntimeError(f"integer phase order disagrees at {(r, d)}")
                     violations.append(
                         {
                             "piece": [r, d],
@@ -270,11 +341,11 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
                     )
         for d in range(1, bound + 1):
             scanned += 1
-            before = phase(central_charge(p, vector_from_rank_deg(0, d)))
-            after = phase(
-                central_charge(p, twist(vector_from_rank_deg(0, d), [-1]))
-            )
-            if after != before:
+            x1, y1, x2, y2 = [_dot(row, (d, 0)) for row in rows]
+            if x1 * y2 - x2 * y1:
+                before, after = _exact_phases(p, vector_from_rank_deg(0, d))
+                if after == before:
+                    raise RuntimeError(f"integer torsion phase disagrees at {(0, d)}")
                 violations.append(
                     {
                         "piece": [0, d],
@@ -284,23 +355,23 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
                     }
                 )
     else:
-        minus_one = [-1] * n
-        cells = subsets(n)
         for values in itertools.product(range(-bound, bound + 1), repeat=len(cells)):
-            vec = LatticeVector(n, dict(zip(cells, values)))
-            z_before = central_charge(p, vec)
-            z_after = central_charge(p, twist(vec, minus_one))
-            if not (in_strip(z_before) and in_strip(z_after)):
+            x1, y1, x2, y2 = [_dot(row, values) for row in rows]
+            if not (_strip(x1, y1) and _strip(x2, y2)):
                 skipped += 1
                 continue
             scanned += 1
-            if phase(z_after) > phase(z_before):
+            if _phase_below(x1, y1, x2, y2):
+                vec = LatticeVector(n, dict(zip(cells, values)))
+                before, after = _exact_phases(p, vec)
+                if not after > before:
+                    raise RuntimeError(f"integer phase order disagrees at {vec}")
                 violations.append(
                     {
                         "vector": vec.to_json(),
                         "kind": "phase_rose",
-                        "before": phase(z_before).to_json(),
-                        "after": phase(z_after).to_json(),
+                        "before": before.to_json(),
+                        "after": after.to_json(),
                     }
                 )
     return {

@@ -158,6 +158,7 @@ class TestScanCommand:
         assert code == 2
         assert out == ""
         assert "error: scan of 6765201 classes exceeds the limit" in err
+        assert "scanning" not in err and "exploratory" not in err
 
 
 class TestHnCommand:

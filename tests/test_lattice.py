@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubstab.lattice import (
     ChargeParams,
@@ -53,14 +55,6 @@ class TestExactComplex:
         assert u - u == ExactComplex.of(0)
         assert (u - u).is_zero
         assert -v == ExactComplex.of(F(-1, 3), 1)
-
-    def test_powers_match_complex(self):
-        u = ExactComplex.of(F(2, 3), F(-5, 7))
-        z = complex(F(2, 3), F(-5, 7))
-        for k in range(6):
-            w = u**k
-            ref = z**k
-            assert abs(complex(w.re, w.im) - ref) < 1e-9
 
     def test_abs_squared(self):
         assert ExactComplex.of(3, 4).abs_squared() == 25
@@ -162,6 +156,24 @@ class TestCentralCharge:
                 v = random_lattice_vector(rng, n)
                 z = central_charge(p, v)
                 assert abs(complex(z.re, z.im) - charge_oracle(p, v)) < 1e-6
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_defining_sum(self, data):
+        """Z(v) = sum_s -(-1)^s (b+ia)^s L_s, powers by repeated products."""
+        rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 20))
+        n = data.draw(st.integers(1, 4))
+        a = data.draw(st.builds(F, st.integers(1, 50), st.integers(1, 20)))
+        b = data.draw(rationals)
+        values = data.draw(st.lists(rationals, min_size=2**n, max_size=2**n))
+        vec = LatticeVector(n, dict(zip(subsets(n), values)))
+        expected = ExactComplex.of(0)
+        power = ExactComplex.of(1)
+        for s in range(n + 1):
+            level = sum((v for key, v in vec.components.items() if len(key) == s), F(0))
+            expected = expected + power * (-((-1) ** s) * level)
+            power = power * ExactComplex(b, a)
+        assert central_charge(ChargeParams(a, b, n), vec) == expected
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):

@@ -330,6 +330,14 @@ class TestBayerShadow:
             with pytest.raises(ScanStarted):
                 bayer_shadow_scan(ChargeParams(F(1), F(0), n), bound)
 
+    def test_integer_verdict_is_checked_against_exact_phases(self, monkeypatch):
+        monkeypatch.setattr("schubstab.stability._phase_below", lambda *args: False)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            bayer_shadow_scan(ChargeParams(F(1), F(0), 1), 2)
+        monkeypatch.setattr("schubstab.stability._phase_below", lambda *args: True)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            bayer_shadow_scan(ChargeParams(F(1), F(0), 2), 1)
+
     def test_twist_drops_phase_spot_check(self):
         p = ChargeParams(F(1), F(0), 1)
         before = phase(central_charge(p, vector_from_rank_deg(1, 0)))
