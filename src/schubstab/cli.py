@@ -28,7 +28,7 @@ from .bimodule import (
 )
 from .lattice import ChargeParams, verify_charge_transforms
 from .perms import Permutation
-from .poly import verify_demazure_relations
+from .poly import demazure_word_count, verify_demazure_relations
 from .schubert import double_schubert, schubert_poly
 from .stability import (
     SplitSheafP1,
@@ -137,6 +137,11 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_verify_demazure(args) -> int:
+    try:
+        demazure_word_count(args.n)
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return 2
     _progress(f"checking divided-difference relations at n={args.n} ...")
     try:
         cert = verify_demazure_relations(args.n, args.trials, args.seed)

@@ -13,6 +13,7 @@ length ascending, then one-line notation lexicographically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -165,6 +166,12 @@ def reduced_words(w: Permutation) -> tuple[tuple[int, ...], ...]:
     reduced when k = length(w).  Peeling a left descent a off w shortens it,
     so the words are exactly {(a,) + tail : a left descent, tail reduced word
     of s_a * w}; taking descents in ascending order keeps the list sorted.
+
+    The cache has no size limit; what bounds it is the budget of its only
+    caller in the package, verify_demazure_relations, which refuses every
+    rank whose longest permutation has more than poly.MAX_LONGEST_WORDS
+    reduced words.  The package thus fills it only with permutations of
+    rank at most 5.
     """
     if w.is_identity:
         return ((),)
@@ -173,6 +180,20 @@ def reduced_words(w: Permutation) -> tuple[tuple[int, ...], ...]:
         shorter = Permutation.simple(a, w.n) * w
         out.extend((a,) + tail for tail in reduced_words(shorter))
     return tuple(out)
+
+
+def longest_reduced_word_count(n: int) -> int:
+    """Number of reduced words of the longest permutation of rank n.
+
+    Stanley (1984): N! / prod_{i=1}^{n-1} (2i - 1)^{n-i} with N = n(n-1)/2,
+    the number of standard Young tableaux of staircase shape.
+    """
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    denominator = 1
+    for i in range(1, n):
+        denominator *= (2 * i - 1) ** (n - i)
+    return math.factorial(n * (n - 1) // 2) // denominator
 
 
 def canonical_reduced_word(w: Permutation) -> tuple[int, ...]:

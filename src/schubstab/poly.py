@@ -12,6 +12,13 @@ The divided-difference operator of index j sends f to
 numerator is always divisible; division is performed by synthetic (Horner)
 division along the x_j-degree, and a nonzero remainder raises RuntimeError
 because it can only mean an implementation bug.
+
+`Poly(nx, ny, terms)` and every named constructor validate their input:
+exponent tuples of width nx + ny, no negative exponent, coefficients
+converted to `Fraction` and zeros dropped.  Results the module computes
+itself (sums, negatives, products, the x-action, divided differences and
+the two-alphabet moves) are built already in that form and wrapped by
+`Poly._trusted`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -20,10 +27,32 @@ import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .perms import Permutation, canonical_reduced_word, symmetric_group
+from .perms import (
+    Permutation,
+    canonical_reduced_word,
+    longest_reduced_word_count,
+    reduced_words,
+    symmetric_group,
+)
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
+
+
+def _accumulate(
+    acc: dict[Exponent, Fraction], terms: Iterable[tuple[Exponent, Fraction]]
+) -> dict[Exponent, Fraction]:
+    """Add nonzero terms into acc in place, dropping keys whose sum is zero."""
+    for k, v in terms:
+        if k in acc:
+            s = acc[k] + v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        else:
+            acc[k] = v
+    return acc
 
 
 class Poly:
@@ -48,6 +77,16 @@ class Poly:
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "ny", ny)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nx: int, ny: int, terms: dict[Exponent, Fraction]) -> "Poly":
+        """Wrap terms this module built: tuple keys of width nx + ny with
+        nonnegative entries, nonzero Fraction values.  Nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nx", nx)
+        object.__setattr__(p, "ny", ny)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -103,24 +142,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def x_degree(self, i: int) -> int:
-        """Largest exponent of x_i appearing; 0 for the zero polynomial."""
-        if not 1 <= i <= self.nx:
-            raise ValueError(f"x-index {i} out of range for {self.nx} x-variables")
-        if not self.terms:
-            return 0
-        return max(e[i - 1] for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_components(self) -> dict[int, "Poly"]:
-        buckets: dict[int, dict[Exponent, Fraction]] = {}
-        for exp, c in self.terms.items():
-            buckets.setdefault(sum(exp), {})[exp] = c
-        return {d: Poly(self.nx, self.ny, t) for d, t in sorted(buckets.items())}
-
     def items_sorted(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in graded lexicographic order (total degree, then exponents)."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -139,15 +160,13 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return Poly(self.nx, self.ny, out)
+        out = _accumulate(dict(self.terms), other.terms.items())
+        return Poly._trusted(self.nx, self.ny, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nx, self.ny, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nx, self.ny, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -162,7 +181,9 @@ class Poly:
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Poly(self.nx, self.ny, {e: c * v for e, v in self.terms.items()})
+            if not c:
+                return Poly._trusted(self.nx, self.ny, {})
+            return Poly._trusted(self.nx, self.ny, {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
@@ -170,8 +191,11 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.nx, self.ny, out)
+                if key in out:
+                    out[key] += c1 * c2
+                else:
+                    out[key] = c1 * c2
+        return Poly._trusted(self.nx, self.ny, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -261,7 +285,7 @@ def permute_x(w: Permutation, f: Poly) -> Poly:
         for i in range(f.nx):
             moved[w.word[i] - 1] = exp[i]
         out[tuple(moved) + exp[f.nx :]] = c
-    return Poly(f.nx, f.ny, out)
+    return Poly._trusted(f.nx, f.ny, out)
 
 
 def is_symmetric(f: Poly) -> bool:
@@ -283,7 +307,7 @@ def divided_difference(j: int, f: Poly) -> Poly:
         raise ValueError(f"operator index {j} out of range for {f.nx} x-variables")
     g = f - permute_x(Permutation.simple(j, f.nx), f)
     if g.is_zero:
-        return Poly.zero(f.nx, f.ny)
+        return Poly._trusted(f.nx, f.ny, {})
     slot, succ = j - 1, j  # 0-based slots of x_j and x_{j+1}
 
     # Bucket the numerator by x_j-degree; keys have the x_j slot zeroed.
@@ -291,15 +315,6 @@ def divided_difference(j: int, f: Poly) -> Poly:
     for exp, c in g.terms.items():
         rest = exp[:slot] + (0,) + exp[slot + 1 :]
         buckets.setdefault(exp[slot], {})[rest] = c
-
-    def plus(acc: dict[Exponent, Fraction], inc: dict[Exponent, Fraction]) -> dict:
-        for k, v in inc.items():
-            s = acc.get(k, Fraction(0)) + v
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-        return acc
 
     def times_succ(d: dict[Exponent, Fraction]) -> dict[Exponent, Fraction]:
         return {
@@ -312,10 +327,10 @@ def divided_difference(j: int, f: Poly) -> Poly:
     for k in range(top - 1, -1, -1):
         for rest, c in carry.items():
             out[rest[:slot] + (k,) + rest[slot + 1 :]] = c
-        carry = plus(times_succ(carry), buckets.get(k, {}))
+        carry = _accumulate(times_succ(carry), buckets.get(k, {}).items())
     if carry:
         raise RuntimeError("exact division by (x_j - x_{j+1}) left a remainder; this is a bug")
-    return Poly(f.nx, f.ny, out)
+    return Poly._trusted(f.nx, f.ny, out)
 
 
 def demazure(w: Permutation, f: Poly) -> Poly:
@@ -332,14 +347,6 @@ def demazure(w: Permutation, f: Poly) -> Poly:
     return out
 
 
-def demazure_along_word(letters: Iterable[int], f: Poly) -> Poly:
-    """Composite along an explicit word, rightmost letter applied first."""
-    out = f
-    for a in reversed(tuple(letters)):
-        out = divided_difference(a, out)
-    return out
-
-
 # ----------------------------------------------------- two-alphabet moves
 
 
@@ -352,7 +359,7 @@ def widen_with_y(f: Poly, ny: int) -> Poly:
     """Embed Q[x] into Q[x, y_1..y_ny]."""
     _require_pure_x(f)
     pad = (0,) * ny
-    return Poly(f.nx, ny, {exp + pad: c for exp, c in f.terms.items()})
+    return Poly._trusted(f.nx, ny, {exp + pad: c for exp, c in f.terms.items()})
 
 
 def x_to_neg_y(f: Poly, nx: int) -> Poly:
@@ -363,7 +370,7 @@ def x_to_neg_y(f: Poly, nx: int) -> Poly:
     for exp, c in f.terms.items():
         sign = -1 if sum(exp) % 2 else 1
         out[pad + exp] = sign * c
-    return Poly(nx, f.nx, out)
+    return Poly._trusted(nx, f.nx, out)
 
 
 def specialize_y_to_x(f: Poly) -> Poly:
@@ -371,15 +378,8 @@ def specialize_y_to_x(f: Poly) -> Poly:
     if f.ny != f.nx:
         raise ValueError(f"need matching alphabets, got {f.nx} x- and {f.ny} y-variables")
     n = f.nx
-    out: dict[Exponent, Fraction] = {}
-    for exp, c in f.terms.items():
-        key = tuple(exp[i] + exp[n + i] for i in range(n))
-        s = out.get(key, Fraction(0)) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return Poly(n, 0, out)
+    moved = ((tuple(exp[i] + exp[n + i] for i in range(n)), c) for exp, c in f.terms.items())
+    return Poly._trusted(n, 0, _accumulate({}, moved))
 
 
 def set_y_to_zero(f: Poly) -> Poly:
@@ -397,7 +397,7 @@ def negate_x(f: Poly) -> Poly:
     for exp, c in f.terms.items():
         sign = -1 if sum(exp[: f.nx]) % 2 else 1
         out[exp] = sign * c
-    return Poly(f.nx, f.ny, out)
+    return Poly._trusted(f.nx, f.ny, out)
 
 
 # -------------------------------------------------- randomness, checking
@@ -428,6 +428,47 @@ def random_poly(
     return Poly(nx, ny, terms)
 
 
+# verify_demazure_relations walks every reduced word of every permutation;
+# the longest one has 768 words at n = 5 and 292 864 at n = 6.
+MAX_LONGEST_WORDS = 10_000
+
+
+def demazure_word_count(n: int) -> int:
+    """Number of reduced words of the longest permutation of rank n.
+
+    Raises ValueError beyond MAX_LONGEST_WORDS, so a caller can refuse
+    verify_demazure_relations before starting it.  The count grows with the
+    rank, so ranks are tried upwards and the first one over the limit
+    refuses: a huge n never reaches the factorial of n(n-1)/2.
+    """
+    count = 1
+    for k in range(2, n + 1):
+        count = longest_reduced_word_count(k)
+        if count > MAX_LONGEST_WORDS:
+            raise ValueError(
+                f"rank {n} has at least {count} reduced words for its longest "
+                f"permutation, beyond the limit of {MAX_LONGEST_WORDS}"
+            )
+    return count
+
+
+class _SuffixTable(dict):
+    """Composites of divided differences along words, for one polynomial f.
+
+    The entry of the empty word is f, and the entry of (a,) + tail is
+    divided_difference(a, self[tail]): rightmost letter first, the way
+    reduced_words builds its words from those of shorter permutations.
+    Entries are computed on first lookup.
+    """
+
+    def __init__(self, f: Poly):
+        super().__init__({(): f})
+
+    def __missing__(self, word: tuple[int, ...]) -> Poly:
+        out = self[word] = divided_difference(word[0], self[word[1:]])
+        return out
+
+
 def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     """Certificate that the divided differences satisfy their algebra.
 
@@ -435,11 +476,20 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     square vanishing, the braid and commuting relations, the twisted
     Leibniz rule, and independence of demazure(w, -) from the choice of
     reduced word for every w in the rank-n group.
-    """
-    from .perms import reduced_words  # local import to keep module top light
 
+    For reduced-word independence each trial polynomial gets one suffix
+    table, local to this call and shared by all w: the composite along a
+    word is one divided difference applied to the composite along its
+    tail, so each distinct suffix is applied once.  Every reduced word's
+    composite is still computed and compared with that of the first word.
+    The table is keyed by words, never by permutations: a permutation key
+    would give every reduced word of w one value, which is the claim under
+    test.  Ranks whose longest permutation has more than MAX_LONGEST_WORDS
+    reduced words are refused with ValueError before any work.
+    """
     if n < 2:
         raise ValueError("need at least two variables")
+    demazure_word_count(n)
     rng = random.Random(seed)
     polys = [random_poly(rng, n) for _ in range(trials)]
     violations: list[dict] = []
@@ -480,15 +530,16 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
             if lhs != rhs:
                 violations.append({"relation": "leibniz", "j": j, "trial": t})
 
+    tables = [_SuffixTable(f) for f in polys]
     for w in symmetric_group(n):
         words = reduced_words(w)
         if len(words) < 2:
             continue
-        for t, f in enumerate(polys):
+        for t, table in enumerate(tables):
             counts["reduced_word_independence"] += 1
-            base = demazure_along_word(words[0], f)
+            base = table[words[0]]
             for letters in words[1:]:
-                if demazure_along_word(letters, f) != base:
+                if table[letters] != base:
                     violations.append(
                         {
                             "relation": "reduced_word_independence",

@@ -99,6 +99,19 @@ class TestVerifyCommands:
         assert "error: need at least two variables" in err
         assert "Traceback" not in err
 
+    def test_demazure_rank_six_is_refused(self, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("check started")
+
+        monkeypatch.setattr("schubstab.poly.random_poly", boom)
+        code, out, err = run(["verify", "demazure", "--n", "6"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: rank 6 has at least 292864 reduced words for its longest "
+            "permutation, beyond the limit of 10000"
+        ]
+
     def test_charges_passes(self, capsys):
         argv = [
             "verify", "charges", "--n", "2", "--m", "3",

@@ -16,6 +16,7 @@ from schubstab.perms import (
     Permutation,
     canonical_reduced_word,
     length_additive_factorizations,
+    longest_reduced_word_count,
     product_of_simples,
     reduced_words,
     symmetric_group,
@@ -198,6 +199,11 @@ def test_canonical_reduced_word_is_lex_smallest():
 def test_longest_word_count_s4():
     # Known count for the longest element of rank 4.
     assert len(reduced_words(Permutation.longest(4))) == 16
+    # Stanley's closed form against the enumeration, then known values.
+    for n in range(1, 6):
+        assert longest_reduced_word_count(n) == len(reduced_words(Permutation.longest(n)))
+    assert longest_reduced_word_count(6) == 292864
+    assert longest_reduced_word_count(7) == 1100742656
 
 
 # ------------------------------------------------------------ enumeration

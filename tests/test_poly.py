@@ -2,19 +2,26 @@
 
 Frozen values were computed by hand from the defining formulas (the divided
 difference of x_1^2 is the second complete homogeneous polynomial, etc.) and
-are asserted literally.
+are asserted literally.  Results built through the unvalidated internal
+constructor are checked against re-validated copies and against sympy.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schubstab.perms import Permutation
+import schubstab.poly as poly_module
+from schubstab.perms import Permutation, reduced_words, symmetric_group
 from schubstab.poly import (
+    MAX_LONGEST_WORDS,
     Poly,
+    _SuffixTable,
     demazure,
-    demazure_along_word,
+    demazure_word_count,
     divided_difference,
     is_symmetric,
     negate_x,
@@ -30,6 +37,18 @@ from schubstab.poly import (
 
 def x(i, n):
     return Poly.x(i, n)
+
+
+def demazure_along_word(letters, f):
+    """Composite along an explicit word, rightmost letter applied first.
+
+    The word-by-word oracle for the certificate's suffix table; it looks
+    divided_difference up in the module, so a patched operator reaches it.
+    """
+    out = f
+    for a in reversed(tuple(letters)):
+        out = poly_module.divided_difference(a, out)
+    return out
 
 
 # ------------------------------------------------------------ ring basics
@@ -81,13 +100,10 @@ def test_degrees():
     f = x(1, 3) ** 2 * x(2, 3) + x(3, 3)
     assert f.total_degree() == 3
     assert Poly.zero(3).total_degree() == -1
-    assert f.x_degree(1) == 2
-    assert f.x_degree(3) == 1
-    comps = f.homogeneous_components()
-    assert sorted(comps) == [1, 3]
-    assert comps[1] == x(3, 3)
-    assert f.is_homogeneous() is False
-    assert comps[3].is_homogeneous()
+    assert max(e[0] for e in f.terms) == 2
+    assert max(e[2] for e in f.terms) == 1
+    assert sorted({sum(e) for e in f.terms}) == [1, 3]
+    assert Poly(3, 0, {e: c for e, c in f.terms.items() if sum(e) == 1}) == x(3, 3)
 
 
 def test_str_rendering():
@@ -165,7 +181,8 @@ def test_divided_difference_kills_symmetric_and_drops_degree():
     # Degree drop on homogeneous non-invariant input.
     f = x(1, 3) ** 3 * x(2, 3)
     g = divided_difference(1, f)
-    assert f.is_homogeneous() and g.total_degree() == f.total_degree() - 1
+    assert len({sum(e) for e in f.terms}) == 1
+    assert g.total_degree() == f.total_degree() - 1
 
 
 def test_divided_difference_output_invariance_implies_square_zero():
@@ -204,6 +221,148 @@ def test_verify_demazure_relations_certificate():
     # Deterministic for a fixed seed.
     assert verify_demazure_relations(3, trials=6, seed=42) == cert
     assert verify_demazure_relations(3, trials=6, seed=43) != cert
+
+
+def test_suffix_table_matches_word_by_word():
+    for n in (2, 3, 4):
+        rng = random.Random(100 + n)
+        for _ in range(3):
+            f = random_poly(rng, n)
+            table = _SuffixTable(f)
+            suffixes = set()
+            for w in symmetric_group(n):
+                for word in reduced_words(w):
+                    table[word]
+                    suffixes.update(word[k:] for k in range(len(word) + 1))
+            assert set(table) == suffixes
+            for word, value in table.items():
+                assert value == demazure_along_word(word, f)
+
+
+def _plain_word_violations(n, polys):
+    """The reduced-word-independence loop with word-by-word composites."""
+    out = []
+    for w in symmetric_group(n):
+        words = reduced_words(w)
+        if len(words) < 2:
+            continue
+        for t, f in enumerate(polys):
+            base = demazure_along_word(words[0], f)
+            for letters in words[1:]:
+                if demazure_along_word(letters, f) != base:
+                    out.append(
+                        {
+                            "relation": "reduced_word_independence",
+                            "w": w.to_json(),
+                            "word": list(letters),
+                            "trial": t,
+                        }
+                    )
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_certificate_names_a_wrong_divided_difference(monkeypatch, n):
+    """An operator wrong only for j = 1 on d_2(f) of trial 0 is named."""
+    trials, seed = 2, 5
+    rng = random.Random(seed)
+    polys = [random_poly(rng, n) for _ in range(trials)]
+    real = divided_difference
+    bad_input = real(2, polys[0])
+
+    def wrong(j, g):
+        out = real(j, g)
+        # The word (2, 1, 2) applies d_2 next, which kills constants but
+        # sends x_3 to -1.
+        return out + Poly.x(3, n) if j == 1 and g == bad_input else out
+
+    monkeypatch.setattr(poly_module, "divided_difference", wrong)
+    cert = verify_demazure_relations(n, trials, seed)
+    named = [v for v in cert["violations"] if v["relation"] == "reduced_word_independence"]
+    w = list(Permutation.longest(3).word) + list(range(4, n + 1))
+    fault = {"relation": "reduced_word_independence", "w": w, "word": [2, 1, 2], "trial": 0}
+    assert fault in named
+    assert named == _plain_word_violations(n, polys)
+    assert all(v["trial"] == 0 for v in named)
+
+
+def test_demazure_budget_refuses_before_any_work(monkeypatch):
+    assert demazure_word_count(5) == 768 <= MAX_LONGEST_WORDS
+    assert demazure_word_count(2) == 1
+
+    def boom(*args):
+        raise AssertionError("check started")
+
+    monkeypatch.setattr(poly_module, "random_poly", boom)
+    monkeypatch.setattr(poly_module, "divided_difference", boom)
+    with pytest.raises(ValueError, match="at least 292864 reduced words"):
+        verify_demazure_relations(6, 1, 0)
+    with pytest.raises(ValueError, match="beyond the limit"):
+        demazure_word_count(10**9)
+
+
+# ------------------------------------------- the unvalidated constructor
+
+
+def _polys(nx, ny):
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    exp = st.tuples(*[st.integers(0, 3)] * (nx + ny))
+    return st.dictionaries(exp, coeff, max_size=6).map(lambda t: Poly(nx, ny, t))
+
+
+def _assert_clean(p):
+    assert p == Poly(p.nx, p.ny, p.terms)
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+def _sympy(p):
+    gens = sympy.symbols(f"x1:{p.nx + 1}") + (sympy.symbols(f"y1:{p.ny + 1}") if p.ny else ())
+    total = sympy.Integer(0)
+    for exp, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for g, e in zip(gens, exp):
+            term *= g**e
+        total += term
+    return total, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_unvalidated_results_are_clean(data):
+    nx = data.draw(st.integers(2, 4))
+    ny = data.draw(st.sampled_from((0, nx)))
+    f = data.draw(_polys(nx, ny))
+    g = data.draw(_polys(nx, ny))
+    c = data.draw(st.sampled_from((0, 1, -2, Fraction(3, 5))))
+    j = data.draw(st.integers(1, nx - 1))
+    w = Permutation(tuple(data.draw(st.permutations(range(1, nx + 1)))))
+    results = [
+        f + g, f - g, f - f, (f + g) - g, -f, f * g, f * c, c * f, f * 0,
+        permute_x(w, f), divided_difference(j, f), negate_x(f),
+    ]
+    if ny:
+        results.append(specialize_y_to_x(f))
+    else:
+        results += [widen_with_y(f, nx), x_to_neg_y(f, nx)]
+    for p in results:
+        _assert_clean(p)
+    assert f - f == Poly.zero(nx, ny) and f * 0 == Poly.zero(nx, ny)
+    assert (f + g) - g == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_divided_difference_matches_sympy(data):
+    nx = data.draw(st.integers(2, 4))
+    ny = data.draw(st.sampled_from((0, nx)))
+    f = data.draw(_polys(nx, ny))
+    j = data.draw(st.integers(1, nx - 1))
+    expr, gens = _sympy(f)
+    xj, xk = gens[j - 1], gens[j]
+    swapped = expr.subs({xj: xk, xk: xj}, simultaneous=True)
+    want = sympy.cancel((expr - swapped) / (xj - xk))
+    got, _ = _sympy(divided_difference(j, f))
+    assert sympy.expand(want - got) == 0
 
 
 # ------------------------------------------------------- two-alphabet ops
