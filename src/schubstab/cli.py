@@ -73,30 +73,13 @@ def positive_int(text: str) -> int:
     return value
 
 
-def jsonable(obj):
-    """Recursively convert library values into JSON-serializable ones."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(jsonable(x) for x in obj)
-    if hasattr(obj, "to_json"):
-        return jsonable(obj.to_json())
-    return str(obj)
-
-
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
 def _emit(args, payload, lines) -> None:
     if args.json:
-        print(json.dumps(jsonable(payload), sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in lines:
             print(line)
@@ -108,7 +91,7 @@ def _cert_lines(cert: dict) -> list[str]:
     head = f"{cert.get('check', 'check')}: {status}"
     lines = [head]
     for violation in bad[:5]:
-        lines.append("  violation: " + json.dumps(jsonable(violation), sort_keys=True))
+        lines.append("  violation: " + json.dumps(violation, sort_keys=True))
     if len(bad) > 5:
         lines.append(f"  ... and {len(bad) - 5} more")
     return lines
@@ -132,7 +115,7 @@ def _cmd_schubert(args) -> int:
         return 2
     poly = double_schubert(w) if args.double else schubert_poly(w)
     payload = {"w": w.to_json(), "double": args.double, "poly": poly.to_json()}
-    _emit(args, payload, [str(poly)])
+    _emit(args, payload, [] if args.json else [str(poly)])
     return 0
 
 
@@ -143,11 +126,7 @@ def _cmd_verify_demazure(args) -> int:
         _progress(f"error: {exc}")
         return 2
     _progress(f"checking divided-difference relations at n={args.n} ...")
-    try:
-        cert = verify_demazure_relations(args.n, args.trials, args.seed)
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 2
+    cert = verify_demazure_relations(args.n, args.trials, args.seed)
     _emit(args, cert, _cert_lines(cert))
     return _exit_code([cert])
 
@@ -250,7 +229,7 @@ def _cmd_derive_chain(args) -> int:
 
 def _cmd_table_graph_twists(args) -> int:
     entries = graph_twist_table(args.n)
-    payload = {"n": args.n, "entries": entries}
+    payload = {"n": args.n, "entries": [entry.to_json() for entry in entries]}
     lines = []
     for entry in entries:
         pairs = " ".join(f"({i},{j})" for i, j in entry.inversion_set)

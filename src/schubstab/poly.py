@@ -8,10 +8,13 @@ works in the pure-x ring (ny = 0); the y-block exists for two-alphabet
 polynomials and is inert under the group action and the operators.
 
 The divided-difference operator of index j sends f to
-(f - s_j f) / (x_j - x_{j+1}), where s_j swaps x_j and x_{j+1}.  The
-numerator is always divisible; division is performed by synthetic (Horner)
-division along the x_j-degree, and a nonzero remainder raises RuntimeError
-because it can only mean an implementation bug.
+(f - s_j f) / (x_j - x_{j+1}), where s_j swaps x_j and x_{j+1}.  It is
+computed monomial by monomial, with no subtraction and no division: if a
+monomial has exponents p > q on x_j, x_{j+1}, its image is the sum over
+k = 0..p-q-1 of the monomial with those exponents replaced by
+(p-1-k, q+k); if p < q, it is minus the image of the monomial with p and q
+swapped; if p = q, it is 0 (Macdonald, Notes on Schubert Polynomials,
+1991, ch. II).
 
 `Poly(nx, ny, terms)` and every named constructor validate their input:
 exponent tuples of width nx + ny, no negative exponent, coefficients
@@ -296,40 +299,25 @@ def is_symmetric(f: Poly) -> bool:
 
 
 def divided_difference(j: int, f: Poly) -> Poly:
-    """(f - s_j f) / (x_j - x_{j+1}), exactly.
+    """(f - s_j f) / (x_j - x_{j+1}), by the monomial formula.
 
-    The numerator g is antisymmetric in x_j, x_{j+1}, hence divisible.  We
-    treat g as a univariate polynomial in x_j with coefficients in the other
-    variables and divide synthetically by (x_j - x_{j+1}); the remainder must
-    vanish.
+    Write a monomial as x_j^p x_{j+1}^q r, with r free of x_j and x_{j+1}.
+    For p > q its image is the sum of x_j^(p-1-k) x_{j+1}^(q+k) r over
+    k = 0..p-q-1; for p < q it is minus the image of x_j^q x_{j+1}^p r; for
+    p = q it is 0.  The y-variables sit in r and are inert.
     """
     if not 1 <= j <= f.nx - 1:
         raise ValueError(f"operator index {j} out of range for {f.nx} x-variables")
-    g = f - permute_x(Permutation.simple(j, f.nx), f)
-    if g.is_zero:
-        return Poly._trusted(f.nx, f.ny, {})
-    slot, succ = j - 1, j  # 0-based slots of x_j and x_{j+1}
-
-    # Bucket the numerator by x_j-degree; keys have the x_j slot zeroed.
-    buckets: dict[int, dict[Exponent, Fraction]] = {}
-    for exp, c in g.terms.items():
-        rest = exp[:slot] + (0,) + exp[slot + 1 :]
-        buckets.setdefault(exp[slot], {})[rest] = c
-
-    def times_succ(d: dict[Exponent, Fraction]) -> dict[Exponent, Fraction]:
-        return {
-            k[:succ] + (k[succ] + 1,) + k[succ + 1 :]: v for k, v in d.items()
-        }
-
-    top = max(buckets)
+    slot = j - 1  # 0-based slot of x_j; x_{j+1} is the next one
     out: dict[Exponent, Fraction] = {}
-    carry = dict(buckets[top])  # quotient coefficient of x_j^{top-1}
-    for k in range(top - 1, -1, -1):
-        for rest, c in carry.items():
-            out[rest[:slot] + (k,) + rest[slot + 1 :]] = c
-        carry = _accumulate(times_succ(carry), buckets.get(k, {}).items())
-    if carry:
-        raise RuntimeError("exact division by (x_j - x_{j+1}) left a remainder; this is a bug")
+    for exp, c in f.terms.items():
+        p, q = exp[slot], exp[slot + 1]
+        if p == q:
+            continue
+        if p < q:
+            p, q, c = q, p, -c
+        head, tail = exp[:slot], exp[slot + 2 :]
+        _accumulate(out, ((head + (p - 1 - k, q + k) + tail, c) for k in range(p - q)))
     return Poly._trusted(f.nx, f.ny, out)
 
 
@@ -436,11 +424,14 @@ MAX_LONGEST_WORDS = 10_000
 def demazure_word_count(n: int) -> int:
     """Number of reduced words of the longest permutation of rank n.
 
-    Raises ValueError beyond MAX_LONGEST_WORDS, so a caller can refuse
-    verify_demazure_relations before starting it.  The count grows with the
-    rank, so ranks are tried upwards and the first one over the limit
-    refuses: a huge n never reaches the factorial of n(n-1)/2.
+    This is the one gate of verify_demazure_relations, run before any work.
+    Raises ValueError for n < 2, which has no relation to check, and beyond
+    MAX_LONGEST_WORDS.  The count grows with the rank, so ranks are tried
+    upwards and the first one over the limit refuses: a huge n never
+    reaches the factorial of n(n-1)/2.
     """
+    if n < 2:
+        raise ValueError("need at least two variables")
     count = 1
     for k in range(2, n + 1):
         count = longest_reduced_word_count(k)
@@ -484,11 +475,10 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     composite is still computed and compared with that of the first word.
     The table is keyed by words, never by permutations: a permutation key
     would give every reduced word of w one value, which is the claim under
-    test.  Ranks whose longest permutation has more than MAX_LONGEST_WORDS
-    reduced words are refused with ValueError before any work.
+    test.  Ranks below 2, and ranks whose longest permutation has more than
+    MAX_LONGEST_WORDS reduced words, are refused with ValueError by
+    demazure_word_count before any work.
     """
-    if n < 2:
-        raise ValueError("need at least two variables")
     demazure_word_count(n)
     rng = random.Random(seed)
     polys = [random_poly(rng, n) for _ in range(trials)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from schubstab.cli import int_list, jsonable, main, rational
+from schubstab.cli import int_list, main, rational
 
 
 def run(argv, capsys):
@@ -34,11 +34,6 @@ class TestArgumentTypes:
         assert int_list("") == ()
         with pytest.raises(argparse.ArgumentTypeError):
             int_list("a,b")
-
-    def test_jsonable(self):
-        blob = jsonable({"x": Fraction(1, 2), "s": frozenset({3, 1}), "t": (1, 2)})
-        assert blob == {"x": "1/2", "s": [1, 3], "t": [1, 2]}
-        assert json.dumps(blob)
 
 
 class TestSchubertCommand:
@@ -96,8 +91,7 @@ class TestVerifyCommands:
         code, out, err = run(["verify", "demazure", "--n", "1"], capsys)
         assert code == 2
         assert out == ""
-        assert "error: need at least two variables" in err
-        assert "Traceback" not in err
+        assert err.splitlines() == ["error: need at least two variables"]
 
     def test_demazure_rank_six_is_refused(self, capsys, monkeypatch):
         def boom(*args):
@@ -120,16 +114,6 @@ class TestVerifyCommands:
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert "charge_transforms: ok" in out
-
-    def test_charges_json_yields_identical_bytes(self, capsys):
-        argv = [
-            "verify", "charges", "--n", "1", "--m", "2",
-            "--trials", "8", "--seed", "11", "--json",
-        ]
-        _, first, _ = run(argv, capsys)
-        _, second, _ = run(argv, capsys)
-        assert first == second
-        assert json.loads(first)["violations"] == []
 
     def test_nonpositive_a_is_usage_error(self, capsys):
         code, _, err = run(
@@ -231,6 +215,45 @@ class TestTableCommand:
         assert code == 0
         blob = json.loads(out)
         assert blob["entries"][1]["inversions"] == [[1, 2]]
+
+
+class TestJsonOutput:
+    """Payloads go to json.dumps as they are, so every subcommand's must be
+    JSON-native: a stray Fraction or set would raise TypeError."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(["schubert", "--n", "3", "--w", "2,3,1"], 0, id="schubert"),
+            pytest.param(
+                ["schubert", "--n", "3", "--w", "2,3,1", "--double"], 0, id="schubert-double"
+            ),
+            pytest.param(
+                ["verify", "demazure", "--n", "3", "--trials", "3", "--seed", "7"], 0,
+                id="verify-demazure",
+            ),
+            pytest.param(["verify", "soergel", "--n", "2"], 0, id="verify-soergel"),
+            pytest.param(
+                ["verify", "charges", "--n", "1", "--m", "2", "--trials", "8", "--seed", "11"], 0,
+                id="verify-charges",
+            ),
+            pytest.param(
+                ["scan", "bayer", "--n", "2", "--a", "1/2", "--b", "-1", "--bound", "2"], 1,
+                id="scan-bayer",
+            ),
+            pytest.param(
+                ["hn", "p1", "--degrees", "5,1,1", "--torsion", "2", "--a", "1/3"], 0, id="hn-p1"
+            ),
+            pytest.param(["derive", "chain", "--adegrees", "2,5", "--N", "3"], 0, id="derive-chain"),
+            pytest.param(["table", "graph-twists", "--n", "3"], 0, id="table-graph-twists"),
+        ],
+    )
+    def test_json_yields_identical_bytes(self, capsys, argv, code):
+        first_code, first, _ = run(argv + ["--json"], capsys)
+        second_code, second, _ = run(argv + ["--json"], capsys)
+        assert first_code == second_code == code
+        assert first == second
+        assert isinstance(json.loads(first), dict)
 
 
 class TestUsageErrors:

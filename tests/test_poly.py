@@ -299,6 +299,9 @@ def test_demazure_budget_refuses_before_any_work(monkeypatch):
         verify_demazure_relations(6, 1, 0)
     with pytest.raises(ValueError, match="beyond the limit"):
         demazure_word_count(10**9)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="need at least two variables"):
+            verify_demazure_relations(n, 1, 0)
 
 
 # ------------------------------------------- the unvalidated constructor
@@ -363,6 +366,32 @@ def test_divided_difference_matches_sympy(data):
     want = sympy.cancel((expr - swapped) / (xj - xk))
     got, _ = _sympy(divided_difference(j, f))
     assert sympy.expand(want - got) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_divided_difference_multiplies_back(data):
+    nx = data.draw(st.integers(2, 4))
+    ny = data.draw(st.sampled_from((0, nx)))
+    f = data.draw(_polys(nx, ny))
+    j = data.draw(st.integers(1, nx - 1))
+    root = Poly.x(j, nx, ny) - Poly.x(j + 1, nx, ny)
+    sj = Permutation.simple(j, nx)
+    assert root * divided_difference(j, f) == f - permute_x(sj, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_divided_difference_twisted_leibniz(data):
+    nx = data.draw(st.integers(2, 4))
+    ny = data.draw(st.sampled_from((0, nx)))
+    f = data.draw(_polys(nx, ny))
+    g = data.draw(_polys(nx, ny))
+    j = data.draw(st.integers(1, nx - 1))
+    sj = Permutation.simple(j, nx)
+    lhs = divided_difference(j, f * g)
+    rhs = divided_difference(j, f) * g + permute_x(sj, f) * divided_difference(j, g)
+    assert lhs == rhs
 
 
 # ------------------------------------------------------- two-alphabet ops
