@@ -150,14 +150,6 @@ def length_additive_factorizations(w: Permutation) -> tuple[tuple[Permutation, P
     return tuple(out)
 
 
-def product_of_simples(letters: tuple[int, ...], n: int) -> Permutation:
-    """Multiply out s_{a_1} * s_{a_2} * ... * s_{a_k} in rank n."""
-    w = Permutation.identity(n)
-    for a in letters:
-        w = w * Permutation.simple(a, n)
-    return w
-
-
 @lru_cache(maxsize=None)
 def reduced_words(w: Permutation) -> tuple[tuple[int, ...], ...]:
     """All reduced words for w, sorted lexicographically.

@@ -10,8 +10,7 @@ lexicographically by shift and then by ray.
 Three families of checks live here:
   * Harder-Narasimhan filtrations of split sheaves on the projective line,
     where the filtration really is slope regrouping and is therefore
-    computable, plus the purely formal regrouping of declared-semistable
-    class pieces on a curve.
+    computable.
   * The "shadow" scan: twisting down by the ample generator must not raise
     the phase of any class in the strip.  This is a necessary
     central-charge consequence of the categorical twist inequality, not
@@ -36,8 +35,10 @@ from .lattice import (
     ChargeParams,
     ExactComplex,
     LatticeVector,
+    _check_rank,
+    _display_order,
+    _from_masks,
     central_charge,
-    subsets,
     twist,
     vector_from_rank_deg,
 )
@@ -190,35 +191,6 @@ def hn_factors_to_json(factors: list[tuple[SplitSheafP1, PhasePoint]]) -> list[d
     ]
 
 
-def hn_slope_regroup(pieces: Sequence[tuple]) -> list[list[tuple]]:
-    """Group declared-semistable (rank, degree) pieces by slope.
-
-    Purely formal: the pieces are taken on faith as semistable classes on
-    a curve, and only the bookkeeping of Notation-style regrouping is done.
-    Torsion pieces (rank 0) form the first group; the rest are grouped by
-    exact slope d/r in decreasing order.  No charge parameters enter
-    because slope order is phase order for every valid (a, b).
-    """
-    torsion: list[tuple] = []
-    by_slope: dict[Fraction, list[tuple]] = {}
-    for piece in pieces:
-        r, d = Fraction(piece[0]), Fraction(piece[1])
-        if r < 0:
-            raise ValueError(f"negative rank in piece {piece}")
-        if r == 0:
-            if d <= 0:
-                raise ValueError(f"piece {piece} is not a nonzero sheaf class")
-            torsion.append(piece)
-        else:
-            by_slope.setdefault(d / r, []).append(piece)
-    groups: list[list[tuple]] = []
-    if torsion:
-        groups.append(torsion)
-    for slope in sorted(by_slope, reverse=True):
-        groups.append(by_slope[slope])
-    return groups
-
-
 # ------------------------------------------------------------- shadow scan
 
 
@@ -228,9 +200,11 @@ MAX_SCAN_CLASSES = 100_000
 def scan_class_count(n: int, bound: int) -> int:
     """Number of classes bayer_shadow_scan tries at rank n and this bound.
 
-    Raises ValueError for a bound below 1 and for a count beyond
-    MAX_SCAN_CLASSES, so a caller can refuse a scan before starting it.
+    Raises ValueError for a rank outside 1..MAX_LATTICE_RANK, a bound
+    below 1 and a count beyond MAX_SCAN_CLASSES, so a caller can refuse a
+    scan before starting it.
     """
+    _check_rank(n)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     side = 2 * bound + 1
@@ -243,9 +217,10 @@ def scan_class_count(n: int, bound: int) -> int:
 
 
 def _integer_charge_rows(
-    p: ChargeParams, cells: Sequence[frozenset[int]]
+    p: ChargeParams, cells: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """Rows (Re Z, Im Z, Re Z', Im Z') over the cells, Z' = Z(twist(., -1)).
+    """Rows (Re Z, Im Z, Re Z', Im Z') over the cells (subset masks),
+    Z' = Z(twist(., -1)).
 
     Both functionals are linear in the class, so their values on the basis
     vectors determine them; one positive common denominator is cleared,
@@ -254,7 +229,7 @@ def _integer_charge_rows(
     minus_one = [-1] * p.n
     rows: list[list[Fraction]] = [[], [], [], []]
     for cell in cells:
-        basis = LatticeVector(p.n, {cell: 1})
+        basis = _from_masks(p.n, (cell,), (1,))
         before = central_charge(p, basis)
         after = central_charge(p, twist(basis, minus_one))
         for row, value in zip(rows, (before.re, before.im, after.re, after.im)):
@@ -315,13 +290,13 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
     """
     n = p.n
     scan_class_count(n, bound)
-    cells = subsets(n)
+    cells = _display_order(n)
     rows = _integer_charge_rows(p, cells)
     scanned = 0
     skipped = 0
     violations: list[dict] = []
     if n == 1:
-        # cells are ((), {1}): a class (r, d) has values (d, r).  Every
+        # cells are the masks (0, 1): a class (r, d) has values (d, r).  Every
         # class here is in the strip: Im Z = a*r > 0, and torsion has Z = -d.
         for r in range(1, bound + 1):
             for d in range(-bound, bound + 1):
@@ -362,7 +337,7 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
                 continue
             scanned += 1
             if _phase_below(x1, y1, x2, y2):
-                vec = LatticeVector(n, dict(zip(cells, values)))
+                vec = _from_masks(n, cells, values)
                 before, after = _exact_phases(p, vec)
                 if not after > before:
                     raise RuntimeError(f"integer phase order disagrees at {vec}")

@@ -126,6 +126,25 @@ class TestVerifyCommands:
         code, _, _ = run(["verify", "charges", "--n", "1", "--a", "0.5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "charges", "--n", "13"], ["verify", "charges", "--n", "14"],
+         ["scan", "bayer", "--n", "30"]],
+    )
+    def test_rank_beyond_budget_is_refused(self, capsys, monkeypatch, argv):
+        def boom(*args):
+            raise AssertionError("check started")
+
+        monkeypatch.setattr("schubstab.lattice.random_lattice_vector", boom)
+        monkeypatch.setattr("schubstab.stability.central_charge", boom)
+        code, out, err = run(argv, capsys)
+        n = argv[-1]
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: rank {n} exceeds the limit of 12 (a class has 2^{n} components)"
+        ]
+
 
 class TestScanCommand:
     def test_curve_scan(self, capsys):

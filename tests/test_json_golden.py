@@ -1,0 +1,101 @@
+"""Golden digests of the CLI's --json output.
+
+Each entry is a command line (without --json), the exit code it gives and
+the SHA-256 of its --json stdout.  The list holds every command the README
+shows, the stability round of bench/rounds.py at seeds 5 and 13, the n = 3
+box scan and two commands refused with exit 2 before any work (their
+stdout is empty).  A change to the library's representation or algorithms
+must leave all of these bytes alone.
+
+When an output changes on purpose, recompute its entry from the repository
+root with
+
+    PYTHONPATH=src python -m schubstab.cli <command> --json | sha256sum
+
+and read the exit code from ${PIPESTATUS[0]} in bash; say in the commit
+which outputs changed and why.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from schubstab import cli
+
+GOLDEN = [
+    ("schubert --n 2 --w 2,1", 0,
+     "f2a2f7cc68eb2cd5509f5e453f64b1baa1dd7d9334ae993e06175a11601c0c1e"),
+    ("schubert --n 3 --w 2,3,1 --double", 0,
+     "09917e589681c05021fe8d2fc34fc55257a369d6e32405b9ec56f74a70b6b05b"),
+    ("verify demazure --n 4 --trials 20 --seed 7", 0,
+     "71dd14cdf6d7b7ccabe75241793f72b3b41625ed5950dfed66d4ced18a2fa609"),
+    ("verify soergel --n 3", 0,
+     "e1454d9d4a5da955615de3cc4d835985c28a3b08160b003f06743efad7ec0b27"),
+    ("verify charges --n 2 --m 3 --a 1/2 --b -1 --trials 100 --seed 0", 0,
+     "e920dd12eccf094a0431917fcc030dfc49f217cf041f59ff2f59a805ed0f5591"),
+    ("scan bayer --n 1 --a 7/3 --b -2 --bound 200", 0,
+     "568250c0e921bb7ac89acece63a4ea88789d7807b0feb782eaaa5f638ddb7cf1"),
+    ("hn p1 --degrees 5,1,1 --torsion 2 --a 1 --b 0", 0,
+     "2d2f66a3b8b7a37e2470ef70ba772be8330aa3a5aa794e28028fc75e0a1703d4"),
+    ("derive chain --adegrees 2,5 --N 3", 0,
+     "76256f4eee117c3c444c914e6ed5dab5534908154fbc2ebfaffd69fce5222e38"),
+    ("table graph-twists --n 3", 0,
+     "84bfb6effe35300276a3ef1650fd09b9ff8fb3ced846c455d446152993d45631"),
+    ("scan bayer --n 1 --a 7/3 --b -2 --bound 25", 0,
+     "3f1a73ee6e760de57770cdf77e40168c5e0cbd77097197d3dce3af36bebe3210"),
+    ("scan bayer --n 1 --a 1/2 --b 5/3 --bound 25", 0,
+     "eaf3abbd16425ee0f109db418fd71efdafd49c0d2b395c338727a9ec9a814623"),
+    ("verify charges --n 1 --m 3 --a 1/2 --b -1 --trials 100 --seed 5", 0,
+     "055f6b18f6bd1d0af22d81b0eef4e01ff6ba64c1faf558cd2b80b5e62e71a16f"),
+    ("verify charges --n 2 --m 3 --a 1/2 --b -1 --trials 100 --seed 5", 0,
+     "e3dc9b46a4251237fc1feba8e594dacadadb3a4b42b59a8bf377763e7d7a89e9"),
+    ("verify charges --n 3 --m 3 --a 1/2 --b -1 --trials 100 --seed 5", 0,
+     "5de48de36f481748d4e3346dcdefcaf12daa4e1aacabd0e87cb9893e39a8d577"),
+    ("verify charges --n 4 --m 3 --a 1/2 --b -1 --trials 100 --seed 5", 0,
+     "e6ef3409fe1f899371c04172428d929bafa5f562457ec1f68ce5ed3a9f1643c8"),
+    ("verify charges --n 1 --m 3 --a 1/2 --b -1 --trials 100 --seed 13", 0,
+     "5dc0d098e892e54bc5820f03ddd2ef4dc14efbb1807deba86e31e177c9a111e2"),
+    ("verify charges --n 2 --m 3 --a 1/2 --b -1 --trials 100 --seed 13", 0,
+     "4c33b04d7cece34019492e1ae3948935ec8ecd395e4b7c88c3f5a5f1268c4557"),
+    ("verify charges --n 3 --m 3 --a 1/2 --b -1 --trials 100 --seed 13", 0,
+     "01d059aa6b755672714959d7989f0d41157b893f102f315f8c5d19a6269e3583"),
+    ("verify charges --n 4 --m 3 --a 1/2 --b -1 --trials 100 --seed 13", 0,
+     "308548b9e3948428797a10285d37947fd6fc69b6ea968efccd50d85f289b9a7d"),
+    ("scan bayer --n 2 --a 1 --b 0 --bound 3", 1,
+     "1e89cff662648b92cd2d6852ad54b9e050d2e5694710d2464ed19ec5b461fb7c"),
+    ("hn p1 --a=1 --b=0 --degrees=5,1,1 --torsion=2", 0,
+     "2d2f66a3b8b7a37e2470ef70ba772be8330aa3a5aa794e28028fc75e0a1703d4"),
+    ("hn p1 --a=1 --b=0 --degrees=3", 0,
+     "56702f8c5a1235e256fd7dcf5ff3a73a1cf40c9be6a53c59670002bf45629a36"),
+    ("hn p1 --a=2/3 --b=1/2 --degrees=0,0", 0,
+     "378f1c3a71358832b7f45e217153981921468fce47615491db44f1c492f9b448"),
+    ("hn p1 --a=1 --b=0 --degrees=-2,4 --torsion=1,1", 0,
+     "91435081e3fbdc053a4e1396bf01aa51368d1bcc635a1912b1ae9e4f0c0741d5"),
+    ("hn p1 --a=3 --b=-5/2 --degrees=7,7,-1", 0,
+     "8f56443c946cb5e71be346767aee80eab0f12a2faca4b36045cb5f9c4f6a8ca9"),
+    ("hn p1 --a=1 --b=0 --torsion=3", 0,
+     "22a92146c84e17209354e070b3f6d80abc8879d33b56d70c8eafe1a7f710aeea"),
+    ("hn p1 --a=1/4 --b=1 --degrees=2,-3,2,-3 --torsion=5", 0,
+     "f473cbc311b767ee939ac73cdc51f8f530f9d78c10bc54976a09ca86de97cbb3"),
+    ("hn p1 --a=1 --b=0 --degrees=1,1,1,1", 0,
+     "d55d580f2f6d7814f41b36d27e2723d9b7c8fb790d7699d0e787ebfc06f1ca2e"),
+    ("derive chain --adegrees 1,4,7,13 --N 3", 1,
+     "741a645409f4d4eddec851afcbb98152373ee2d1ca265c951824710a61485660"),
+    ("scan bayer --n 3 --bound 1", 1,
+     "aa0acc32540fb75ad43e8515246c250a2d2dd4fb1868d708172667f233318cbe"),
+    ("scan bayer --n 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify demazure --n 6", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_json_stdout_and_exit_code_unchanged(command, exit_code, digest):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main([*command.split(), "--json"])
+    assert code == exit_code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -4,8 +4,11 @@ The float oracle recomputes Z with complex() arithmetic; the structural
 oracle for twisting is the line-bundle group law, which pins twist on a
 spanning set of the lattice (the {0,1}-multidegree classes form a basis:
 their component matrix is a subset zeta matrix, which is unitriangular).
+A second twist oracle is the defining sum over pairs of disjoint subsets,
+O(3^n), which the package's O(n 2^n) subset-sum transform must equal.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubstab.lattice import (
+    MAX_LATTICE_RANK,
     ChargeParams,
     ExactComplex,
     LatticeVector,
@@ -22,16 +26,21 @@ from schubstab.lattice import (
     isogeny_pushforward,
     random_lattice_vector,
     rank_deg,
-    subsets,
-    support_constant,
     twist,
     v_of_line_bundle,
     v_of_point,
     vector_from_rank_deg,
     verify_charge_transforms,
 )
+from schubstab.stability import scan_class_count
 
 F = Fraction
+
+
+def all_subsets(n):
+    """Subsets of {1..n} as tuples, by size, then elements."""
+    items = range(1, n + 1)
+    return [combo for size in range(n + 1) for combo in itertools.combinations(items, size)]
 
 
 def charge_oracle(p, vec):
@@ -40,10 +49,28 @@ def charge_oracle(p, vec):
     total = 0j
     for s in range(vec.n + 1):
         level = sum(
-            (float(v) for key, v in vec.components.items() if len(key) == s), 0.0
+            (float(vec.component(key)) for key in all_subsets(vec.n) if len(key) == s), 0.0
         )
         total += -((-1) ** s) * z**s * level
     return total
+
+
+def twist_oracle(vec, c):
+    """new[S] = sum over T disjoint from S of (prod_{i in T} c_i) * old[S u T],
+    summed term by term over every pair (S, T)."""
+    n = vec.n
+    out = {}
+    for s in all_subsets(n):
+        rest = [i for i in range(1, n + 1) if i not in s]
+        total = F(0)
+        for size in range(len(rest) + 1):
+            for combo in itertools.combinations(rest, size):
+                prod = F(1)
+                for i in combo:
+                    prod *= F(c[i - 1])
+                total += prod * vec.component(set(s) | set(combo))
+        out[s] = total
+    return LatticeVector(n, out)
 
 
 class TestExactComplex:
@@ -63,16 +90,37 @@ class TestExactComplex:
 class TestLatticeVector:
     def test_zero_components_dropped(self):
         v = LatticeVector(2, {frozenset({1}): 0, frozenset(): 3})
-        assert v.components == {frozenset(): F(3)}
+        assert v.to_json()["components"] == [{"subset": [], "value": "3"}]
+        assert v == LatticeVector(2, {(): 3})
+        assert str(v) == "({}:3)"
 
     def test_bad_subset_rejected(self):
         with pytest.raises(ValueError):
             LatticeVector(2, {frozenset({3}): 1})
+        with pytest.raises(ValueError):
+            LatticeVector(2, {(0,): 1})
+        with pytest.raises(ValueError, match="not within 1..2"):
+            v_of_point(2).component({3})
+
+    def test_subset_given_twice_rejected(self):
+        with pytest.raises(ValueError, match=r"subset \[1, 2\] given twice"):
+            LatticeVector(2, {(1, 2): 1, (2, 1): 2})
+        with pytest.raises(ValueError, match=r"subset \[1, 2\] given twice"):
+            LatticeVector(2, {(1, 2): 5, (2, 1): 0})
+        with pytest.raises(ValueError, match=r"subset \[\] given twice"):
+            LatticeVector(1, {(): 1, frozenset(): 1})
+
+    def test_values_indexed_by_bitmask(self):
+        v = LatticeVector(3, {(): 1, (1,): 2, (2,): 3, (1, 3): 4, (1, 2, 3): 5})
+        assert v.values == (1, 2, 3, 0, 0, 4, 0, 5)
+        assert all(type(x) is Fraction for x in v.values)
+        assert str(v) == "({}:1; {1}:2; {2}:3; {1,3}:4; {1,2,3}:5)"
+        assert [c["subset"] for c in v.to_json()["components"]] == [[], [1], [2], [1, 3], [1, 2, 3]]
 
     def test_addition_and_scaling(self):
         v = LatticeVector(2, {frozenset({1}): 2})
         w = LatticeVector(2, {frozenset({1}): -2, frozenset({2}): 1})
-        assert (v + w).components == {frozenset({2}): F(1)}
+        assert (v + w).to_json()["components"] == [{"subset": [2], "value": "1"}]
         assert v.scale(F(1, 2)).component({1}) == F(1)
         assert (v - v).is_zero
 
@@ -80,10 +128,23 @@ class TestLatticeVector:
         with pytest.raises(ValueError):
             LatticeVector(1, {}) + LatticeVector(2, {})
 
-    def test_sup_norm(self):
-        v = LatticeVector(2, {frozenset({1}): -7, frozenset(): 3})
-        assert v.sup_norm() == 7
-        assert LatticeVector(2, {}).sup_norm() == 0
+    def test_rank_budget(self):
+        big = MAX_LATTICE_RANK + 1
+        for build in (
+            lambda: LatticeVector(big, {}),
+            lambda: LatticeVector(40, {}),
+            lambda: ChargeParams(F(1), F(0), big),
+            lambda: v_of_point(big),
+            lambda: v_of_line_bundle([0] * big),
+            lambda: random_lattice_vector(random.Random(0), big),
+            lambda: scan_class_count(big, 1),
+            lambda: scan_class_count(30, 1),
+        ):
+            with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_LATTICE_RANK}"):
+                build()
+        assert v_of_point(MAX_LATTICE_RANK).component(()) == 1
+        with pytest.raises(ValueError, match="at least 1"):
+            LatticeVector(0, {})
 
     def test_json_sorted_nonzero_only(self):
         v = LatticeVector(
@@ -102,7 +163,7 @@ class TestConstructors:
     def test_structure_sheaf_is_indicator_of_full_set(self):
         for n in (1, 2, 3):
             v = v_of_line_bundle([0] * n)
-            assert v.components == {frozenset(range(1, n + 1)): F(1)}
+            assert v.to_json()["components"] == [{"subset": list(range(1, n + 1)), "value": "1"}]
 
     def test_line_bundle_rank1(self):
         v = v_of_line_bundle([5])
@@ -110,12 +171,12 @@ class TestConstructors:
 
     def test_line_bundle_rank2_all_ones(self):
         v = v_of_line_bundle([1, 1])
-        assert all(v.component(s) == 1 for s in subsets(2))
+        assert all(v.component(s) == 1 for s in all_subsets(2))
 
     def test_point_class(self):
         v = v_of_point(3)
         assert v.component(()) == 1
-        assert sum(1 for _ in v.components) == 1
+        assert len(v.to_json()["components"]) == 1
 
     def test_rank_deg_round_trip(self):
         v = vector_from_rank_deg(2, -3)
@@ -166,11 +227,11 @@ class TestCentralCharge:
         a = data.draw(st.builds(F, st.integers(1, 50), st.integers(1, 20)))
         b = data.draw(rationals)
         values = data.draw(st.lists(rationals, min_size=2**n, max_size=2**n))
-        vec = LatticeVector(n, dict(zip(subsets(n), values)))
+        vec = LatticeVector(n, dict(zip(all_subsets(n), values)))
         expected = ExactComplex.of(0)
         power = ExactComplex.of(1)
         for s in range(n + 1):
-            level = sum((v for key, v in vec.components.items() if len(key) == s), F(0))
+            level = sum((vec.component(key) for key in all_subsets(n) if len(key) == s), F(0))
             expected = expected + power * (-((-1) ** s) * level)
             power = power * ExactComplex(b, a)
         assert central_charge(ChargeParams(a, b, n), vec) == expected
@@ -219,6 +280,16 @@ class TestTwist:
         with pytest.raises(ValueError):
             twist(v_of_point(2), [1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_defining_sum(self, data):
+        rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 6))
+        n = data.draw(st.integers(1, 4))
+        values = data.draw(st.lists(rationals, min_size=2**n, max_size=2**n))
+        c = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        vec = LatticeVector(n, dict(zip(all_subsets(n), values)))
+        assert twist(vec, c) == twist_oracle(vec, c)
+
 
 class TestIsogenies:
     def test_rank1_examples(self):
@@ -263,41 +334,6 @@ class TestChargeTransforms:
         p_shift = ChargeParams(F(1), F(1), 1)
         v = vector_from_rank_deg(2, 5)
         assert central_charge(p, twist(v, [-1])) == central_charge(p_shift, v)
-
-
-class TestSupportConstant:
-    def test_point_gives_one(self):
-        p = ChargeParams(F(7, 3), F(-2), 2)
-        assert support_constant(p, [v_of_point(2)]) == 1
-
-    def test_rank1_structure_sheaf(self):
-        p = ChargeParams(F(1), F(0), 1)
-        assert support_constant(p, [vector_from_rank_deg(1, 0)]) == 1
-
-    def test_minimum_over_classes(self):
-        p = ChargeParams(F(1), F(0), 1)
-        classes = [vector_from_rank_deg(1, 0), vector_from_rank_deg(0, 3)]
-        # |Z|^2 / norm^2 = 1 and 9/9 = 1; add a small one
-        classes.append(vector_from_rank_deg(0, 1).scale(2))
-        got = support_constant(p, classes)
-        assert got == 1
-        classes.append(vector_from_rank_deg(4, 2))
-        # Z = -2 + 4i, |Z|^2 = 20, norm 4 -> 20/16
-        assert support_constant(p, classes) == 1
-
-    def test_vanishing_charge_returns_none(self):
-        p = ChargeParams(F(1), F(0), 2)
-        v = LatticeVector(2, {frozenset({1}): 1, frozenset({2}): -1})
-        assert not v.is_zero
-        assert central_charge(p, v).is_zero
-        assert support_constant(p, [v_of_point(2), v]) is None
-
-    def test_errors(self):
-        p = ChargeParams(F(1), F(0), 1)
-        with pytest.raises(ValueError):
-            support_constant(p, [])
-        with pytest.raises(ValueError):
-            support_constant(p, [LatticeVector(1, {})])
 
 
 class TestParams:

@@ -17,13 +17,20 @@ from schubstab.perms import (
     canonical_reduced_word,
     length_additive_factorizations,
     longest_reduced_word_count,
-    product_of_simples,
     reduced_words,
     symmetric_group,
 )
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def product_of_simples(letters, n):
+    """Multiply out s_{a_1} * s_{a_2} * ... * s_{a_k} in rank n."""
+    w = Permutation.identity(n)
+    for a in letters:
+        w = w * Permutation.simple(a, n)
+    return w
 
 
 def oracle_inversions(word):

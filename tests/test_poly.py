@@ -394,6 +394,41 @@ def test_divided_difference_twisted_leibniz(data):
     assert lhs == rhs
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ring_axioms(data):
+    nx = data.draw(st.integers(1, 4))
+    ny = data.draw(st.sampled_from((0, nx)))
+    f, g, h = (data.draw(_polys(nx, ny)) for _ in range(3))
+    c = data.draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+    zero, one = Poly.zero(nx, ny), Poly.one(nx, ny)
+    assert f + g == g + f
+    assert (f + g) + h == f + (g + h)
+    assert f + zero == f
+    assert f + (-f) == zero
+    assert f - g == f + (-g)
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * one == f
+    assert f * zero == zero
+    assert f * (g + h) == f * g + f * h
+    assert c * (f * g) == (c * f) * g
+    assert c * (f + g) == c * f + c * g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_permute_x_is_a_group_action(data):
+    nx = data.draw(st.integers(1, 4))
+    ny = data.draw(st.sampled_from((0, nx)))
+    f = data.draw(_polys(nx, ny))
+    u, v = (
+        Permutation(tuple(data.draw(st.permutations(range(1, nx + 1))))) for _ in range(2)
+    )
+    assert permute_x(Permutation.identity(nx), f) == f
+    assert permute_x(u * v, f) == permute_x(u, permute_x(v, f))
+
+
 # ------------------------------------------------------- two-alphabet ops
 
 

@@ -34,7 +34,6 @@ from schubstab.stability import (
     compose_relations,
     derive_twist_chain,
     hn_factors_to_json,
-    hn_slope_regroup,
     hn_split_p1,
     in_strip,
     phase,
@@ -257,31 +256,6 @@ class TestHnSplitP1:
                 "phase": {"re": "0", "im": "1", "shift": 0},
             },
         ]
-
-
-class TestSlopeRegroup:
-    def test_equal_pieces_merge(self):
-        assert hn_slope_regroup([(1, 0), (1, 0)]) == [[(1, 0), (1, 0)]]
-
-    def test_slope_descending(self):
-        assert hn_slope_regroup([(1, 0), (1, 1)]) == [[(1, 1)], [(1, 0)]]
-
-    def test_torsion_first(self):
-        assert hn_slope_regroup([(1, 5), (0, 1)]) == [[(0, 1)], [(1, 5)]]
-
-    def test_equal_slope_distinct_rank(self):
-        assert hn_slope_regroup([(2, 2), (1, 1), (1, 0)]) == [
-            [(2, 2), (1, 1)],
-            [(1, 0)],
-        ]
-
-    def test_invalid_pieces(self):
-        with pytest.raises(ValueError):
-            hn_slope_regroup([(0, 0)])
-        with pytest.raises(ValueError):
-            hn_slope_regroup([(-1, 2)])
-        with pytest.raises(ValueError):
-            hn_slope_regroup([(0, -3)])
 
 
 class TestBayerShadow:

@@ -16,7 +16,6 @@ from schubstab.lattice import (
     ChargeParams,
     LatticeVector,
     central_charge,
-    subsets,
     twist,
     vector_from_rank_deg,
 )
@@ -62,7 +61,11 @@ def reference_shadow_scan(p: ChargeParams, bound: int) -> dict:
                 )
     else:
         minus_one = [-1] * n
-        cells = subsets(n)
+        cells = [
+            combo
+            for size in range(n + 1)
+            for combo in itertools.combinations(range(1, n + 1), size)
+        ]
         for values in itertools.product(range(-bound, bound + 1), repeat=len(cells)):
             vec = LatticeVector(n, dict(zip(cells, values)))
             z_before = central_charge(p, vec)
