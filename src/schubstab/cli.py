@@ -14,6 +14,7 @@ rejected to keep the exactness contract end to end.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -244,7 +245,10 @@ def _cmd_table_graph_twists(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main()
+    call: parse_args keeps its state in the namespace it returns."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit a JSON document instead of text"

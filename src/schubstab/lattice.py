@@ -9,12 +9,15 @@ charges
 
     Z(v) = sum_{s=0}^{n} -(-1)^s (b + ia)^s * (sum over |S| = s of v[S])
 
-consume, with a > 0 and b exact rationals.  Z is a linear functional:
-the level coefficients -(-1)^s (b + ia)^s are computed once per parameter
-set, so a charge is a sum of level sums times those coefficients, and the
-shadow scans in stability.py compare phases of its integer-scaled values
-by cross products.  Everything here is Fraction or int arithmetic; there
-is no floating point in any code path.
+consume, with a > 0 and b exact rationals.  Z is a linear functional.
+ChargeParams computes the level coefficients -(-1)^s (b + ia)^s once, as
+integer real and imaginary numerators over one positive common
+denominator.  central_charge clears the denominators of a class to their
+lcm D, sums each level in integers, and takes two integer dot products
+with those numerators, so a charge costs two Fraction normalisations and
+no Fraction sum.  The shadow scans in stability.py compare phases of its
+integer-scaled values by cross products.  Everything here is Fraction or
+int arithmetic; there is no floating point in any code path.
 
 A LatticeVector stores its components densely: values is a tuple of 2^n
 Fractions, and the component at S sits at the bitmask of S, where bit
@@ -35,9 +38,10 @@ Transformation laws implemented and certified exactly:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
@@ -46,8 +50,9 @@ Scalar = Union[int, Fraction]
 
 # A class has 2^n components and a twist costs n * 2^(n-1) Fraction
 # products, so `verify charges` grows about 4.3x per rank: at rank 12 its
-# default 100 trials take about 9 s on one Xeon core under Python 3.11,
-# rank 14 would take minutes, and rank 40 would not fit in memory.
+# default 100 trials (a = 1, b = 0, m = 2) take 14 to 16 s on a 2-core Xeon
+# container under Python 3.11.7, rank 14 would take minutes, and rank 40
+# would not fit in memory.
 MAX_LATTICE_RANK = 12
 
 
@@ -69,8 +74,10 @@ class ExactComplex:
     im: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        if not isinstance(self.re, Fraction):
+            object.__setattr__(self, "re", Fraction(self.re))
+        if not isinstance(self.im, Fraction):
+            object.__setattr__(self, "im", Fraction(self.im))
 
     @staticmethod
     def of(re: Scalar, im: Scalar = 0) -> "ExactComplex":
@@ -112,11 +119,19 @@ class ExactComplex:
 @dataclass(frozen=True)
 class ChargeParams:
     """The (a, b) parameters of a central charge, a > 0, plus the rank,
-    1 <= n <= MAX_LATTICE_RANK."""
+    1 <= n <= MAX_LATTICE_RANK.
+
+    coefficients is (re, im, den): the level coefficient -(-1)^s (b+ia)^s
+    is (re[s] + i im[s]) / den for s = 0..n, with int numerators and
+    den > 0.  With q the lcm of the denominators of a and b, den = q^n.
+    """
 
     a: Fraction
     b: Fraction
     n: int
+    coefficients: tuple[tuple[int, ...], tuple[int, ...], int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
@@ -124,6 +139,18 @@ class ChargeParams:
         if self.a <= 0:
             raise ValueError("parameter a must be positive")
         _check_rank(self.n)
+        q = math.lcm(self.a.denominator, self.b.denominator)
+        big_a, big_b = int(self.a * q), int(self.b * q)
+        re_nums, im_nums = [], []
+        re, im = 1, 0  # (q b + i q a)^s
+        for s in range(self.n + 1):
+            scale = (1 if s % 2 else -1) * q ** (self.n - s)  # -(-1)^s q^(n-s)
+            re_nums.append(scale * re)
+            im_nums.append(scale * im)
+            re, im = re * big_b - im * big_a, re * big_a + im * big_b
+        object.__setattr__(
+            self, "coefficients", (tuple(re_nums), tuple(im_nums), q**self.n)
+        )
 
 
 def _elements(mask: int) -> list[int]:
@@ -274,32 +301,26 @@ def rank_deg(vec: LatticeVector) -> tuple[Fraction, Fraction]:
 # ------------------------------------------------------------- the charge
 
 
-@lru_cache(maxsize=256)
-def _level_coefficients(p: ChargeParams) -> tuple[tuple[Fraction, Fraction], ...]:
-    """(re, im) of -(-1)^s (b+ia)^s for s = 0..n, the coefficients of Z."""
-    out = []
-    re, im = Fraction(1), Fraction(0)
-    for s in range(p.n + 1):
-        sign = 1 if s % 2 else -1  # -(-1)^s
-        out.append((sign * re, sign * im))
-        re, im = re * p.b - im * p.a, re * p.a + im * p.b
-    return tuple(out)
-
-
 def central_charge(p: ChargeParams, vec: LatticeVector) -> ExactComplex:
-    """Z(v) = sum_s -(-1)^s (b+ia)^s * (level-s component sum)."""
+    """Z(v) = sum_s -(-1)^s (b+ia)^s * (level-s component sum).
+
+    Over D = lcm of the component denominators each level sum is an int,
+    so Z is two integer dot products with p.coefficients over D * den.
+    """
     if p.n != vec.n:
         raise ValueError(f"rank mismatch: params {p.n}, vector {vec.n}")
-    levels = [Fraction(0)] * (vec.n + 1)
-    for mask, v in enumerate(vec.values):
-        if v:
-            levels[mask.bit_count()] += v
-    re = im = Fraction(0)
-    for level, (c_re, c_im) in zip(levels, _level_coefficients(p)):
-        if level:
-            re += level * c_re
-            im += level * c_im
-    return ExactComplex(re, im)
+    ratios = [v.as_integer_ratio() for v in vec.values]
+    common = math.lcm(*(d for _, d in ratios))
+    levels = [0] * (vec.n + 1)
+    for mask, (num, d) in enumerate(ratios):
+        if num:
+            levels[mask.bit_count()] += num * (common // d)
+    re_nums, im_nums, coefficient_den = p.coefficients
+    den = common * coefficient_den
+    return ExactComplex(
+        Fraction(sum(map(operator.mul, levels, re_nums)), den),
+        Fraction(sum(map(operator.mul, levels, im_nums)), den),
+    )
 
 
 def twist(vec: LatticeVector, c: Sequence[Scalar]) -> LatticeVector:

@@ -289,6 +289,37 @@ class TestUsageErrors:
         assert run(["--help"], capsys)[0] == 0
 
 
+class TestSharedParser:
+    """main() builds its parser once per process; calls after a usage
+    error, --help and non-default options must print what a fresh process
+    prints."""
+
+    CALLS = [
+        ["verify", "charges", "--n", "1", "--a", "0.5"],
+        ["--help"],
+        ["verify", "charges", "--n", "2", "--m", "3", "--a", "3/2", "--b=-1/3",
+         "--trials", "6", "--seed", "4", "--json"],
+        ["scan", "bayer", "--n", "1", "--a", "2/3", "--b=-5/2", "--bound", "4"],
+        ["verify", "charges", "--n", "2", "--trials", "6"],
+    ]
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process = [run(argv, capsys)[:2] for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from schubstab.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv],
+                capture_output=True,
+                text=True,
+            )
+            fresh.append((proc.returncode, proc.stdout))
+        assert [code for code, _ in in_process] == [2, 0, 0, 0, 0]
+        assert in_process == fresh
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(

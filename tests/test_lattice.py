@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schubstab import lattice
 from schubstab.lattice import (
     MAX_LATTICE_RANK,
     ChargeParams,
@@ -55,6 +56,18 @@ def charge_oracle(p, vec):
     return total
 
 
+def charge_by_defining_sum(a, b, vec):
+    """Z(v) = sum_s -(-1)^s (b+ia)^s L_s in ExactComplex arithmetic, powers
+    by repeated products."""
+    total = ExactComplex.of(0)
+    power = ExactComplex.of(1)
+    for s in range(vec.n + 1):
+        level = sum((vec.component(key) for key in all_subsets(vec.n) if len(key) == s), F(0))
+        total = total + power * (-((-1) ** s) * level)
+        power = power * ExactComplex(b, a)
+    return total
+
+
 def twist_oracle(vec, c):
     """new[S] = sum over T disjoint from S of (prod_{i in T} c_i) * old[S u T],
     summed term by term over every pair (S, T)."""
@@ -85,6 +98,11 @@ class TestExactComplex:
 
     def test_abs_squared(self):
         assert ExactComplex.of(3, 4).abs_squared() == 25
+
+    def test_parts_are_fractions(self):
+        z = ExactComplex(2, F(1, 3))
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert z == ExactComplex.of(2, F(1, 3))
 
 
 class TestLatticeVector:
@@ -221,20 +239,13 @@ class TestCentralCharge:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_equals_defining_sum(self, data):
-        """Z(v) = sum_s -(-1)^s (b+ia)^s L_s, powers by repeated products."""
         rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 20))
         n = data.draw(st.integers(1, 4))
         a = data.draw(st.builds(F, st.integers(1, 50), st.integers(1, 20)))
         b = data.draw(rationals)
         values = data.draw(st.lists(rationals, min_size=2**n, max_size=2**n))
         vec = LatticeVector(n, dict(zip(all_subsets(n), values)))
-        expected = ExactComplex.of(0)
-        power = ExactComplex.of(1)
-        for s in range(n + 1):
-            level = sum((vec.component(key) for key in all_subsets(n) if len(key) == s), F(0))
-            expected = expected + power * (-((-1) ** s) * level)
-            power = power * ExactComplex(b, a)
-        assert central_charge(ChargeParams(a, b, n), vec) == expected
+        assert central_charge(ChargeParams(a, b, n), vec) == charge_by_defining_sum(a, b, vec)
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -329,6 +340,45 @@ class TestChargeTransforms:
         b = verify_charge_transforms(p, 3, trials=10, seed=99)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "target, identity, subset",
+        [("isogeny_pushforward", "isogeny_pushforward", (1, 2)), ("twist", "twist_shift", (1, 3))],
+    )
+    def test_certificate_names_a_broken_transform(self, monkeypatch, target, identity, subset):
+        """A transform that halves its result at one subset is named at
+        exactly the trials where that entry is nonzero, with the two
+        charges the defining sum gives, and the other identities stay clean."""
+        n, m, trials, seed = 3, 3, 40, 2
+        p = ChargeParams(F(1, 2), F(-1), n)
+        real = getattr(lattice, target)
+        args = {"isogeny_pushforward": lambda v: (m, v), "twist": lambda v: (v, [-1] * n)}[target]
+        reference = {
+            "isogeny_pushforward": (p.a * m**2, p.b * m**2),
+            "twist": (p.a, p.b + 1),
+        }[target]
+
+        def broken(*call):
+            out = real(*call)
+            return LatticeVector(n, {
+                s: out.component(s) / 2 if s == subset else out.component(s)
+                for s in all_subsets(n)
+            })
+
+        rng = random.Random(seed)
+        vectors = [random_lattice_vector(rng, n) for _ in range(trials)]
+        expected_trials = [t for t, v in enumerate(vectors) if real(*args(v)).component(subset)]
+        assert 0 < len(expected_trials) < trials
+
+        monkeypatch.setattr(lattice, target, broken)
+        cert = verify_charge_transforms(p, m, trials, seed)
+        assert {v["identity"] for v in cert["violations"]} == {identity}
+        assert [v["trial"] for v in cert["violations"]] == expected_trials
+        for v in cert["violations"]:
+            vec = vectors[v["trial"]]
+            assert v["vector"] == vec.to_json()
+            assert v["got"] == charge_by_defining_sum(p.a, p.b, broken(*args(vec))).to_json()
+            assert v["expected"] == charge_by_defining_sum(*reference, vec).to_json()
+
     def test_twist_shift_identity_explicit(self):
         p = ChargeParams(F(1), F(0), 1)
         p_shift = ChargeParams(F(1), F(1), 1)
@@ -337,6 +387,19 @@ class TestChargeTransforms:
 
 
 class TestParams:
+    def test_coefficients_do_not_enter_equality(self):
+        p = ChargeParams(F(1, 2), F(-1, 3), 2)
+        assert p == ChargeParams(F(2, 4), F(-2, 6), 2)
+        assert hash(p) == hash(ChargeParams(F(1, 2), F(-1, 3), 2))
+        assert repr(p) == "ChargeParams(a=Fraction(1, 2), b=Fraction(-1, 3), n=2)"
+
+    def test_coefficients_over_common_denominator(self):
+        re, im, den = ChargeParams(F(1, 2), F(-1, 3), 2).coefficients
+        assert den == 36
+        # -(-1)^s (b+ia)^s at b = -1/3, a = 1/2: -1, b + ia, -(b^2 - a^2) - 2abi
+        assert [F(x, den) for x in re] == [-1, F(-1, 3), F(1, 4) - F(1, 9)]
+        assert [F(x, den) for x in im] == [0, F(1, 2), F(1, 3)]
+
     def test_a_must_be_positive(self):
         with pytest.raises(ValueError):
             ChargeParams(F(0), F(1), 1)
