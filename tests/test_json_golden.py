@@ -89,6 +89,16 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify demazure --n 6", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify soergel --n 2", 0,
+     "35cb70c40652c47f66a4d1bb73b132f7b6af07534ac8f93cf5f1d5b788f6fd1e"),
+    ("verify soergel --n 4", 0,
+     "9cd5bfd4cd384d39d0df5ba8ec287b89390a81e5412dfc2ea5467a8ddae74bff"),
+    ("verify demazure --n 5 --trials 1 --seed 7", 0,
+     "5ca2439dde35133ef1bbe7d45d50d640a11a8c012cb62a2797c8d7459c269975"),
+    ("verify demazure --n 4 --trials 20 --seed 5", 0,
+     "a792364b0c71c5bc5ce97b185901fc86bf996046f1201ea8f1d4914ff93edcb8"),
+    ("verify demazure --n 4 --trials 20 --seed 13", 0,
+     "259403c40a9f6a173c3f1daaec05a2837dc9e84498888cafa1b1e5dfba89b6c8"),
 ]
 
 
