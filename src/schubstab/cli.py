@@ -8,7 +8,10 @@ identical invocations (including seeds) produce byte-identical output.
 Exit codes: 0 when every emitted certificate has an empty violations list,
 1 when some check found violations or a derivation was refused, 2 for
 usage errors.  Rational arguments are "p/q" or integer strings; floats are
-rejected to keep the exactness contract end to end.
+rejected to keep the exactness contract end to end.  A ValueError, which
+the library raises for invalid input and from its budget gates before any
+work, is a usage error: main prints "error: <message>".  Handlers that
+print progress call the gate first.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import sys
 from fractions import Fraction
 
 from .bimodule import (
+    check_soergel_rank,
     graph_twist_table,
     verify_bimodule_closure,
     verify_filtration_identity,
@@ -106,14 +110,9 @@ def _exit_code(certs) -> int:
 
 
 def _cmd_schubert(args) -> int:
-    try:
-        w = Permutation(args.w)
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 2
+    w = Permutation(args.w)
     if w.n != args.n:
-        _progress(f"error: --w has rank {w.n}, --n is {args.n}")
-        return 2
+        raise ValueError(f"--w has rank {w.n}, --n is {args.n}")
     poly = double_schubert(w) if args.double else schubert_poly(w)
     payload = {"w": w.to_json(), "double": args.double, "poly": poly.to_json()}
     _emit(args, payload, [] if args.json else [str(poly)])
@@ -121,11 +120,7 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_verify_demazure(args) -> int:
-    try:
-        demazure_word_count(args.n)
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 2
+    demazure_word_count(args.n)
     _progress(f"checking divided-difference relations at n={args.n} ...")
     cert = verify_demazure_relations(args.n, args.trials, args.seed)
     _emit(args, cert, _cert_lines(cert))
@@ -134,18 +129,16 @@ def _cmd_verify_demazure(args) -> int:
 
 def _cmd_verify_soergel(args) -> int:
     n = args.n
-    certs = []
+    check_soergel_rank(n)
     _progress(f"checking filtration identity at n={n} ...")
-    certs.append(verify_filtration_identity(n))
+    identity = verify_filtration_identity(n)
     _progress(f"checking change-of-basis unitriangularity at n={n} ...")
-    certs.append(verify_unitriangular(n))
+    certs = [identity, verify_unitriangular(n)]
     if n <= 3:
-        top = Permutation.longest(n).length()
-        for j in range(top + 2):
-            _progress(f"checking right multiplication closure at level {j} ...")
-            certs.append(verify_bimodule_closure(n, j))
+        _progress(f"checking right multiplication closure at every level at n={n} ...")
+        certs.extend(verify_bimodule_closure(n))
         _progress(f"checking triangular injectivity at n={n} ...")
-        certs.append(verify_triangular_injectivity(n))
+        certs.append(verify_triangular_injectivity(identity))
     else:
         _progress("closure and injectivity certificates are emitted for n <= 3 only")
     payload = {"certificates": certs}
@@ -155,11 +148,7 @@ def _cmd_verify_soergel(args) -> int:
 
 
 def _cmd_verify_charges(args) -> int:
-    try:
-        p = ChargeParams(args.a, args.b, args.n)
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 2
+    p = ChargeParams(args.a, args.b, args.n)
     _progress(f"checking charge transformation laws at n={args.n}, m={args.m} ...")
     cert = verify_charge_transforms(p, args.m, args.trials, args.seed)
     _emit(args, cert, _cert_lines(cert))
@@ -167,16 +156,8 @@ def _cmd_verify_charges(args) -> int:
 
 
 def _cmd_scan_bayer(args) -> int:
-    try:
-        p = ChargeParams(args.a, args.b, args.n)
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 2
-    try:
-        scan_class_count(args.n, args.bound)
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 2
+    p = ChargeParams(args.a, args.b, args.n)
+    scan_class_count(args.n, args.bound)
     if args.n >= 2:
         cells = 2**args.n
         _progress(
@@ -189,15 +170,10 @@ def _cmd_scan_bayer(args) -> int:
 
 
 def _cmd_hn_p1(args) -> int:
-    try:
-        sheaf = SplitSheafP1(args.degrees, args.torsion)
-        if sheaf.is_zero:
-            raise ValueError("give at least one bundle degree or torsion length")
-        p = ChargeParams(args.a, args.b, 1)
-        factors = hn_split_p1(sheaf, p)
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 2
+    sheaf = SplitSheafP1(args.degrees, args.torsion)
+    if sheaf.is_zero:
+        raise ValueError("give at least one bundle degree or torsion length")
+    factors = hn_split_p1(sheaf, ChargeParams(args.a, args.b, 1))
     payload = {"sheaf": sheaf.to_json(), "factors": hn_factors_to_json(factors)}
     lines = [
         f"{i}. {factor}   {point}"
@@ -208,11 +184,7 @@ def _cmd_hn_p1(args) -> int:
 
 
 def _cmd_derive_chain(args) -> int:
-    try:
-        certs = derive_twist_chain(args.adegrees, args.N)
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 2
+    certs = derive_twist_chain(args.adegrees, args.N)
     payload = {"certificates": certs}
     lines = []
     for cert in certs:
@@ -334,7 +306,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ lcm D, sums each level in integers, and takes two integer dot products
 with those numerators, so a charge costs two Fraction normalisations and
 no Fraction sum.  The shadow scans in stability.py compare phases of its
 integer-scaled values by cross products.  Everything here is Fraction or
-int arithmetic; there is no floating point in any code path.
+int arithmetic; there is no floating point in any code path, and every
+entry point refuses a float with TypeError (poly.as_fraction).
 
 A LatticeVector stores its components densely: values is a tuple of 2^n
 Fractions, and the component at S sits at the bitmask of S, where bit
@@ -45,6 +46,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
+
+from .poly import as_fraction
 
 Scalar = Union[int, Fraction]
 
@@ -75,13 +78,13 @@ class ExactComplex:
 
     def __post_init__(self):
         if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
+            object.__setattr__(self, "re", as_fraction(self.re))
         if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+            object.__setattr__(self, "im", as_fraction(self.im))
 
     @staticmethod
     def of(re: Scalar, im: Scalar = 0) -> "ExactComplex":
-        return ExactComplex(Fraction(re), Fraction(im))
+        return ExactComplex(re, im)
 
     @property
     def is_zero(self) -> bool:
@@ -134,8 +137,8 @@ class ChargeParams:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", as_fraction(self.a))
+        object.__setattr__(self, "b", as_fraction(self.b))
         if self.a <= 0:
             raise ValueError("parameter a must be positive")
         _check_rank(self.n)
@@ -191,7 +194,7 @@ class LatticeVector:
             if mask in given:
                 raise ValueError(f"subset {_elements(mask)} given twice")
             given.add(mask)
-            values[mask] = Fraction(value)
+            values[mask] = as_fraction(value)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", tuple(values))
 
@@ -225,7 +228,7 @@ class LatticeVector:
         return self + (-other)
 
     def scale(self, c: Scalar) -> "LatticeVector":
-        c = Fraction(c)
+        c = as_fraction(c)
         return LatticeVector._trusted(self.n, tuple(v * c for v in self.values))
 
     def __eq__(self, other: object) -> bool:
@@ -270,7 +273,7 @@ def v_of_line_bundle(c: Sequence[Scalar]) -> LatticeVector:
     product of c_i over i outside S."""
     n = len(c)
     _check_rank(n)
-    degrees = [Fraction(x) for x in c]
+    degrees = [as_fraction(x) for x in c]
     values = []
     for mask in range(1 << n):
         prod = Fraction(1)
@@ -288,7 +291,7 @@ def v_of_point(n: int) -> LatticeVector:
 
 def vector_from_rank_deg(r: Scalar, d: Scalar) -> LatticeVector:
     """Rank-1-curve convenience: the class with rank r and degree d."""
-    return LatticeVector._trusted(1, (Fraction(d), Fraction(r)))
+    return LatticeVector._trusted(1, (as_fraction(d), as_fraction(r)))
 
 
 def rank_deg(vec: LatticeVector) -> tuple[Fraction, Fraction]:
@@ -334,9 +337,8 @@ def twist(vec: LatticeVector, c: Sequence[Scalar]) -> LatticeVector:
     if len(c) != vec.n:
         raise ValueError(f"rank mismatch: twist degree {len(c)}, vector {vec.n}")
     out = list(vec.values)
-    for i, degree in enumerate(c):
+    for i, degree in enumerate(map(as_fraction, c)):
         if degree:
-            degree = Fraction(degree)
             bit = 1 << i
             for mask in range(len(out)):
                 if not mask & bit:

@@ -118,6 +118,12 @@ class Permutation:
         return "[" + ",".join(str(v) for v in self.word) + "]"
 
 
+def check_rank(n: int, limit: int, what: str) -> None:
+    """The rank gate of `what`: ValueError unless 1 <= n <= limit."""
+    if not 1 <= n <= limit:
+        raise ValueError(f"rank {n} is outside 1..{limit} for {what}")
+
+
 def sort_key(w: Permutation) -> tuple[int, tuple[int, ...]]:
     """Canonical ordering key: length first, then one-line word."""
     return (w.length(), w.word)

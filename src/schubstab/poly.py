@@ -18,10 +18,10 @@ swapped; if p = q, it is 0 (Macdonald, Notes on Schubert Polynomials,
 
 `Poly(nx, ny, terms)` and every named constructor validate their input:
 exponent tuples of width nx + ny, no negative exponent, coefficients
-converted to `Fraction` and zeros dropped.  Results the module computes
-itself (sums, negatives, products, the x-action, divided differences and
-the two-alphabet moves) are built already in that form and wrapped by
-`Poly._trusted`, which checks nothing.
+converted by `as_fraction` (a float is refused) and zeros dropped.  Results
+the module computes itself (sums, negatives, products, the x-action,
+divided differences and the two-alphabet moves) are built already in that
+form and wrapped by `Poly._trusted`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +40,13 @@ from .perms import (
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
+
+
+def as_fraction(value: Union[Scalar, str]) -> Fraction:
+    """Fraction(value) for an int, Fraction or "p/q" string; TypeError on a float."""
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not exact; give an int, Fraction or 'p/q'")
+    return Fraction(value)
 
 
 def _accumulate(
@@ -74,7 +81,7 @@ class Poly:
                 raise ValueError(f"exponent {exp} has {len(exp)} slots, ring has {width}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = Fraction(c)
+            c = as_fraction(c)
             if c:
                 clean[exp] = c
         object.__setattr__(self, "nx", nx)
@@ -102,7 +109,7 @@ class Poly:
 
     @staticmethod
     def const(value: Scalar, nx: int, ny: int = 0) -> "Poly":
-        return Poly(nx, ny, {(0,) * (nx + ny): Fraction(value)})
+        return Poly(nx, ny, {(0,) * (nx + ny): value})
 
     @staticmethod
     def one(nx: int, ny: int = 0) -> "Poly":
@@ -128,7 +135,7 @@ class Poly:
 
     @staticmethod
     def monomial(exp: Iterable[int], coeff: Scalar, nx: int, ny: int = 0) -> "Poly":
-        return Poly(nx, ny, {tuple(exp): Fraction(coeff)})
+        return Poly(nx, ny, {tuple(exp): coeff})
 
     # -------------------------------------------------------- ring queries
 
@@ -216,10 +223,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return (self.nx, self.ny) == (other.nx, other.ny) and self.terms == other.terms
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # mutable dict inside; polynomials are not dict keys
 
@@ -468,20 +471,19 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     Leibniz rule, and independence of demazure(w, -) from the choice of
     reduced word for every w in the rank-n group.
 
-    For reduced-word independence each trial polynomial gets one suffix
-    table, local to this call and shared by all w: the composite along a
-    word is one divided difference applied to the composite along its
-    tail, so each distinct suffix is applied once.  Every reduced word's
-    composite is still computed and compared with that of the first word.
-    The table is keyed by words, never by permutations: a permutation key
-    would give every reduced word of w one value, which is the claim under
-    test.  Ranks below 2, and ranks whose longest permutation has more than
-    MAX_LONGEST_WORDS reduced words, are refused with ValueError by
-    demazure_word_count before any work.
+    Every composite is read from one suffix table per trial polynomial, so
+    each distinct word suffix is applied once: d_j d_j f, both sides of the
+    braid and commuting relations, d_j f and d_j g in the Leibniz rule, and
+    every reduced word's composite.  Only d_j(fg) is applied outside a
+    table.  Tables are keyed by words, never by permutations: a permutation
+    key would give every reduced word of w one value, which is the claim
+    under test.  Ranks below 2, and ranks whose longest permutation has
+    more than MAX_LONGEST_WORDS reduced words, are refused with ValueError
+    by demazure_word_count before any work.
     """
     demazure_word_count(n)
     rng = random.Random(seed)
-    polys = [random_poly(rng, n) for _ in range(trials)]
+    tables = [_SuffixTable(random_poly(rng, n)) for _ in range(trials)]
     violations: list[dict] = []
     counts = {
         "square_zero": 0,
@@ -491,36 +493,31 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
         "reduced_word_independence": 0,
     }
 
-    for t, f in enumerate(polys):
+    for t, table in enumerate(tables):
         for j in range(1, n):
             counts["square_zero"] += 1
-            if not divided_difference(j, divided_difference(j, f)).is_zero:
+            if not table[(j, j)].is_zero:
                 violations.append({"relation": "square_zero", "j": j, "trial": t})
         for j in range(1, n - 1):
             counts["braid"] += 1
-            left = divided_difference(j, divided_difference(j + 1, divided_difference(j, f)))
-            right = divided_difference(j + 1, divided_difference(j, divided_difference(j + 1, f)))
-            if left != right:
+            if table[(j, j + 1, j)] != table[(j + 1, j, j + 1)]:
                 violations.append({"relation": "braid", "j": j, "trial": t})
         for i in range(1, n):
             for j in range(i + 2, n):
                 counts["commuting"] += 1
-                if divided_difference(i, divided_difference(j, f)) != divided_difference(
-                    j, divided_difference(i, f)
-                ):
+                if table[(i, j)] != table[(j, i)]:
                     violations.append({"relation": "commuting", "pair": [i, j], "trial": t})
 
-    for t, f in enumerate(polys):
-        g = polys[(t + 1) % len(polys)]
+    for t, f_table in enumerate(tables):
+        g_table = tables[(t + 1) % len(tables)]
+        f, g = f_table[()], g_table[()]
         for j in range(1, n):
             counts["leibniz"] += 1
-            sj = Permutation.simple(j, n)
             lhs = divided_difference(j, f * g)
-            rhs = divided_difference(j, f) * g + permute_x(sj, f) * divided_difference(j, g)
+            rhs = f_table[(j,)] * g + permute_x(Permutation.simple(j, n), f) * g_table[(j,)]
             if lhs != rhs:
                 violations.append({"relation": "leibniz", "j": j, "trial": t})
 
-    tables = [_SuffixTable(f) for f in polys]
     for w in symmetric_group(n):
         words = reduced_words(w)
         if len(words) < 2:

@@ -10,9 +10,11 @@ import random
 
 import pytest
 
+import schubstab.bimodule as bimodule_module
 from schubstab.bimodule import (
+    MAX_GRAPH_TWIST_RANK,
+    MAX_SOERGEL_RANK,
     BimoduleElement,
-    change_of_basis_matrix,
     f_map,
     graph_twist_table,
     membership_in_gamma,
@@ -65,8 +67,8 @@ def test_s_element_frozen():
     se = s_element(e2)
     assert se.coords == {e2: Poly.one(2)}
     ss1 = s_element(s1)
-    assert ss1.coordinate(s1) == Poly.one(2)
-    assert ss1.coordinate(e2) == -x(1, 2)
+    assert ss1.coords[s1] == Poly.one(2)
+    assert ss1.coords[e2] == -x(1, 2)
     assert len(ss1.coords) == 2
     # In rank 2 the longest element is s1 itself.
     assert s_element(Permutation.longest(2)) == ss1
@@ -77,9 +79,9 @@ def test_s_element_rank3_spot():
     # = x1^2 and s2 -> schubert(s1)(-x) = -x1.
     w = perm(2, 3, 1)
     sw = s_element(w)
-    assert sw.coordinate(w) == Poly.one(3)
-    assert sw.coordinate(Permutation.identity(3)) == x(1, 3) ** 2
-    assert sw.coordinate(perm(1, 3, 2)) == -x(1, 3)
+    assert sw.coords[w] == Poly.one(3)
+    assert sw.coords[Permutation.identity(3)] == x(1, 3) ** 2
+    assert sw.coords[perm(1, 3, 2)] == -x(1, 3)
     assert len(sw.coords) == 3
 
 
@@ -143,21 +145,66 @@ def test_f_map_diagonal_uses_inverse_orientation():
 
 
 def test_change_of_basis_frozen():
-    perms1, m1 = change_of_basis_matrix(1)
-    assert m1 == [[Poly.one(1)]]
-    perms2, m2 = change_of_basis_matrix(2)
-    assert [w.word for w in perms2] == [(1, 2), (2, 1)]
-    assert m2[0] == [Poly.one(2), Poly.zero(2)]
-    assert m2[1] == [-x(1, 2), Poly.one(2)]
+    e1 = Permutation.identity(1)
+    assert s_element(e1).coords == {e1: Poly.one(1)}
+    e, s1 = Permutation.identity(2), perm(2, 1)
+    assert s_element(e).coords == {e: Poly.one(2)}
+    assert s_element(s1).coords == {e: -x(1, 2), s1: Poly.one(2)}
 
 
 def test_unitriangular_certificates():
     for n in (1, 2, 3):
         cert = verify_unitriangular(n)
         assert cert["violations"] == []
-    perms3, m3 = change_of_basis_matrix(3)
-    for i in range(6):
-        assert m3[i][i] == Poly.one(3)
+        assert cert["entries"] == math.factorial(n) ** 2
+    for w in symmetric_group(3):
+        assert s_element(w).coords[w] == Poly.one(3)
+
+
+def _unitriangular_oracle(n):
+    """The unitriangularity violations read off the full n! x n! matrix of
+    coordinates, an absent one as Poly.zero."""
+    one = Poly.one(n)
+    out = []
+    for w in symmetric_group(n):
+        elem = bimodule_module.s_element(w)
+        for u in symmetric_group(n):
+            val = elem.coords.get(u, Poly.zero(n))
+            bad = val != one if u == w else u.length() >= w.length() and not val.is_zero
+            if bad:
+                out.append({"w": w.to_json(), "u": u.to_json(), "got": str(val)})
+    return out
+
+
+@pytest.mark.parametrize(
+    "fault, u, got",
+    [
+        ("wrong diagonal", (2, 3, 1), "2"),
+        ("absent diagonal", (2, 3, 1), "0"),
+        ("extra long coordinate", (3, 1, 2), "x1"),
+    ],
+)
+def test_unitriangular_names_a_planted_entry(monkeypatch, fault, u, got):
+    bad, u = perm(2, 3, 1), Permutation(u)
+    real = s_element
+
+    def planted(w):
+        elem = real(w)
+        if w != bad:
+            return elem
+        coords = dict(elem.coords)
+        if fault == "wrong diagonal":
+            coords[u] = Poly.const(2, 3)
+        elif fault == "absent diagonal":
+            del coords[u]
+        else:
+            coords[u] = x(1, 3)
+        return BimoduleElement(3, coords)
+
+    monkeypatch.setattr(bimodule_module, "s_element", planted)
+    cert = verify_unitriangular(3)
+    assert cert["violations"] == [{"w": [2, 3, 1], "u": list(u.word), "got": got}]
+    assert cert["violations"] == _unitriangular_oracle(3)
 
 
 # ------------------------------------------------------------ right action
@@ -230,29 +277,121 @@ def test_membership_frozen():
 
 
 def test_bimodule_closure_certificates():
-    assert verify_bimodule_closure(2, 1)["violations"] == []
-    cert = verify_bimodule_closure(3, 2)
-    assert cert["violations"] == []
-    assert cert["products"] == 3 * 3  # three generators of length >= 2
-    assert verify_bimodule_closure(3, 0)["violations"] == []
+    assert verify_bimodule_closure(2)[1]["violations"] == []
+    certs = verify_bimodule_closure(3)
+    assert [cert["j"] for cert in certs] == [0, 1, 2, 3, 4]
+    assert certs[2]["violations"] == []
+    assert certs[2]["products"] == 3 * 3  # three generators of length >= 2
+    assert certs[0]["violations"] == []
 
 
 def test_bimodule_closure_certificates_rank4():
-    products = 0
-    for j in range(8):
-        cert = verify_bimodule_closure(4, j)
-        assert cert["violations"] == [], (j, cert["violations"][:3])
-        products += cert["products"]
+    certs = verify_bimodule_closure(4)
+    assert [cert["j"] for cert in certs] == list(range(8))
+    for cert in certs:
+        assert cert["violations"] == [], (cert["j"], cert["violations"][:3])
     # 4 variables times the 24 + 23 + 20 + 15 + 9 + 4 + 1 + 0 generators.
-    assert products == 384
+    assert sum(cert["products"] for cert in certs) == 384
+
+
+def test_closure_forms_each_product_once(monkeypatch):
+    real_multiply, real_coordinates = right_multiply, s_basis_coordinates
+    products, expansions = [], []
+
+    def multiply(elem, g):
+        products.append((elem, g))
+        return real_multiply(elem, g)
+
+    def coordinates(elem):
+        expansions.append(elem)
+        return real_coordinates(elem)
+
+    monkeypatch.setattr(bimodule_module, "right_multiply", multiply)
+    monkeypatch.setattr(bimodule_module, "s_basis_coordinates", coordinates)
+    verify_bimodule_closure(4)
+    # One product per (w, k): 24 permutations times 4 variables.
+    assert len(products) == len(expansions) == 96
+    wanted = [(s_element(w), x(k, 4)) for w in symmetric_group(4) for k in range(1, 5)]
+    assert all(pair in products for pair in wanted)
+
+
+def _closure_oracle(n):
+    """Per-level closure certificates: every generator's product formed
+    again at each level and tested by membership_in_gamma."""
+    top = Permutation.longest(n).length()
+    certs = []
+    for j in range(top + 2):
+        generators = [w for w in symmetric_group(n) if w.length() >= j]
+        violations = [
+            {"w": w.to_json(), "variable": k}
+            for w in generators
+            for k in range(1, n + 1)
+            if not membership_in_gamma(
+                bimodule_module.right_multiply(s_element(w), x(k, n)), j
+            )[0]
+        ]
+        certs.append(
+            {
+                "check": "filtration_right_closure",
+                "n": n,
+                "j": j,
+                "products": len(generators) * n,
+                "violations": violations,
+            }
+        )
+    return certs
+
+
+@pytest.mark.parametrize(
+    "w, k, levels",
+    [
+        # S_{w0} x_2 gains the S-coordinate of s_2, of length 1: named at
+        # levels 2 and 3, the levels above 1 where S_{w0} is a generator.
+        ((3, 2, 1), 2, [2, 3]),
+        ((2, 3, 1), 3, [2]),
+    ],
+)
+def test_closure_names_a_planted_product_at_the_oracle_levels(monkeypatch, w, k, levels):
+    """S_w x_k gains a short S-coordinate; S_{w0} x_1 is planted as zero,
+    which lies in every Gamma_j and must never be named."""
+    w, w0 = Permutation(w), Permutation.longest(3)
+    real = right_multiply
+
+    def faulty(elem, g):
+        if elem == s_element(w0) and g == x(1, 3):
+            return BimoduleElement(3, {})
+        out = real(elem, g)
+        return out + s_element(perm(1, 3, 2)) if elem == s_element(w) and g == x(k, 3) else out
+
+    monkeypatch.setattr(bimodule_module, "right_multiply", faulty)
+    certs = verify_bimodule_closure(3)
+    assert certs == _closure_oracle(3)
+    assert [cert["j"] for cert in certs if cert["violations"]] == levels
+    for j in levels:
+        assert certs[j]["violations"] == [{"w": list(w.word), "variable": k}]
 
 
 def test_triangular_injectivity_certificates():
     for n in (2, 3, 4):
-        cert = verify_triangular_injectivity(n)
+        cert = verify_triangular_injectivity(verify_filtration_identity(n))
         assert cert["violations"] == []
         assert cert["determinant_nonzero"] is True
         assert cert["matrix_size"] == math.factorial(n)
+
+
+def test_ranks_beyond_budget_are_refused_before_any_work(monkeypatch):
+    def boom(*args):
+        raise AssertionError("work started")
+
+    for name in ("symmetric_group", "s_element", "right_multiply", "delta_w"):
+        monkeypatch.setattr(bimodule_module, name, boom)
+    for check in (verify_filtration_identity, verify_unitriangular, verify_bimodule_closure):
+        for n in (0, MAX_SOERGEL_RANK + 1):
+            with pytest.raises(ValueError, match=f"rank {n} is outside 1..5 for filtration"):
+                check(n)
+    for n in (0, MAX_GRAPH_TWIST_RANK + 1):
+        with pytest.raises(ValueError, match=f"rank {n} is outside 1..6 for graph-twist"):
+            graph_twist_table(n)
 
 
 def test_certificates_name_a_wrong_diagonal_entry(monkeypatch):
@@ -266,7 +405,7 @@ def test_certificates_name_a_wrong_diagonal_entry(monkeypatch):
     monkeypatch.setattr("schubstab.bimodule.f_map", corrupted)
     identity = verify_filtration_identity(3)
     assert [(v["w"], v["w_prime"]) for v in identity["violations"]] == [([2, 3, 1], [2, 3, 1])]
-    cert = verify_triangular_injectivity(3)
+    cert = verify_triangular_injectivity(identity)
     assert [v["w"] for v in cert["violations"]] == [[2, 3, 1]]
     assert cert["determinant_nonzero"] is False
 

@@ -79,6 +79,54 @@ class TestVerifyCommands:
         assert "checking" in err
         assert "checking" not in out
 
+    def test_soergel_computes_the_filtration_identity_once(self, capsys, monkeypatch):
+        import schubstab.cli as cli_module
+
+        calls = []
+        real = cli_module.verify_filtration_identity
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(cli_module, "verify_filtration_identity", counted)
+        code, _, err = run(["verify", "soergel", "--n", "3", "--json"], capsys)
+        assert code == 0
+        assert calls == [3]
+        assert err.count("closure") == 1
+
+    @pytest.mark.parametrize(
+        "argv, work, message",
+        [
+            (["verify", "soergel", "--n", "6"],
+             ["cli.verify_filtration_identity", "cli.verify_unitriangular",
+              "cli.verify_bimodule_closure", "cli.verify_triangular_injectivity"],
+             "rank 6 is outside 1..5 for filtration certificates"),
+            (["table", "graph-twists", "--n", "7"],
+             ["bimodule.symmetric_group", "bimodule.delta_w"],
+             "rank 7 is outside 1..6 for graph-twist tables"),
+            (["schubert", "--n", "11", "--w", "1,2,3,4,5,6,7,8,9,10,11"],
+             ["schubert.demazure"],
+             "rank 11 is outside 1..10 for Schubert polynomials"),
+            (["schubert", "--n", "8", "--double", "--w", "1,2,3,4,5,6,7,8"],
+             ["schubert.demazure"],
+             "rank 8 is outside 1..7 for double Schubert polynomials"),
+        ],
+    )
+    def test_filtration_schubert_and_table_ranks_are_budgeted(
+        self, capsys, monkeypatch, argv, work, message
+    ):
+        def boom(*args):
+            raise AssertionError("work started")
+
+        for name in work:
+            monkeypatch.setattr(f"schubstab.{name}", boom)
+        for extra in ([], ["--json"]):
+            code, out, err = run(argv + extra, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [f"error: {message}"]
+
     def test_demazure_json(self, capsys):
         argv = ["verify", "demazure", "--n", "3", "--trials", "4", "--seed", "2", "--json"]
         code, out, _ = run(argv, capsys)

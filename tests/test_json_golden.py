@@ -2,9 +2,10 @@
 
 Each entry is a command line (without --json), the exit code it gives and
 the SHA-256 of its --json stdout.  The list holds every command the README
-shows, the stability round of bench/rounds.py at seeds 5 and 13, the n = 3
-box scan and two commands refused with exit 2 before any work (their
-stdout is empty).  A change to the library's representation or algorithms
+shows, the stability round of bench/rounds.py at seeds 5 and 13, the
+round's `verify soergel` and `verify demazure` operations, the n = 3 box
+scan and the commands refused with exit 2 before any work (their stdout
+is empty).  A change to the library's representation or algorithms
 must leave all of these bytes alone.
 
 When an output changes on purpose, recompute its entry from the repository
@@ -99,6 +100,14 @@ GOLDEN = [
      "a792364b0c71c5bc5ce97b185901fc86bf996046f1201ea8f1d4914ff93edcb8"),
     ("verify demazure --n 4 --trials 20 --seed 13", 0,
      "259403c40a9f6a173c3f1daaec05a2837dc9e84498888cafa1b1e5dfba89b6c8"),
+    ("verify soergel --n 6", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("table graph-twists --n 7", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("schubert --n 11 --w 1,7,2,11,3,10,4,9,5,8,6", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("schubert --n 8 --double --w 1,2,3,4,5,6,7,8", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

@@ -33,9 +33,34 @@ from schubstab.lattice import (
     vector_from_rank_deg,
     verify_charge_transforms,
 )
+from schubstab.poly import Poly
 from schubstab.stability import scan_class_count
 
 F = Fraction
+
+
+FLOAT_ENTRY_POINTS = {
+    "Poly": lambda v: Poly(1, 0, {(1,): v}),
+    "Poly.const": lambda v: Poly.const(v, 1),
+    "Poly.monomial": lambda v: Poly.monomial((1,), v, 1),
+    "LatticeVector": lambda v: LatticeVector(1, {(): v}),
+    "LatticeVector.scale": lambda v: v_of_point(1).scale(v),
+    "twist": lambda v: twist(v_of_point(2), [v, 1]),
+    "v_of_line_bundle": lambda v: v_of_line_bundle([v, 1]),
+    "vector_from_rank_deg": lambda v: vector_from_rank_deg(1, v),
+    "ChargeParams": lambda v: ChargeParams(v, 0, 1),
+    "ExactComplex": lambda v: ExactComplex(1, v),
+    "ExactComplex.of": lambda v: ExactComplex.of(v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_ENTRY_POINTS))
+def test_entry_points_refuse_floats_and_keep_exact_input(name):
+    build = FLOAT_ENTRY_POINTS[name]
+    with pytest.raises(TypeError, match="float 0.1 is not exact"):
+        build(0.1)
+    assert build("1/2") == build(F(1, 2))
+    assert build(3) == build(F(3))
 
 
 def all_subsets(n):

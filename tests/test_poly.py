@@ -286,6 +286,58 @@ def test_certificate_names_a_wrong_divided_difference(monkeypatch, n):
     assert all(v["trial"] == 0 for v in named)
 
 
+def _plain_relation_violations(n, polys):
+    """Square-zero, braid, commuting and Leibniz checks with every
+    composite applied afresh, in the certificate's order."""
+    dd = poly_module.divided_difference
+    out = []
+    for t, f in enumerate(polys):
+        for j in range(1, n):
+            if not dd(j, dd(j, f)).is_zero:
+                out.append({"relation": "square_zero", "j": j, "trial": t})
+        for j in range(1, n - 1):
+            if dd(j, dd(j + 1, dd(j, f))) != dd(j + 1, dd(j, dd(j + 1, f))):
+                out.append({"relation": "braid", "j": j, "trial": t})
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                if dd(i, dd(j, f)) != dd(j, dd(i, f)):
+                    out.append({"relation": "commuting", "pair": [i, j], "trial": t})
+    for t, f in enumerate(polys):
+        g = polys[(t + 1) % len(polys)]
+        for j in range(1, n):
+            sj = Permutation.simple(j, n)
+            if dd(j, f * g) != dd(j, f) * g + permute_x(sj, f) * dd(j, g):
+                out.append({"relation": "leibniz", "j": j, "trial": t})
+    return out
+
+
+def test_certificate_names_a_wrong_first_difference_in_every_relation(monkeypatch):
+    """d_1 of trial 0's polynomial gains x1^2 x3, which d_1, d_1 d_2 and d_3
+    do not kill: every relation that reads d_1 f must be named."""
+    n, trials, seed = 4, 2, 5
+    rng = random.Random(seed)
+    polys = [random_poly(rng, n) for _ in range(trials)]
+    real = divided_difference
+    planted = Poly.monomial((2, 0, 1, 0), 1, n)
+
+    def wrong(j, g):
+        out = real(j, g)
+        return out + planted if j == 1 and g == polys[0] else out
+
+    monkeypatch.setattr(poly_module, "divided_difference", wrong)
+    cert = verify_demazure_relations(n, trials, seed)
+    named = [v for v in cert["violations"] if v["relation"] != "reduced_word_independence"]
+    assert named == _plain_relation_violations(n, polys)
+    for fault in (
+        {"relation": "square_zero", "j": 1, "trial": 0},
+        {"relation": "braid", "j": 1, "trial": 0},
+        {"relation": "commuting", "pair": [1, 3], "trial": 0},
+        {"relation": "leibniz", "j": 1, "trial": 0},
+        {"relation": "leibniz", "j": 1, "trial": 1},
+    ):
+        assert fault in named
+
+
 def test_demazure_budget_refuses_before_any_work(monkeypatch):
     assert demazure_word_count(5) == 768 <= MAX_LONGEST_WORDS
     assert demazure_word_count(2) == 1

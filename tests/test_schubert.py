@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import schubstab.schubert as schubert_module
 from schubstab.perms import Permutation, symmetric_group
 from schubstab.poly import (
     Poly,
@@ -24,7 +25,6 @@ from schubstab.schubert import (
     double_schubert,
     double_schubert_expansion,
     expand_in_schubert_basis,
-    expansion_to_json,
     schubert_poly,
     specialization_check,
     staircase,
@@ -226,9 +226,12 @@ def test_expand_rejects_y_variables():
         expand_in_schubert_basis(double_delta(2))
 
 
-def test_expansion_json_shape():
-    blob = expansion_to_json(expand_in_schubert_basis(x(2, 2)))
-    assert [entry["w"] for entry in blob["coeffs"]] == [[1, 2], [2, 1]]
-    assert blob["coeffs"][1]["poly"]["terms"] == [
-        {"exp": [0, 0], "num": "-1", "den": "1"}
-    ]
+def test_ranks_beyond_budget_are_refused_before_any_work(monkeypatch):
+    def boom(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(schubert_module, "demazure", boom)
+    with pytest.raises(ValueError, match="rank 11 is outside 1..10 for Schubert"):
+        schubert_poly(Permutation.identity(11))
+    with pytest.raises(ValueError, match="rank 8 is outside 1..7 for double Schubert"):
+        double_schubert(Permutation.identity(8))
