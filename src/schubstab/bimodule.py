@@ -39,7 +39,7 @@ from .perms import (
     sort_key,
     symmetric_group,
 )
-from .poly import Poly, negate_x, permute_x
+from .poly import Poly, negate_x, permute_x, sum_of_products
 from .schubert import delta_w, expand_in_schubert_basis, schubert_poly
 
 
@@ -119,30 +119,48 @@ def s_element(w: Permutation) -> BimoduleElement:
     )
 
 
+class _TwistedSchuberts(dict):
+    """permute_x(w, schubert_u) by u, for one w, computed on first lookup."""
+
+    def __init__(self, w: Permutation):
+        super().__init__()
+        self.w = w
+
+    def __missing__(self, u: Permutation) -> Poly:
+        out = self[u] = permute_x(self.w, schubert_poly(u))
+        return out
+
+
+@lru_cache(maxsize=1)
+def _twisted_schuberts(w: Permutation) -> _TwistedSchuberts:
+    """The row of w: kept for the last w only, which is all that a scan
+    over the F_w(S_w') with w outermost reuses, and at most n! polynomials."""
+    return _TwistedSchuberts(w)
+
+
 def f_map(w: Permutation, elem: BimoduleElement) -> Poly:
     """Evaluation against the w-twisted diagonal: sum of
-    coordinate[u] * permute_x(w, schubert_u)."""
+    coordinate[u] * permute_x(w, schubert_u), added up in one sum of products."""
     if w.n != elem.n:
         raise ValueError(f"rank mismatch: {w.n} vs {elem.n}")
-    total = Poly.zero(elem.n)
-    for u, c in elem.coords.items():
-        total = total + c * permute_x(w, schubert_poly(u))
-    return total
+    twisted = _twisted_schuberts(w)
+    return sum_of_products(((c, twisted[u]) for u, c in elem.coords.items()), elem.n)
 
 
 def right_multiply(elem: BimoduleElement, g: Poly) -> BimoduleElement:
     """The right R-action in left coordinates.
 
     Each schubert_u * g is re-expanded over the Schubert basis with
-    symmetric coefficients, which then slide across the tensor to the left.
+    symmetric coefficients, which then slide across the tensor to the left;
+    the new coordinate at t is one sum of products c * sym.
     """
     if g.ny != 0 or g.nx != elem.n:
         raise ValueError("right factor must be an x-polynomial of matching rank")
-    out: dict[Permutation, Poly] = {}
+    pairs: dict[Permutation, list[tuple[Poly, Poly]]] = {}
     for u, c in elem.coords.items():
         for t, sym in expand_in_schubert_basis(schubert_poly(u) * g).items():
-            out[t] = out.get(t, Poly.zero(elem.n)) + c * sym
-    return BimoduleElement(elem.n, out)
+            pairs.setdefault(t, []).append((c, sym))
+    return BimoduleElement(elem.n, {t: sum_of_products(p, elem.n) for t, p in pairs.items()})
 
 
 def s_basis_coordinates(elem: BimoduleElement) -> dict[Permutation, Poly]:
@@ -150,23 +168,29 @@ def s_basis_coordinates(elem: BimoduleElement) -> dict[Permutation, Poly]:
 
     Working down from the longest permutations, the residual coordinate at
     w is untouched by any S_u with length(u) <= length(w), u != w, so it is
-    the S_w-coefficient; subtract and continue.
+    the S_w-coefficient; subtract and continue.  The subtractions are kept
+    as pending products -c * S_w[u] per u and summed with elem's coordinate
+    at u once, when u is reached.  S_w has coordinate 1 at w itself, so that
+    product would cancel the residual at w; one pending at a u already
+    passed is what the triangular order forbids, and must sum to zero.
     """
     n = elem.n
-    residual = dict(elem.coords)
+    one = Poly.one(n)
+    pending: dict[Permutation, list[tuple[Poly, Poly]]] = {}
     out: dict[Permutation, Poly] = {}
     for w in sorted(symmetric_group(n), key=sort_key, reverse=True):
-        c = residual.get(w)
-        if c is None or c.is_zero:
+        terms = pending.pop(w, [])
+        if w in elem.coords:
+            terms.append((elem.coords[w], one))
+        c = sum_of_products(terms, n)
+        if c.is_zero:
             continue
         out[w] = c
+        minus_c = -c
         for u, sc in s_element(w).coords.items():
-            stay = residual.get(u, Poly.zero(n)) - c * sc
-            if stay.is_zero:
-                residual.pop(u, None)
-            else:
-                residual[u] = stay
-    if any(not c.is_zero for c in residual.values()):
+            if u != w:
+                pending.setdefault(u, []).append((minus_c, sc))
+    if any(not sum_of_products(p, n).is_zero for p in pending.values()):
         raise RuntimeError("back-substitution left a residual; this is a bug")
     return out
 
@@ -183,8 +207,9 @@ def membership_in_gamma(elem: BimoduleElement, j: int) -> tuple[bool, dict[Permu
 
 # ------------------------------------------------------------ certificates
 
-# `verify soergel --n 5` (8 165 F-matrix pairs) takes 8.0 s on a 2-core Xeon
-# container under Python 3.11.7; rank 6 (720 S_w) runs past 45 s.
+# `verify soergel --n 5` (8 165 F-matrix pairs) takes 1.3 to 2.1 s on a 2-core
+# Xeon container under Python 3.11.7.  Rank 6 (720 S_w) ran past 45 s with
+# Fraction coefficients and was not timed again.
 MAX_SOERGEL_RANK = 5
 check_soergel_rank = partial(check_rank, limit=MAX_SOERGEL_RANK, what="filtration certificates")
 
@@ -332,7 +357,9 @@ class GraphTwistEntry:
         }
 
 
-# `table graph-twists --n 6` takes 3.6 s on the same host; rank 7 runs past 65 s.
+# `table graph-twists --n 6` takes 3.0 to 5.3 s on the same host, 0.4 s of it
+# building the table and the rest rendering it; rank 7 ran past 65 s with
+# Fraction coefficients and was not timed again.
 MAX_GRAPH_TWIST_RANK = 6
 
 

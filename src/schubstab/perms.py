@@ -90,13 +90,17 @@ class Permutation:
         )
 
     def length(self) -> int:
+        """Number of inversions, counted on the first call and kept on the
+        instance (outside the dataclass fields, so ==, hash and repr ignore it)."""
+        try:
+            return self.__dict__["_length"]
+        except KeyError:
+            pass
         w = self.word
-        return sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if w[i] > w[j]
-        )
+        n = len(w)
+        count = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+        object.__setattr__(self, "_length", count)
+        return count
 
     @property
     def is_identity(self) -> bool:

@@ -1,11 +1,29 @@
 """Exact sparse polynomials over Q with a symmetric-group action on the
 x-variables and divided-difference operators.
 
-A Poly lives in Q[x_1..x_nx, y_1..y_ny].  Terms map exponent tuples of
-length nx + ny (x-block first) to nonzero `fractions.Fraction`
-coefficients, so `==` is exact polynomial identity.  Most of the package
-works in the pure-x ring (ny = 0); the y-block exists for two-alphabet
-polynomials and is inert under the group action and the operators.
+A Poly lives in Q[x_1..x_nx, y_1..y_ny].  It stores integer numerators
+over one positive denominator shared by all its terms, with the two
+reduced by their gcd (the zero polynomial has denominator 1), so `==` is
+exact polynomial identity and an integer polynomial never touches a
+`Fraction`.  Each exponent vector is packed into one int: nx + ny fields
+of equal width, x_1 in the most significant field and y_ny in the least,
+so the key of a product term is the sum of its factors' keys, and the
+x-action, the divided differences and the two-alphabet moves read and
+write fields by shift and mask (Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+
+A field must never carry into its neighbour.  Every Poly keeps an upper
+bound on its exponents; a product, and the y -> x specialization, which
+adds fields, first check the bound of their result and repack into wider
+fields when it does not fit.  The width is _FIELD_BITS unless an exponent
+needs more, so no exponent is ever refused.  The package reads terms only
+in packed form; `Fraction` and exponent tuples appear only at the edge:
+`as_fraction`, `coefficient`, `to_json`, `__str__` and the read-only
+`terms` view, whose len() is the number of terms.
+
+Most of the package works in the pure-x ring (ny = 0); the y-block exists
+for two-alphabet polynomials and is inert under the group action and the
+operators.
 
 The divided-difference operator of index j sends f to
 (f - s_j f) / (x_j - x_{j+1}), where s_j swaps x_j and x_{j+1}.  It is
@@ -19,16 +37,19 @@ swapped; if p = q, it is 0 (Macdonald, Notes on Schubert Polynomials,
 `Poly(nx, ny, terms)` and every named constructor validate their input:
 exponent tuples of width nx + ny, no negative exponent, coefficients
 converted by `as_fraction` (a float is refused) and zeros dropped.  Results
-the module computes itself (sums, negatives, products, the x-action,
-divided differences and the two-alphabet moves) are built already in that
-form and wrapped by `Poly._trusted`, which checks nothing.
+the module computes itself are built already in normal form and wrapped by
+`Poly._trusted`, which checks nothing, or by `Poly._reduced`, which only
+drops zero terms and cancels the common content of numerators and
+denominator.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Union
 
 from .perms import (
     Permutation,
@@ -41,6 +62,11 @@ from .perms import (
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
+# Bits per exponent field, unless an exponent needs more.  Six bits hold
+# every exponent the certificates and the benchmark reach, so their
+# products never repack.
+_FIELD_BITS = 6
+
 
 def as_fraction(value: Union[Scalar, str]) -> Fraction:
     """Fraction(value) for an int, Fraction or "p/q" string; TypeError on a float."""
@@ -49,26 +75,74 @@ def as_fraction(value: Union[Scalar, str]) -> Fraction:
     return Fraction(value)
 
 
-def _accumulate(
-    acc: dict[Exponent, Fraction], terms: Iterable[tuple[Exponent, Fraction]]
-) -> dict[Exponent, Fraction]:
-    """Add nonzero terms into acc in place, dropping keys whose sum is zero."""
+def _width_for(top: int) -> int:
+    """Field width in bits that holds every exponent up to top."""
+    return max(_FIELD_BITS, top.bit_length())
+
+
+def _pack(exp: Iterable[int], bits: int) -> int:
+    key = 0
+    for e in exp:
+        key = (key << bits) | e
+    return key
+
+
+def _unpack(key: int, slots: int, bits: int) -> Exponent:
+    mask = (1 << bits) - 1
+    return tuple([(key >> s) & mask for s in range(bits * (slots - 1), -1, -bits)])
+
+
+def _low_bits(slots: int, bits: int) -> int:
+    """The lowest bit of each of the `slots` least significant fields: the
+    parity of a key's degree there is the parity of its popcount under this."""
+    return sum(1 << (bits * s) for s in range(slots))
+
+
+def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Add terms into acc in place; a key may end up with value 0."""
+    get = acc.get
     for k, v in terms:
-        if k in acc:
-            s = acc[k] + v
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-        else:
-            acc[k] = v
+        acc[k] = get(k, 0) + v
     return acc
 
 
-class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+class _Terms(Mapping):
+    """Read-only view of a Poly's terms: exponent tuples to nonzero Fractions.
 
-    __slots__ = ("nx", "ny", "terms")
+    len() is the number of terms; iteration unpacks each exponent and every
+    lookup builds a Fraction, so the package itself never reads it.
+    """
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "Poly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self):
+        p = self._poly
+        slots = p.nx + p.ny
+        for key in p._num:
+            yield _unpack(key, slots, p._bits)
+
+    def __getitem__(self, exp) -> Fraction:
+        p = self._poly
+        c = p._num.get(p._key(exp))
+        if c is None:
+            raise KeyError(exp)
+        return Fraction(c, p._den)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class Poly:
+    """Immutable sparse polynomial: integer numerators over a shared
+    denominator, keyed by packed exponents (see the module docstring)."""
+
+    __slots__ = ("nx", "ny", "_num", "_den", "_bits", "_top")
 
     def __init__(self, nx: int, ny: int, terms: Mapping[Exponent, Scalar]):
         if nx < 0 or ny < 0:
@@ -76,7 +150,7 @@ class Poly:
         clean: dict[Exponent, Fraction] = {}
         width = nx + ny
         for exp, c in terms.items():
-            exp = tuple(exp)
+            exp = tuple(e if isinstance(e, int) else _integral(e) for e in exp)
             if len(exp) != width:
                 raise ValueError(f"exponent {exp} has {len(exp)} slots, ring has {width}")
             if any(e < 0 for e in exp):
@@ -84,22 +158,67 @@ class Poly:
             c = as_fraction(c)
             if c:
                 clean[exp] = c
-        object.__setattr__(self, "nx", nx)
-        object.__setattr__(self, "ny", ny)
-        object.__setattr__(self, "terms", clean)
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so this is already in normal form.
+        den = lcm(*(c.denominator for c in clean.values()))
+        top = max((max(exp, default=0) for exp in clean), default=0)
+        bits = _width_for(top)
+        num = {_pack(exp, bits): c.numerator * (den // c.denominator) for exp, c in clean.items()}
+        self._fill(nx, ny, num, den, bits, top)
+
+    def _fill(self, nx: int, ny: int, num: dict[int, int], den: int, bits: int, top: int) -> None:
+        put = object.__setattr__
+        put(self, "nx", nx)
+        put(self, "ny", ny)
+        put(self, "_num", num)
+        put(self, "_den", den)
+        put(self, "_bits", bits)
+        put(self, "_top", top)
 
     @classmethod
-    def _trusted(cls, nx: int, ny: int, terms: dict[Exponent, Fraction]) -> "Poly":
-        """Wrap terms this module built: tuple keys of width nx + ny with
-        nonnegative entries, nonzero Fraction values.  Nothing is checked."""
+    def _trusted(cls, nx: int, ny: int, num: dict[int, int], den: int, bits: int, top: int) -> "Poly":
+        """Wrap terms this module built: nonzero numerators keyed by exponents
+        packed `bits` wide, all at most top < 2**bits, over a positive den
+        sharing no factor with them (1 when num is empty).  Nothing is checked."""
         p = object.__new__(cls)
-        object.__setattr__(p, "nx", nx)
-        object.__setattr__(p, "ny", ny)
-        object.__setattr__(p, "terms", terms)
+        p._fill(nx, ny, num, den, bits, top)
         return p
+
+    @classmethod
+    def _reduced(cls, nx: int, ny: int, num: dict[int, int], den: int, bits: int, top: int) -> "Poly":
+        """Like _trusted, after dropping zero numerators and cancelling the
+        content they share with den."""
+        if 0 in num.values():
+            num = {k: v for k, v in num.items() if v}
+        if den != 1:
+            g = gcd(den, *num.values()) if num else den
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        return cls._trusted(nx, ny, num, den, bits, top)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def _at(self, bits: int) -> dict[int, int]:
+        """The numerators keyed at field width bits >= self._bits."""
+        if bits == self._bits:
+            return self._num
+        slots, old = self.nx + self.ny, self._bits
+        return {_pack(_unpack(k, slots, old), bits): c for k, c in self._num.items()}
+
+    def _key(self, exp) -> int | None:
+        """The packed key of an exponent sequence, or None when no term of
+        this ring can have it."""
+        exp = tuple(exp)
+        if len(exp) != self.nx + self.ny or not all(0 <= e <= self._top and e == int(e) for e in exp):
+            return None
+        return _pack(map(int, exp), self._bits)
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only view: exponent tuples to nonzero Fraction coefficients."""
+        return _Terms(self)
 
     # ------------------------------------------------------- constructors
 
@@ -141,20 +260,30 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def coefficient(self, exp: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self._num.get(self._key(exp), 0), self._den)
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        slots, bits = self.nx + self.ny, self._bits
+        return max((sum(_unpack(k, slots, bits)) for k in self._num), default=-1)
 
-    def items_sorted(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in graded lexicographic order (total degree, then exponents)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    def _graded(self, descending: bool = False) -> list[tuple[list[int], int]]:
+        """(exponent list, numerator) per term, by total degree, ascending or
+        descending, then by exponents ascending.  Within one degree the
+        exponents compare as their keys do, x_1 being the top field."""
+        slots, bits = self.nx + self.ny, self._bits
+        mask = (1 << bits) - 1
+        shifts = range(bits * (slots - 1), -1, -bits)
+        sign = -1 if descending else 1
+        rows = []
+        for k, c in self._num.items():
+            exp = [(k >> s) & mask for s in shifts]
+            rows.append((sign * sum(exp), k, exp, c))
+        rows.sort()
+        return [(exp, c) for _, _, exp, c in rows]
 
     # ---------------------------------------------------------- arithmetic
 
@@ -164,48 +293,47 @@ class Poly:
                 f"ring mismatch: ({self.nx},{self.ny}) vs ({other.nx},{other.ny})"
             )
 
-    def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def _combine(self, other: Union["Poly", Scalar], sign: int) -> "Poly":
+        """self + sign * other."""
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other, self.nx, self.ny)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        out = _accumulate(dict(self.terms), other.terms.items())
-        return Poly._trusted(self.nx, self.ny, out)
+        bits = max(self._bits, other._bits)
+        den = lcm(self._den, other._den)
+        scale = den // self._den
+        out = dict(self._at(bits)) if scale == 1 else {k: v * scale for k, v in self._at(bits).items()}
+        scale = sign * den // other._den
+        _accumulate(out, ((k, v * scale) for k, v in other._at(bits).items()))
+        return Poly._reduced(self.nx, self.ny, out, den, bits, max(self._top, other._top))
+
+    def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.nx, self.ny, {e: -c for e, c in self.terms.items()})
+        out = {k: -v for k, v in self._num.items()}
+        return Poly._trusted(self.nx, self.ny, out, self._den, self._bits, self._top)
 
     def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.nx, self.ny)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: Scalar) -> "Poly":
         return Poly.const(other, self.nx, self.ny) - self
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Poly._trusted(self.nx, self.ny, {})
-            return Poly._trusted(self.nx, self.ny, {e: c * v for e, v in self.terms.items()})
+            if not other:
+                return Poly._trusted(self.nx, self.ny, {}, 1, self._bits, self._top)
+            out = {k: v * other.numerator for k, v in self._num.items()}
+            return Poly._reduced(
+                self.nx, self.ny, out, self._den * other.denominator, self._bits, self._top
+            )
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_ring(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                if key in out:
-                    out[key] += c1 * c2
-                else:
-                    out[key] = c1 * c2
-        return Poly._trusted(self.nx, self.ny, {e: c for e, c in out.items() if c})
+        return sum_of_products(((self, other),), self.nx, self.ny)
 
     __rmul__ = __mul__
 
@@ -222,7 +350,12 @@ class Poly:
             other = Poly.const(other, self.nx, self.ny)
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.nx, self.ny) == (other.nx, other.ny) and self.terms == other.terms
+        if (self.nx, self.ny, self._den, len(self._num)) != (
+            other.nx, other.ny, other._den, len(other._num)
+        ):
+            return False
+        bits = max(self._bits, other._bits)
+        return self._at(bits) == other._at(bits)
 
     __hash__ = None  # mutable dict inside; polynomials are not dict keys
 
@@ -234,11 +367,11 @@ class Poly:
         return f"y{slot - self.nx + 1}"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
-        ordered = sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
-        for exp, c in ordered:
+        for exp, c in self._graded(descending=True):
+            c = Fraction(c, self._den)
             factors = []
             for slot, e in enumerate(exp):
                 if e == 1:
@@ -265,17 +398,53 @@ class Poly:
 
     def to_json(self) -> dict:
         """Schema: {"nvars": k, "terms": [{"exp": [...], "num": "...", "den": "..."}]}."""
-        return {
-            "nvars": self.nx + self.ny,
-            "terms": [
-                {
-                    "exp": list(exp),
-                    "num": str(c.numerator),
-                    "den": str(c.denominator),
-                }
-                for exp, c in self.items_sorted()
-            ],
-        }
+        den = self._den
+        if den == 1:
+            terms = [{"exp": exp, "num": str(c), "den": "1"} for exp, c in self._graded()]
+        else:
+            terms = []
+            for exp, c in self._graded():
+                g = gcd(c, den)
+                terms.append({"exp": exp, "num": str(c // g), "den": str(den // g)})
+        return {"nvars": self.nx + self.ny, "terms": terms}
+
+
+def _integral(e) -> int:
+    """An exponent given as a non-int number, as an int if it is integral."""
+    if e != int(e):
+        raise ValueError(f"exponent {e!r} is not an integer")
+    return int(e)
+
+
+def sum_of_products(pairs: Iterable[tuple[Poly, Poly]], nx: int, ny: int = 0) -> Poly:
+    """The sum of a * b over pairs of polynomials in Q[x_1..x_nx, y_1..y_ny].
+
+    Every product is added into one dict of numerators over the lcm of the
+    pairs' denominators, in fields wide enough for every product's
+    exponents (the sum of its factors' bounds), so no intermediate
+    polynomial is built and no field carries into the next.
+    """
+    pairs = list(pairs)
+    top, bits = 0, _FIELD_BITS
+    for a, b in pairs:
+        for p in (a, b):
+            if p.nx != nx or p.ny != ny:
+                raise ValueError(f"ring mismatch: ({nx},{ny}) vs ({p.nx},{p.ny})")
+        top = max(top, a._top + b._top)
+        bits = max(bits, a._bits, b._bits)
+    bits = max(bits, _width_for(top))
+    den = lcm(*(a._den * b._den for a, b in pairs))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for a, b in pairs:
+        scale = den // (a._den * b._den)
+        b_num = b._at(bits)
+        for k1, c1 in a._at(bits).items():
+            c1 *= scale
+            for k2, c2 in b_num.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return Poly._reduced(nx, ny, acc, den, bits, top)
 
 
 # ------------------------------------------------------------ group action
@@ -285,20 +454,46 @@ def permute_x(w: Permutation, f: Poly) -> Poly:
     """Act on the x-variables: x_i -> x_{w(i)}; y-variables are fixed."""
     if w.n != f.nx:
         raise ValueError(f"rank mismatch: permutation of {w.n}, polynomial has {f.nx} x-variables")
-    out: dict[Exponent, Fraction] = {}
-    for exp, c in f.terms.items():
-        moved = [0] * f.nx
-        for i in range(f.nx):
-            moved[w.word[i] - 1] = exp[i]
-        out[tuple(moved) + exp[f.nx :]] = c
-    return Poly._trusted(f.nx, f.ny, out)
+    bits, slots = f._bits, f.nx + f.ny
+    mask = (1 << bits) - 1
+    # x_i sits at shift bits * (slots - i); its exponent moves to x_{w(i)}.
+    moves = [
+        (bits * (slots - i), bits * (slots - v))
+        for i, v in enumerate(w.word, start=1)
+        if v != i
+    ]
+    if not moves:
+        return f
+    keep = ~sum(mask << src for src, _ in moves)
+    out = {}
+    for key, c in f._num.items():
+        moved = key & keep
+        for src, dst in moves:
+            moved |= ((key >> src) & mask) << dst
+        out[moved] = c
+    return Poly._trusted(f.nx, f.ny, out, f._den, bits, f._top)
+
+
+def _adjacent_fields(j: int, f: Poly) -> tuple[int, int]:
+    """Shifts of the fields of x_j and x_{j+1} in f's keys."""
+    hi = f._bits * (f.nx + f.ny - j)
+    return hi, hi - f._bits
 
 
 def is_symmetric(f: Poly) -> bool:
-    """True when f is invariant under every permutation of the x-variables."""
-    return all(
-        permute_x(Permutation.simple(j, f.nx), f) == f for j in range(1, f.nx)
-    )
+    """True when f is invariant under every permutation of the x-variables,
+    i.e. under each adjacent swap s_j: swapping the fields of x_j and
+    x_{j+1} adds (b - a) * (2^hi - 2^lo) to a key with exponents a, b there."""
+    mask = (1 << f._bits) - 1
+    num = f._num
+    for j in range(1, f.nx):
+        hi, lo = _adjacent_fields(j, f)
+        step = (1 << hi) - (1 << lo)
+        for key, c in num.items():
+            a, b = (key >> hi) & mask, (key >> lo) & mask
+            if a != b and num.get(key + (b - a) * step) != c:
+                return False
+    return True
 
 
 def divided_difference(j: int, f: Poly) -> Poly:
@@ -307,21 +502,28 @@ def divided_difference(j: int, f: Poly) -> Poly:
     Write a monomial as x_j^p x_{j+1}^q r, with r free of x_j and x_{j+1}.
     For p > q its image is the sum of x_j^(p-1-k) x_{j+1}^(q+k) r over
     k = 0..p-q-1; for p < q it is minus the image of x_j^q x_{j+1}^p r; for
-    p = q it is 0.  The y-variables sit in r and are inert.
+    p = q it is 0.  The y-variables sit in r and are inert.  No exponent
+    grows, so the fields keep their width.
     """
     if not 1 <= j <= f.nx - 1:
         raise ValueError(f"operator index {j} out of range for {f.nx} x-variables")
-    slot = j - 1  # 0-based slot of x_j; x_{j+1} is the next one
-    out: dict[Exponent, Fraction] = {}
-    for exp, c in f.terms.items():
-        p, q = exp[slot], exp[slot + 1]
+    hi, lo = _adjacent_fields(j, f)
+    mask = (1 << f._bits) - 1
+    clear = ~((mask << hi) | (mask << lo))
+    step = (1 << lo) - (1 << hi)  # one unit of exponent from x_j to x_{j+1}
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in f._num.items():
+        p, q = (key >> hi) & mask, (key >> lo) & mask
         if p == q:
             continue
         if p < q:
             p, q, c = q, p, -c
-        head, tail = exp[:slot], exp[slot + 2 :]
-        _accumulate(out, ((head + (p - 1 - k, q + k) + tail, c) for k in range(p - q)))
-    return Poly._trusted(f.nx, f.ny, out)
+        k = (key & clear) + ((p - 1) << hi) + (q << lo)
+        for _ in range(p - q):
+            out[k] = get(k, 0) + c
+            k += step
+    return Poly._reduced(f.nx, f.ny, out, f._den, f._bits, f._top)
 
 
 def demazure(w: Permutation, f: Poly) -> Poly:
@@ -347,48 +549,53 @@ def _require_pure_x(f: Poly) -> None:
 
 
 def widen_with_y(f: Poly, ny: int) -> Poly:
-    """Embed Q[x] into Q[x, y_1..y_ny]."""
+    """Embed Q[x] into Q[x, y_1..y_ny]: ny zero fields below each key."""
     _require_pure_x(f)
-    pad = (0,) * ny
-    return Poly._trusted(f.nx, ny, {exp + pad: c for exp, c in f.terms.items()})
+    shift = f._bits * ny
+    out = {k << shift: c for k, c in f._num.items()}
+    return Poly._trusted(f.nx, ny, out, f._den, f._bits, f._top)
 
 
 def x_to_neg_y(f: Poly, nx: int) -> Poly:
-    """Send a pure-x polynomial f(x_1..x_k) to f(-y_1..-y_k) in Q[x_1..x_nx, y]."""
+    """Send a pure-x polynomial f(x_1..x_k) to f(-y_1..-y_k) in Q[x_1..x_nx, y].
+
+    The y-block is the least significant one, so every key stays as it is
+    and only odd-degree terms change sign."""
     _require_pure_x(f)
-    out: dict[Exponent, Fraction] = {}
-    pad = (0,) * nx
-    for exp, c in f.terms.items():
-        sign = -1 if sum(exp) % 2 else 1
-        out[pad + exp] = sign * c
-    return Poly._trusted(nx, f.nx, out)
+    odd = _low_bits(f.nx, f._bits)
+    out = {k: -c if (k & odd).bit_count() & 1 else c for k, c in f._num.items()}
+    return Poly._trusted(nx, f.nx, out, f._den, f._bits, f._top)
 
 
 def specialize_y_to_x(f: Poly) -> Poly:
-    """Ring map y_i -> x_i; requires equal numbers of x- and y-variables."""
+    """Ring map y_i -> x_i; requires equal numbers of x- and y-variables.
+
+    The x-block shifted down plus the y-block adds the fields pairwise, in
+    fields first widened to hold twice the exponent bound."""
     if f.ny != f.nx:
         raise ValueError(f"need matching alphabets, got {f.nx} x- and {f.ny} y-variables")
-    n = f.nx
-    moved = ((tuple(exp[i] + exp[n + i] for i in range(n)), c) for exp, c in f.terms.items())
-    return Poly._trusted(n, 0, _accumulate({}, moved))
+    n, top = f.nx, 2 * f._top
+    bits = max(f._bits, _width_for(top))
+    shift = bits * n
+    low = (1 << shift) - 1
+    moved = (((k >> shift) + (k & low), c) for k, c in f._at(bits).items())
+    return Poly._reduced(n, 0, _accumulate({}, moved), f._den, bits, top)
 
 
 def set_y_to_zero(f: Poly) -> Poly:
-    """Ring map y_i -> 0, landing in the pure-x ring."""
-    n, m = f.nx, f.ny
-    out = {
-        exp[:n]: c for exp, c in f.terms.items() if not any(exp[n:])
-    }
-    return Poly(n, 0, out)
+    """Ring map y_i -> 0, landing in the pure-x ring: the terms whose
+    y-fields are all zero, shifted down past them."""
+    shift = f._bits * f.ny
+    low = (1 << shift) - 1
+    out = {k >> shift: c for k, c in f._num.items() if not k & low}
+    return Poly._reduced(f.nx, 0, out, f._den, f._bits, f._top)
 
 
 def negate_x(f: Poly) -> Poly:
     """Ring map x_i -> -x_i (y-variables fixed)."""
-    out = {}
-    for exp, c in f.terms.items():
-        sign = -1 if sum(exp[: f.nx]) % 2 else 1
-        out[exp] = sign * c
-    return Poly._trusted(f.nx, f.ny, out)
+    odd = _low_bits(f.nx, f._bits) << (f._bits * f.ny)
+    out = {k: -c if (k & odd).bit_count() & 1 else c for k, c in f._num.items()}
+    return Poly._trusted(f.nx, f.ny, out, f._den, f._bits, f._top)
 
 
 # -------------------------------------------------- randomness, checking

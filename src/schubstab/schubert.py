@@ -19,30 +19,36 @@ any linear algebra and any Monk-rule bookkeeping.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import combinations
 
 from .perms import Permutation, check_rank, length_additive_factorizations, symmetric_group
 from .poly import (
     Exponent,
     Poly,
+    _accumulate,
+    _unpack,
+    _width_for,
     demazure,
     is_symmetric,
     negate_x,
     permute_x,
     specialize_y_to_x,
+    sum_of_products,
     widen_with_y,
     x_to_neg_y,
 )
 
 
-# `schubert --n 10` takes at most 0.53 s (w = 1,6,2,10,3,9,4,8,5,7, the slowest
-# of six rank-10 words tried) on a 2-core Xeon container under Python 3.11.7;
-# w = 1,7,2,11,3,10,4,9,5,8,6 at rank 11 takes 7.1 s.
+# `schubert --n 10` takes at most 1.3 s (w = 1,10,2,9,3,8,4,7,5,6 and
+# 1,6,2,10,3,9,4,8,5,7 are the slowest of six rank-10 words tried) on a 2-core
+# Xeon container under Python 3.11.7; w = 1,7,2,11,3,10,4,9,5,8,6 at rank 11
+# takes 10 s.
 MAX_SCHUBERT_RANK = 10
-# `schubert --double` at rank 7 takes up to 8.1 s (w = 2,1,3,4,5,6,7, the slowest
-# of five words tried) on the same host; rank 8 runs past 65 s.
+# `schubert --double` at rank 7 takes up to 16 s on the same host, for
+# w = 7,6,5,4,3,2,1, whose polynomial is the 484 912-term seed itself; 13 s of
+# that is rendering it as JSON.  The four other words tried take under 4 s.
+# Rank 8 ran past 65 s with Fraction coefficients and was not timed again.
 MAX_DOUBLE_SCHUBERT_RANK = 7
 
 
@@ -101,10 +107,14 @@ def double_schubert_expansion(w: Permutation) -> Poly:
     with length(w) = length(v) + length(u).
     """
     n = w.n
-    total = Poly.zero(n, n)
-    for v, u in length_additive_factorizations(w):
-        total = total + widen_with_y(schubert_poly(u), n) * x_to_neg_y(schubert_poly(v), n)
-    return total
+    return sum_of_products(
+        (
+            (widen_with_y(schubert_poly(u), n), x_to_neg_y(schubert_poly(v), n))
+            for v, u in length_additive_factorizations(w)
+        ),
+        n,
+        n,
+    )
 
 
 def specialization_check(w: Permutation, w_prime: Permutation) -> Poly:
@@ -127,57 +137,59 @@ def specialization_check(w: Permutation, w_prime: Permutation) -> Poly:
 # ----------------------------------------------------------- free basis
 
 
-def _integer_terms(f: Poly) -> tuple[tuple[Exponent, int], ...]:
-    if any(c.denominator != 1 for c in f.terms.values()):
+def _integer_terms(f: Poly, bits: int) -> tuple[tuple[int, int], ...]:
+    """f's terms as (exponent packed `bits` wide, integer coefficient) pairs."""
+    if f._den != 1:
         raise RuntimeError("expected integer coefficients; this is a bug")
-    return tuple((exp, c.numerator) for exp, c in f.terms.items())
+    return tuple(f._at(bits).items())
 
 
 @lru_cache(maxsize=None)
-def _dual_terms(w: Permutation) -> tuple[tuple[Exponent, int], ...]:
+def _dual_terms(w: Permutation, bits: int) -> tuple[tuple[int, int], ...]:
     """Terms of the element dual to schubert_poly(w) under the d_{w0} pairing.
 
     That element is schubert(w w0)(-x_n, ..., -x_1); its coefficients are
-    integers, as every Schubert polynomial's are.
+    integers, as every Schubert polynomial's are, and its exponent of x_i
+    is at most n - 1.
     """
     w0 = Permutation.longest(w.n)
-    return _integer_terms(negate_x(permute_x(w0, schubert_poly(w * w0))))
+    return _integer_terms(negate_x(permute_x(w0, schubert_poly(w * w0))), bits)
 
 
 @lru_cache(maxsize=None)
-def _top_divided_difference(lam: Exponent) -> tuple[tuple[Exponent, int], ...]:
+def _top_divided_difference(lam: Exponent, bits: int) -> tuple[tuple[int, int], ...]:
     """d_{w0}(x^lam) for strictly decreasing lam: a Schur polynomial."""
     n = len(lam)
-    return _integer_terms(demazure(Permutation.longest(n), Poly.monomial(lam, 1, n)))
+    return _integer_terms(demazure(Permutation.longest(n), Poly.monomial(lam, 1, n)), bits)
 
 
 @lru_cache(maxsize=None)
-def _expand_monomial(alpha: Exponent) -> tuple[tuple[Permutation, dict[Exponent, int]], ...]:
-    """The coefficients c_w of x^alpha, each as {lam: k} meaning the sum of
-    k * d_{w0}(x^lam) over strictly decreasing lam.
+def _expand_monomial(alpha: int, n: int, bits: int) -> tuple[tuple[Permutation, dict[Exponent, int]], ...]:
+    """The coefficients c_w of x^alpha (packed `bits` wide in n fields), each
+    as {lam: k} meaning the sum of k * d_{w0}(x^lam) over strictly
+    decreasing lam.
 
     c_w = d_{w0}(x^alpha * dual_w), taken one monomial at a time:
     d_{w0}(s h) = sgn(s) d_{w0}(h) for every permutation s of the
     variables, so a monomial with a repeated exponent maps to zero and any
     other one to the sign of its sort times its decreasing rearrangement.
-    Terms with length(w) > deg x^alpha are skipped: their product has
-    degree below length(w0), which d_{w0} sends to zero.
+    The key of x^alpha * x^beta is alpha + beta; the caller makes the fields
+    wide enough for it.  Permutations with length(w) > deg x^alpha end the
+    scan: their product has degree below length(w0), which d_{w0} sends to
+    zero, and the group is listed by length.
     """
-    n = len(alpha)
-    degree = sum(alpha)
+    degree = sum(_unpack(alpha, n, bits))
     out = []
     for w in symmetric_group(n):
         if w.length() > degree:
-            continue
+            break
         coeff: dict[Exponent, int] = {}
-        for beta, c in _dual_terms(w):
-            gamma = [a + b for a, b in zip(alpha, beta)]
-            if len(set(gamma)) < n:
+        for beta, c in _dual_terms(w, bits):
+            fields = _unpack(alpha + beta, n, bits)
+            if len(set(fields)) < n:
                 continue
-            inversions = sum(
-                1 for i in range(n) for j in range(i + 1, n) if gamma[i] < gamma[j]
-            )
-            lam = tuple(sorted(gamma, reverse=True))
+            inversions = sum(1 for a, b in combinations(fields, 2) if a < b)
+            lam = tuple(sorted(fields, reverse=True))
             coeff[lam] = coeff.get(lam, 0) + (-c if inversions % 2 else c)
         coeff = {lam: k for lam, k in coeff.items() if k}
         if coeff:
@@ -194,27 +206,27 @@ def expand_in_schubert_basis(f: Poly) -> dict[Permutation, Poly]:
     Schubert polynomials and their duals schubert(w w0)(-x_n, ..., -x_1)
     pair to the identity matrix, and the pairing is linear over the
     symmetric polynomials, so c_w = d_{w0}(f * dual_w).  The work is done
-    per monomial of f and cached; coefficients are kept over the common
-    denominator of f's until the end.
+    per packed monomial of f and cached; the numerators stay over f's
+    denominator until the end.  The fields are first widened, if needed,
+    to hold f's exponent bound plus the duals' n - 1.
     """
     if f.ny != 0:
         raise ValueError("expansion is defined for x-variable polynomials only")
     n = f.nx
-    denom = lcm(*(c.denominator for c in f.terms.values()))
+    top = f._top + n - 1
+    bits = max(f._bits, _width_for(top))
     by_lam: dict[Permutation, dict[Exponent, int]] = {}
-    for alpha, c in f.terms.items():
-        scale = c.numerator * (denom // c.denominator)
-        for w, coeff in _expand_monomial(alpha):
+    for alpha, c in f._at(bits).items():
+        for w, coeff in _expand_monomial(alpha, n, bits):
             slot = by_lam.setdefault(w, {})
             for lam, k in coeff.items():
-                slot[lam] = slot.get(lam, 0) + scale * k
+                slot[lam] = slot.get(lam, 0) + c * k
     out: dict[Permutation, Poly] = {}
     for w in symmetric_group(n):
-        terms: dict[Exponent, int] = {}
+        terms: dict[int, int] = {}
         for lam, k in by_lam.get(w, {}).items():
-            for exp, v in _top_divided_difference(lam):
-                terms[exp] = terms.get(exp, 0) + k * v
-        c_w = Poly(n, 0, {exp: Fraction(v, denom) for exp, v in terms.items() if v})
+            _accumulate(terms, ((exp, k * v) for exp, v in _top_divided_difference(lam, bits)))
+        c_w = Poly._reduced(n, 0, terms, f._den, bits, top)
         if c_w.is_zero:
             continue
         if not is_symmetric(c_w):

@@ -3,7 +3,9 @@
 Frozen values were computed by hand from the defining formulas (the divided
 difference of x_1^2 is the second complete homogeneous polynomial, etc.) and
 are asserted literally.  Results built through the unvalidated internal
-constructor are checked against re-validated copies and against sympy.
+constructor are checked against re-validated copies and against sympy, and
+the packed core against an unpacked tuple-and-Fraction oracle, with
+exponents at the top of a field.
 """
 
 import random
@@ -479,6 +481,138 @@ def test_permute_x_is_a_group_action(data):
     )
     assert permute_x(Permutation.identity(nx), f) == f
     assert permute_x(u * v, f) == permute_x(u, permute_x(v, f))
+
+
+# ------------------------------------------------ the packed core vs tuples
+#
+# An unpacked oracle: exponent tuples to Fractions, with every operation
+# written from its definition.  The packed core must agree with it even
+# where exponents sit at the top of a field, so that a product or a
+# specialization has to widen the fields instead of carrying into the next.
+
+
+def _view(p):
+    return dict(p.terms.items())
+
+
+def _o_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _o_add(f, g, sign=1):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _o_clean(out)
+
+
+def _o_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _o_clean(out)
+
+
+def _o_permute(word, f):
+    out = {}
+    for e, c in f.items():
+        moved = list(e)
+        for i, v in enumerate(word):
+            moved[v - 1] = e[i]
+        out[tuple(moved)] = c
+    return out
+
+
+def _o_divided_difference(j, f):
+    out = {}
+    for e, c in f.items():
+        p, q = e[j - 1], e[j]
+        sign = 1
+        if p < q:
+            p, q, sign = q, p, -1
+        for k in range(p - q):
+            image = list(e)
+            image[j - 1], image[j] = p - 1 - k, q + k
+            out[tuple(image)] = out.get(tuple(image), 0) + sign * c
+    return _o_clean(out)
+
+
+def _o_specialize(f, n):
+    out = {}
+    for e, c in f.items():
+        key = tuple(e[i] + e[n + i] for i in range(n))
+        out[key] = out.get(key, 0) + c
+    return _o_clean(out)
+
+
+def _near_field_top(nx, ny):
+    top = 2 ** poly_module._FIELD_BITS - 1
+    exponent = st.one_of(st.integers(0, 2), st.integers(top - 1, top + 1))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    exp = st.tuples(*[exponent] * (nx + ny))
+    return st.dictionaries(exp, coeff, max_size=5).map(_o_clean)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_arithmetic_matches_tuple_oracle(data):
+    nx = data.draw(st.integers(1, 4))
+    ny = data.draw(st.sampled_from((0, nx)))
+    of, og = data.draw(_near_field_top(nx, ny)), data.draw(_near_field_top(nx, ny))
+    f, g = Poly(nx, ny, of), Poly(nx, ny, og)
+    w = Permutation(tuple(data.draw(st.permutations(range(1, nx + 1)))))
+    cases = [
+        (f, of),
+        (f * g, _o_mul(of, og)),
+        (f + g, _o_add(of, og)),
+        (f - g, _o_add(of, og, -1)),
+        (permute_x(w, f), _o_permute(w.word, of)),
+    ]
+    if nx >= 2:
+        j = data.draw(st.integers(1, nx - 1))
+        cases.append((divided_difference(j, f * g), _o_divided_difference(j, _o_mul(of, og))))
+    if ny:
+        cases.append((specialize_y_to_x(f), _o_specialize(of, nx)))
+        cases.append((specialize_y_to_x(f * g), _o_specialize(_o_mul(of, og), nx)))
+    for got, want in cases:
+        assert _view(got) == want
+        assert got == Poly(got.nx, got.ny, want)
+
+
+def test_a_full_field_widens_instead_of_carrying():
+    top = 2 ** poly_module._FIELD_BITS - 1
+    x1, x2 = x(1, 2), x(2, 2)
+    f = x1**top * x1
+    assert _view(f) == {(top + 1, 0): 1}
+    assert f == Poly.monomial((top + 1, 0), 1, 2) != x2
+    assert _view(x1**top * x2**top * (x1 + x2)) == {(top + 1, top): 1, (top, top + 1): 1}
+    assert _view(specialize_y_to_x(Poly(1, 1, {(top, top): 1}))) == {(2 * top,): 1}
+
+
+def test_terms_view():
+    rng = random.Random(3)
+    for _ in range(30):
+        f = random_poly(rng, 3, max_degree=5, n_terms=6)
+        g = random_poly(rng, 3, max_degree=5, n_terms=6)
+        p = f * g
+        assert len(p.terms) == len(_o_mul(_view(f), _view(g)))
+        assert Poly(p.nx, p.ny, dict(p.terms)) == p
+        assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+        # Fraction arithmetic reduces every coefficient; the shared
+        # denominator must come out the same.
+        assert _view(p) == _o_mul(_view(f), _view(g))
+        for j in (1, 2):
+            assert _view(divided_difference(j, p)) == _o_divided_difference(j, _view(p))
+    half = Fraction(1, 2)
+    assert _view(divided_difference(1, half * x(1, 2) - half * x(2, 2))) == {(0, 0): Fraction(1)}
+    assert _view((half * x(1, 2)) * 2) == {(1, 0): Fraction(1)}
+    view = (x(1, 2) + 1).terms
+    assert list(view) == [(1, 0), (0, 0)] and (0, 0) in view and (1, 1) not in view
+    assert view.get((5, 5)) is None and view[(1, 0)] == 1
+    with pytest.raises(TypeError):
+        view[(2, 0)] = 1
 
 
 # ------------------------------------------------------- two-alphabet ops
