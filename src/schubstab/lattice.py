@@ -12,28 +12,32 @@ charges
 consume, with a > 0 and b exact rationals.  Z is a linear functional.
 ChargeParams computes the level coefficients -(-1)^s (b + ia)^s once, as
 integer real and imaginary numerators over one positive common
-denominator.  central_charge clears the denominators of a class to their
-lcm D, sums each level in integers, and takes two integer dot products
-with those numerators, so a charge costs two Fraction normalisations and
-no Fraction sum.  The shadow scans in stability.py compare phases of its
-integer-scaled values by cross products.  Everything here is Fraction or
-int arithmetic; there is no floating point in any code path, and every
-entry point refuses a float with TypeError (poly.as_fraction).
+denominator.  Each level sum of a class is an int over the class's
+denominator, so a charge is two integer dot products with those
+numerators (_charge_numerators); central_charge makes the two Fractions
+of the result and nothing else.  The shadow scans in stability.py compare
+phases of integer-scaled charges by cross products.  Everything here is
+Fraction or int arithmetic; there is no floating point in any code path,
+and every entry point refuses a float with TypeError (poly.as_fraction).
 
-A LatticeVector stores its components densely: values is a tuple of 2^n
-Fractions, and the component at S sits at the bitmask of S, where bit
-i - 1 stands for H_i (so values[0] is the empty subset and
-values[2^n - 1] the full one).  The level of a mask is its bit count.
-Output lists components in display order instead, by subset size and then
-by sorted elements, skipping zeros; the same order fixes the draw order of
+A LatticeVector stores its components the way poly.Poly stores a
+polynomial: nums is a tuple of 2^n ints over one denominator den > 0, with
+gcd(den, *nums) = 1 (den = 1 for the zero class), so `==` compares
+(n, den, nums) and a class with integer components never touches a
+Fraction.  The component at S is nums[mask] / den for the bitmask of S,
+where bit i - 1 stands for H_i (so nums[0] is the empty subset and
+nums[2^n - 1] the full one).  The level of a mask is its bit count.
+values and component() are read-only Fraction views.  Output lists
+components in display order instead, by subset size and then by sorted
+elements, skipping zeros; the same order fixes the draw order of
 random_lattice_vector and the cell order of the box scan.
 
 Transformation laws implemented and certified exactly:
   * twisting by a line bundle with multidegree c redistributes components
     along supersets (twist group law: twists compose additively); it is
-    the subset-sum transform, n * 2^(n-1) products,
-  * multiplication-by-m isogenies scale the component at S by
-    m^{2(n-|S|)} under pullback and by m^{2|S|} under pushforward.
+    the subset-sum transform, n * 2^(n-1) integer products,
+  * multiplication-by-m isogenies, m a positive int, scale the component
+    at S by m^{2(n-|S|)} under pullback and by m^{2|S|} under pushforward.
 """
 
 from __future__ import annotations
@@ -51,11 +55,12 @@ from .poly import as_fraction
 
 Scalar = Union[int, Fraction]
 
-# A class has 2^n components and a twist costs n * 2^(n-1) Fraction
-# products, so `verify charges` grows about 4.3x per rank: at rank 12 its
-# default 100 trials (a = 1, b = 0, m = 2) take 14 to 16 s on a 2-core Xeon
-# container under Python 3.11.7, rank 14 would take minutes, and rank 40
-# would not fit in memory.
+# A class has 2^n components and a twist costs n * 2^(n-1) integer
+# products, so `verify charges` grows about 2.1x per rank: at rank 12 its
+# default 100 trials (a = 1, b = 0, m = 2) take 1.0 to 1.4 s on a 2-core Xeon
+# container under Python 3.11.7, and rank 40 would not fit in memory.  The
+# limit stays at 12 so that the ranks the commands accept, and their
+# refusal of rank 13, do not change.
 MAX_LATTICE_RANK = 12
 
 
@@ -179,11 +184,17 @@ def _mask(n: int, key: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in elements)
 
 
+@lru_cache(maxsize=None)
+def _levels(n: int) -> tuple[int, ...]:
+    """The level (bit count) of each of the 2^n masks; one entry per rank."""
+    return tuple(mask.bit_count() for mask in range(1 << n))
+
+
 class LatticeVector:
-    """Exact rationals on the subsets of {1..n}: values[mask] is the
+    """Exact rationals on the subsets of {1..n}: nums[mask] / den is the
     component at the subset of mask (see the module docstring)."""
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, components: Mapping[Iterable[int], Scalar]):
         _check_rank(n)
@@ -195,74 +206,106 @@ class LatticeVector:
                 raise ValueError(f"subset {_elements(mask)} given twice")
             given.add(mask)
             values[mask] = as_fraction(value)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", tuple(values))
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so this is already in normal form.
+        den = math.lcm(*(v.denominator for v in values))
+        self._fill(n, tuple(v.numerator * (den // v.denominator) for v in values), den)
+
+    def _fill(self, n: int, nums: tuple[int, ...], den: int) -> None:
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "nums", nums)
+        put(self, "den", den)
 
     @classmethod
-    def _trusted(cls, n: int, values: tuple[Fraction, ...]) -> "LatticeVector":
-        """Wrap 2^n Fractions this module built.  Nothing is checked."""
+    def _trusted(cls, n: int, nums: tuple[int, ...], den: int) -> "LatticeVector":
+        """Wrap 2^n ints over a den > 0 sharing no factor with them, built
+        in this module.  Nothing is checked."""
         vec = object.__new__(cls)
-        object.__setattr__(vec, "n", n)
-        object.__setattr__(vec, "values", values)
+        vec._fill(n, nums, den)
         return vec
+
+    @classmethod
+    def _reduced(cls, n: int, nums: Sequence[int], den: int) -> "LatticeVector":
+        """Like _trusted, after cancelling the content nums share with den."""
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
+        return cls._trusted(n, tuple(nums), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeVector is immutable")
 
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """Read-only view: the components as Fractions, by mask."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
     def component(self, s: Iterable[int]) -> Fraction:
-        return self.values[_mask(self.n, s)]
+        return Fraction(self.nums[_mask(self.n, s)], self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not any(self.nums)
 
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
+    def _combine(self, other: "LatticeVector", op) -> "LatticeVector":
+        """self op other, for op add or sub."""
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        return LatticeVector._trusted(self.n, tuple(map(operator.add, self.values, other.values)))
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return LatticeVector._reduced(
+            self.n, [op(x * a, y * b) for x, y in zip(self.nums, other.nums)], den
+        )
+
+    def __add__(self, other: "LatticeVector") -> "LatticeVector":
+        return self._combine(other, operator.add)
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector._trusted(self.n, tuple(-v for v in self.values))
+        return LatticeVector._trusted(self.n, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def scale(self, c: Scalar) -> "LatticeVector":
         c = as_fraction(c)
-        return LatticeVector._trusted(self.n, tuple(v * c for v in self.values))
+        p = c.numerator
+        return LatticeVector._reduced(self.n, [x * p for x in self.nums], self.den * c.denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeVector):
             return NotImplemented
-        return self.n == other.n and self.values == other.values
+        return self.n == other.n and self.den == other.den and self.nums == other.nums
 
     __hash__ = None
+
+    def _shown(self) -> list[tuple[int, Fraction]]:
+        """(mask, component) for the nonzero components, in display order."""
+        return [
+            (m, Fraction(self.nums[m], self.den)) for m in _display_order(self.n) if self.nums[m]
+        ]
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "components": [
-                {"subset": _elements(m), "value": str(self.values[m])}
-                for m in _display_order(self.n)
-                if self.values[m]
+                {"subset": _elements(m), "value": str(value)} for m, value in self._shown()
             ],
         }
 
     def __str__(self) -> str:
-        bits = [
-            f"{{{','.join(map(str, _elements(m)))}}}:{self.values[m]}"
-            for m in _display_order(self.n)
-            if self.values[m]
-        ]
+        bits = [f"{{{','.join(map(str, _elements(m)))}}}:{value}" for m, value in self._shown()]
         return "(" + "; ".join(bits) + ")" if bits else "(0)"
 
 
-def _from_masks(n: int, masks: Iterable[int], values: Iterable[Scalar]) -> LatticeVector:
-    """The class with each value at its mask and 0 elsewhere; n is trusted."""
-    dense = [Fraction(0)] * (1 << n)
+def _from_masks(n: int, masks: Iterable[int], values: Iterable[int]) -> LatticeVector:
+    """The class with each int value at its mask and 0 elsewhere; n is trusted."""
+    nums = [0] * (1 << n)
     for mask, value in zip(masks, values):
-        dense[mask] = Fraction(value)
-    return LatticeVector._trusted(n, tuple(dense))
+        nums[mask] = value
+    return LatticeVector._trusted(n, tuple(nums), 1)
 
 
 # ------------------------------------------------------------ constructors
@@ -270,18 +313,21 @@ def _from_masks(n: int, masks: Iterable[int], values: Iterable[Scalar]) -> Latti
 
 def v_of_line_bundle(c: Sequence[Scalar]) -> LatticeVector:
     """Class of the line bundle with multidegree c: component at S is the
-    product of c_i over i outside S."""
+    product of c_i over i outside S.
+
+    With c_i = p_i / q_i that is, over the denominator prod q_i, the
+    product of p_i over i outside S times the product of q_i over i in S;
+    adding element i + 1 doubles the masks, the new half (bit i set) taking
+    q_i and the old half p_i.
+    """
     n = len(c)
     _check_rank(n)
-    degrees = [as_fraction(x) for x in c]
-    values = []
-    for mask in range(1 << n):
-        prod = Fraction(1)
-        for i, degree in enumerate(degrees):
-            if not mask >> i & 1:
-                prod *= degree
-        values.append(prod)
-    return LatticeVector._trusted(n, tuple(values))
+    nums, den = [1], 1
+    for degree in map(as_fraction, c):
+        p, q = degree.numerator, degree.denominator
+        nums = [x * p for x in nums] + [x * q for x in nums]
+        den *= q
+    return LatticeVector._reduced(n, nums, den)
 
 
 def v_of_point(n: int) -> LatticeVector:
@@ -291,7 +337,7 @@ def v_of_point(n: int) -> LatticeVector:
 
 def vector_from_rank_deg(r: Scalar, d: Scalar) -> LatticeVector:
     """Rank-1-curve convenience: the class with rank r and degree d."""
-    return LatticeVector._trusted(1, (as_fraction(d), as_fraction(r)))
+    return LatticeVector(1, {(): d, (1,): r})
 
 
 def rank_deg(vec: LatticeVector) -> tuple[Fraction, Fraction]:
@@ -304,67 +350,92 @@ def rank_deg(vec: LatticeVector) -> tuple[Fraction, Fraction]:
 # ------------------------------------------------------------- the charge
 
 
-def central_charge(p: ChargeParams, vec: LatticeVector) -> ExactComplex:
-    """Z(v) = sum_s -(-1)^s (b+ia)^s * (level-s component sum).
+def _charge_numerators(p: ChargeParams, vec: LatticeVector) -> tuple[int, int, int]:
+    """Z(vec) as (re, im, den) with Z = (re + i im) / den and den > 0, not
+    reduced: den is vec.den times the denominator of p.coefficients.
 
-    Over D = lcm of the component denominators each level sum is an int,
-    so Z is two integer dot products with p.coefficients over D * den.
+    Each level sum of vec.nums is an int, so Z is two integer dot products
+    of the level sums with p.coefficients.
     """
     if p.n != vec.n:
         raise ValueError(f"rank mismatch: params {p.n}, vector {vec.n}")
-    ratios = [v.as_integer_ratio() for v in vec.values]
-    common = math.lcm(*(d for _, d in ratios))
     levels = [0] * (vec.n + 1)
-    for mask, (num, d) in enumerate(ratios):
-        if num:
-            levels[mask.bit_count()] += num * (common // d)
+    for x, level in zip(vec.nums, _levels(vec.n)):
+        levels[level] += x
     re_nums, im_nums, coefficient_den = p.coefficients
-    den = common * coefficient_den
-    return ExactComplex(
-        Fraction(sum(map(operator.mul, levels, re_nums)), den),
-        Fraction(sum(map(operator.mul, levels, im_nums)), den),
+    return (
+        sum(map(operator.mul, levels, re_nums)),
+        sum(map(operator.mul, levels, im_nums)),
+        vec.den * coefficient_den,
     )
+
+
+def _exact(re: int, im: int, den: int) -> ExactComplex:
+    """(re + i im) / den, as _charge_numerators gives it."""
+    return ExactComplex(Fraction(re, den), Fraction(im, den))
+
+
+def central_charge(p: ChargeParams, vec: LatticeVector) -> ExactComplex:
+    """Z(v) = sum_s -(-1)^s (b+ia)^s * (level-s component sum)."""
+    return _exact(*_charge_numerators(p, vec))
 
 
 def twist(vec: LatticeVector, c: Sequence[Scalar]) -> LatticeVector:
     """Tensor by the line bundle of multidegree c at the class level.
 
     new[S] = sum over T disjoint from S of (prod_{i in T} c_i) * old[S u T].
-    That is one subset-sum step per nonzero c_i, adding c_i * out[S u {i}]
-    into out[S] for every S without i, so n * 2^(n-1) products in all.
-    Twists compose additively in c.
+    That is one subset-sum step per nonzero c_i, so n * 2^(n-1) integer
+    products in all.  With c_i = p/q the step puts q * out[S] + p * out[S u {i}]
+    at every S without i and q * out[S u {i}] at S u {i}, and multiplies the
+    denominator by q.  Twists compose additively in c.
     """
     if len(c) != vec.n:
         raise ValueError(f"rank mismatch: twist degree {len(c)}, vector {vec.n}")
-    out = list(vec.values)
-    for i, degree in enumerate(map(as_fraction, c)):
-        if degree:
-            bit = 1 << i
-            for mask in range(len(out)):
-                if not mask & bit:
-                    out[mask] += degree * out[mask | bit]
-    return LatticeVector._trusted(vec.n, tuple(out))
+    out = list(vec.nums)
+    den = vec.den
+    for i, degree in enumerate(c):
+        if not isinstance(degree, int):
+            degree = as_fraction(degree)
+        if not degree:
+            continue
+        p, q = degree.numerator, degree.denominator
+        bit = 1 << i
+        for mask in range(len(out)):
+            if not mask & bit:
+                if q == 1:
+                    out[mask] += p * out[mask | bit]
+                else:
+                    high = out[mask | bit]
+                    out[mask] = q * out[mask] + p * high
+                    out[mask | bit] = q * high
+        den *= q
+    return LatticeVector._reduced(vec.n, out, den)
+
+
+def _check_isogeny_degree(m: int) -> None:
+    if not isinstance(m, int):
+        raise TypeError(f"isogeny degree must be an int, not {m!r}")
+    if m < 1:
+        raise ValueError("isogeny degree must be positive")
+
+
+def _scale_levels(vec: LatticeVector, factors: Sequence[int]) -> LatticeVector:
+    """vec with the component at each mask times the int factors[level]."""
+    nums = [x * factors[level] for x, level in zip(vec.nums, _levels(vec.n))]
+    return LatticeVector._reduced(vec.n, nums, vec.den)
 
 
 def isogeny_pullback(m: int, vec: LatticeVector) -> LatticeVector:
     """Multiplication-by-m pullback: scale component at S by m^{2(n-|S|)}."""
-    if m < 1:
-        raise ValueError("isogeny degree must be positive")
+    _check_isogeny_degree(m)
     n = vec.n
-    factors = [Fraction(m) ** (2 * (n - s)) for s in range(n + 1)]
-    return LatticeVector._trusted(
-        n, tuple(v * factors[mask.bit_count()] for mask, v in enumerate(vec.values))
-    )
+    return _scale_levels(vec, [m ** (2 * (n - s)) for s in range(n + 1)])
 
 
 def isogeny_pushforward(m: int, vec: LatticeVector) -> LatticeVector:
     """Multiplication-by-m pushforward: scale component at S by m^{2|S|}."""
-    if m < 1:
-        raise ValueError("isogeny degree must be positive")
-    factors = [Fraction(m) ** (2 * s) for s in range(vec.n + 1)]
-    return LatticeVector._trusted(
-        vec.n, tuple(v * factors[mask.bit_count()] for mask, v in enumerate(vec.values))
-    )
+    _check_isogeny_degree(m)
+    return _scale_levels(vec, [m ** (2 * s) for s in range(vec.n + 1)])
 
 
 # ----------------------------------------------------------- verification
@@ -385,46 +456,51 @@ def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) ->
       Z^{a,b}(pullback_m v)    = m^{2n} * Z^{a/m^2, b/m^2}(v)
       Z^{a,b}(pushforward_m v) = Z^{m^2 a, m^2 b}(v)
       Z^{a,b}(twist(v, -1))    = Z^{a, b+1}(v)
+    Both sides are compared as cross-multiplied integer numerators; only a
+    violation's two charges are made into Fractions.  A non-int m raises
+    TypeError, and m < 1 or trials < 1 ValueError, before any trial.
     """
-    if m < 1:
-        raise ValueError("isogeny degree must be positive")
+    _check_isogeny_degree(m)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
     n = p.n
-    msq = Fraction(m) ** 2
+    msq = m * m
     scaled_down = ChargeParams(p.a / msq, p.b / msq, n)
     scaled_up = ChargeParams(p.a * msq, p.b * msq, n)
     shifted = ChargeParams(p.a, p.b + 1, n)
     minus_one = [-1] * n
-    factor = Fraction(m) ** (2 * n)
+    factor = m ** (2 * n)
     violations: list[dict] = []
     for t in range(trials):
         v = random_lattice_vector(rng, n)
+        down_re, down_im, down_den = _charge_numerators(scaled_down, v)
         checks = [
             (
                 "isogeny_pullback",
-                central_charge(p, isogeny_pullback(m, v)),
-                central_charge(scaled_down, v) * factor,
+                _charge_numerators(p, isogeny_pullback(m, v)),
+                (down_re * factor, down_im * factor, down_den),
             ),
             (
                 "isogeny_pushforward",
-                central_charge(p, isogeny_pushforward(m, v)),
-                central_charge(scaled_up, v),
+                _charge_numerators(p, isogeny_pushforward(m, v)),
+                _charge_numerators(scaled_up, v),
             ),
             (
                 "twist_shift",
-                central_charge(p, twist(v, minus_one)),
-                central_charge(shifted, v),
+                _charge_numerators(p, twist(v, minus_one)),
+                _charge_numerators(shifted, v),
             ),
         ]
-        for name, got, expected in checks:
-            if got != expected:
+        for name, (re, im, den), (re_expected, im_expected, den_expected) in checks:
+            if re * den_expected != re_expected * den or im * den_expected != im_expected * den:
                 violations.append(
                     {
                         "identity": name,
                         "trial": t,
                         "vector": v.to_json(),
-                        "got": got.to_json(),
-                        "expected": expected.to_json(),
+                        "got": _exact(re, im, den).to_json(),
+                        "expected": _exact(re_expected, im_expected, den_expected).to_json(),
                     }
                 )
     return {
@@ -435,4 +511,3 @@ def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) ->
         "identities": ["isogeny_pullback", "isogeny_pushforward", "twist_shift"],
         "violations": violations,
     }
-

@@ -67,9 +67,12 @@ def delta_w(w: Permutation) -> Poly:
     the identity it is 1.
     """
     n = w.n
+    bits = _width_for(1)
     out = Poly.one(n)
     for i, j in sorted(w.inversions()):
-        out = out * (Poly.x(i, n) - Poly.x(j, n))
+        # x_i is the field (n - i) from the bottom, x_1 the top one.
+        factor = {1 << (bits * (n - i)): 1, 1 << (bits * (n - j)): -1}
+        out = out * Poly._trusted(n, 0, factor, 1, bits, 1)
     return out
 
 

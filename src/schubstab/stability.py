@@ -27,7 +27,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 from typing import Sequence
 
@@ -35,6 +34,7 @@ from .lattice import (
     ChargeParams,
     ExactComplex,
     LatticeVector,
+    _charge_numerators,
     _check_rank,
     _display_order,
     _from_masks,
@@ -223,19 +223,22 @@ def _integer_charge_rows(
     Z' = Z(twist(., -1)).
 
     Both functionals are linear in the class, so their values on the basis
-    vectors determine them; one positive common denominator is cleared,
-    which keeps every ray and the sign of every cross product.
+    vectors determine them.  A basis vector and its twist by -1 have
+    integer components, so every value is a numerator over the one positive
+    denominator of p.coefficients; dropping it keeps every ray and the sign
+    of every cross product.
     """
     minus_one = [-1] * p.n
-    rows: list[list[Fraction]] = [[], [], [], []]
+    rows: list[list[int]] = [[], [], [], []]
     for cell in cells:
         basis = _from_masks(p.n, (cell,), (1,))
-        before = central_charge(p, basis)
-        after = central_charge(p, twist(basis, minus_one))
-        for row, value in zip(rows, (before.re, before.im, after.re, after.im)):
+        re, im, den = _charge_numerators(p, basis)
+        twisted_re, twisted_im, twisted_den = _charge_numerators(p, twist(basis, minus_one))
+        if den != p.coefficients[2] or twisted_den != den:
+            raise RuntimeError("expected integer basis classes; this is a bug")
+        for row, value in zip(rows, (re, im, twisted_re, twisted_im)):
             row.append(value)
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def _dot(row: tuple[int, ...], values: tuple[int, ...]) -> int:

@@ -185,6 +185,7 @@ class TestVerifyCommands:
 
         monkeypatch.setattr("schubstab.lattice.random_lattice_vector", boom)
         monkeypatch.setattr("schubstab.stability.central_charge", boom)
+        monkeypatch.setattr("schubstab.stability._charge_numerators", boom)
         code, out, err = run(argv, capsys)
         n = argv[-1]
         assert code == 2
@@ -218,6 +219,7 @@ class TestScanCommand:
             raise AssertionError("scan started")
 
         monkeypatch.setattr("schubstab.stability.central_charge", boom)
+        monkeypatch.setattr("schubstab.stability._charge_numerators", boom)
         code, out, err = run(["scan", "bayer", "--n", "2"], capsys)
         assert code == 2
         assert out == ""

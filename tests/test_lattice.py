@@ -6,9 +6,13 @@ spanning set of the lattice (the {0,1}-multidegree classes form a basis:
 their component matrix is a subset zeta matrix, which is unitriangular).
 A second twist oracle is the defining sum over pairs of disjoint subsets,
 O(3^n), which the package's O(n 2^n) subset-sum transform must equal.
+The integer representation (numerators over one reduced denominator) is
+checked against oracles that work on tuples of Fractions indexed by mask.
 """
 
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -109,6 +113,38 @@ def twist_oracle(vec, c):
                 total += prod * vec.component(set(s) | set(combo))
         out[s] = total
     return LatticeVector(n, out)
+
+
+def oracle_twist(values, c):
+    """The subset-sum transform on a tuple of Fractions indexed by mask."""
+    out = list(values)
+    for i, degree in enumerate(c):
+        bit = 1 << i
+        for mask in range(len(out)):
+            if not mask & bit:
+                out[mask] += F(degree) * out[mask | bit]
+    return tuple(out)
+
+
+def oracle_isogeny(values, factor):
+    """Each component times factor(|S|), by mask, in Fractions."""
+    return tuple(v * F(factor(mask.bit_count())) for mask, v in enumerate(values))
+
+
+def oracle_charge(a, b, values):
+    """Z from a tuple of Fractions indexed by mask, by the defining sum."""
+    total, power = ExactComplex.of(0), ExactComplex.of(1)
+    for s in range((len(values) - 1).bit_length() + 1):
+        level = sum((v for mask, v in enumerate(values) if mask.bit_count() == s), F(0))
+        total = total + power * (-((-1) ** s) * level)
+        power = power * ExactComplex(b, a)
+    return total
+
+
+def assert_normal_form(vec):
+    assert type(vec.den) is int and vec.den > 0
+    assert all(type(x) is int for x in vec.nums) and len(vec.nums) == 2**vec.n
+    assert math.gcd(vec.den, *vec.nums) == 1
 
 
 class TestExactComplex:
@@ -226,6 +262,62 @@ class TestConstructors:
         assert rank_deg(v) == (F(2), F(-3))
         with pytest.raises(ValueError):
             rank_deg(v_of_point(2))
+
+
+class TestIntegerRepresentation:
+    """LatticeVector stores int numerators over one reduced denominator;
+    every operation must agree with Fraction arithmetic on the values."""
+
+    def test_normal_form(self):
+        v = LatticeVector(2, {(): F(1, 2), (1,): F(-1, 3), (1, 2): 4})
+        assert (v.nums, v.den) == ((3, -2, 0, 24), 6)
+        assert v.values == (F(1, 2), F(-1, 3), 0, 4)
+        assert v.scale(2).scale(F(1, 2)) == v
+        assert (v.scale(6).nums, v.scale(6).den) == ((3, -2, 0, 24), 1)
+        assert ((v - v).nums, (v - v).den) == ((0, 0, 0, 0), 1)
+        assert (v.scale(0).nums, v.scale(0).den) == ((0, 0, 0, 0), 1)
+        half = LatticeVector(1, {(): F(1, 2), (1,): F(1, 2)})
+        assert ((half + half).nums, (half + half).den) == ((1, 1), 1)
+        for vec in (v, v.scale(2), v - v, half + half, v_of_line_bundle([F(2, 3), F(-3, 4)])):
+            assert_normal_form(vec)
+
+    def test_values_are_a_view(self):
+        v = vector_from_rank_deg(F(2, 3), 5)
+        assert (v.nums, v.den) == ((15, 2), 3)
+        with pytest.raises(AttributeError):
+            v.nums = (1, 1)
+        with pytest.raises(AttributeError):
+            v.values = (1, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_operations_match_fraction_oracle(self, data):
+        rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+        n = data.draw(st.integers(1, 4))
+        size = 2**n
+        xs = data.draw(st.lists(rationals, min_size=size, max_size=size))
+        ys = data.draw(st.lists(rationals, min_size=size, max_size=size))
+        u = LatticeVector(n, dict(zip(all_subsets(n), xs)))
+        w = LatticeVector(n, dict(zip(all_subsets(n), ys)))
+        c = data.draw(rationals)
+        degrees = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        m = data.draw(st.integers(1, 4))
+        a = data.draw(st.builds(F, st.integers(1, 30), st.integers(1, 12)))
+        b = data.draw(rationals)
+        x, y = u.values, w.values
+        results = [
+            (u + w, tuple(map(operator.add, x, y))),
+            (u - w, tuple(map(operator.sub, x, y))),
+            (u.scale(c), tuple(v * c for v in x)),
+            (twist(u, degrees), oracle_twist(x, degrees)),
+            (isogeny_pullback(m, u), oracle_isogeny(x, lambda s: m ** (2 * (n - s)))),
+            (isogeny_pushforward(m, u), oracle_isogeny(x, lambda s: m ** (2 * s))),
+            (v_of_line_bundle(degrees), oracle_twist((0,) * (size - 1) + (1,), degrees)),
+        ]
+        for vec, expected in results:
+            assert vec.values == expected
+            assert_normal_form(vec)
+        assert central_charge(ChargeParams(a, b, n), u) == oracle_charge(a, b, x)
 
 
 class TestCentralCharge:
@@ -349,6 +441,13 @@ class TestIsogenies:
         with pytest.raises(ValueError):
             isogeny_pullback(0, v_of_point(1))
 
+    def test_isogeny_degree_must_be_an_int(self):
+        v = v_of_point(2)
+        for isogeny in (isogeny_pullback, isogeny_pushforward):
+            for m in (F(3, 2), F(2), "2", 2.0):
+                with pytest.raises(TypeError, match="isogeny degree must be an int"):
+                    isogeny(m, v)
+
 
 class TestChargeTransforms:
     def test_certificate_clean_small_ranks(self):
@@ -403,6 +502,19 @@ class TestChargeTransforms:
             assert v["vector"] == vec.to_json()
             assert v["got"] == charge_by_defining_sum(p.a, p.b, broken(*args(vec))).to_json()
             assert v["expected"] == charge_by_defining_sum(*reference, vec).to_json()
+
+    @pytest.mark.parametrize(
+        "m, trials, error",
+        [(F(3, 2), 10, TypeError), (F(2), 10, TypeError), (0, 10, ValueError),
+         (2, 0, ValueError), (2, -4, ValueError)],
+    )
+    def test_bad_degree_or_trials_refused_before_any_trial(self, monkeypatch, m, trials, error):
+        def started(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(lattice, "random_lattice_vector", started)
+        with pytest.raises(error):
+            verify_charge_transforms(ChargeParams(F(1), F(0), 2), m, trials, seed=0)
 
     def test_twist_shift_identity_explicit(self):
         p = ChargeParams(F(1), F(0), 1)

@@ -294,6 +294,7 @@ class TestBayerShadow:
             raise ScanStarted
 
         monkeypatch.setattr("schubstab.stability.central_charge", started)
+        monkeypatch.setattr("schubstab.stability._charge_numerators", started)
         # 224 * 449 + 224 = 100800 curve classes, 51^4 surface vectors.
         for n, bound, count in ((1, 224, 100800), (2, 25, 51**4), (3, 2, 5**8)):
             with pytest.raises(ValueError, match=f"scan of {count} classes"):
