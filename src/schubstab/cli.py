@@ -2,8 +2,13 @@
 
 Every subcommand prints its result to stdout and progress notes to stderr,
 so pipelines can parse the primary stream cleanly.  With --json the result
-is a single JSON document rendered with sorted keys and fixed indentation;
-identical invocations (including seeds) produce byte-identical output.
+is a single JSON document rendered by _json_text, byte for byte as the
+standard library's json.dumps renders it with sort_keys=True and indent=2:
+sorted keys, a two-space indent, "," between items and ": " after keys,
+strings escaped to ASCII by json's C encoder, and each list of ints written
+in one join.  It refuses floats, Fractions, sets and non-str keys with
+TypeError.  Identical invocations (including seeds) produce byte-identical
+output.
 
 Exit codes: 0 when every emitted certificate has an empty violations list,
 1 when some check found violations or a derivation was refused, 2 for
@@ -82,9 +87,49 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """obj as json.dumps renders it with sort_keys=True and indent=2, byte
+    for byte; nl is the newline and indent that close obj.  Floats,
+    Fractions, sets and non-str keys raise TypeError."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if [item for item in obj if type(item) is not int]:
+            items = [_json_text(item, inner) for item in obj]
+        else:
+            items = map(_int_repr, obj)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_encode_str(key) + ": " + _json_text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return _int_repr(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(args, payload, lines) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         for line in lines:
             print(line)

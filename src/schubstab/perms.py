@@ -133,6 +133,11 @@ def sort_key(w: Permutation) -> tuple[int, tuple[int, ...]]:
     return (w.length(), w.word)
 
 
+# One entry per rank, with no rank limit of its own.  The filtration
+# certificates, the graph-twist table and verify_demazure_relations check
+# their ranks first (at most 5, 6 and 5); s_element, s_basis_coordinates,
+# double_schubert_expansion and expand_in_schubert_basis reach it before any
+# rank check.
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> tuple[Permutation, ...]:
     """All n! permutations of {1..n}, length ascending then lexicographic."""
@@ -160,6 +165,8 @@ def length_additive_factorizations(w: Permutation) -> tuple[tuple[Permutation, P
     return tuple(out)
 
 
+# Keys: permutations of rank at most 5, through verify_demazure_relations'
+# word budget (see the docstring).
 @lru_cache(maxsize=None)
 def reduced_words(w: Permutation) -> tuple[tuple[int, ...], ...]:
     """All reduced words for w, sorted lexicographically.

@@ -45,13 +45,17 @@ from .poly import (
 # Xeon container under Python 3.11.7; w = 1,7,2,11,3,10,4,9,5,8,6 at rank 11
 # takes 10 s.
 MAX_SCHUBERT_RANK = 10
-# `schubert --double` at rank 7 takes up to 16 s on the same host, for
-# w = 7,6,5,4,3,2,1, whose polynomial is the 484 912-term seed itself; 13 s of
-# that is rendering it as JSON.  The four other words tried take under 4 s.
+# `schubert --double` at rank 7 takes up to 10 s on the same host, for
+# w = 7,6,5,4,3,2,1, whose polynomial is the 484 912-term seed itself and
+# whose --json document has 128.8 MB.  Computing it takes 0.8 s; in process,
+# Poly.to_json takes 2.9 to 4.0 s of the rest and the CLI's JSON writer 5.0 to
+# 5.4 s.  The four other words tried take under 4 s.
 # Rank 8 ran past 65 s with Fraction coefficients and was not timed again.
 MAX_DOUBLE_SCHUBERT_RANK = 7
 
 
+# One entry per rank, at most MAX_SCHUBERT_RANK: check_rank raises above it,
+# and lru_cache keeps no call that raised.
 @lru_cache(maxsize=None)
 def staircase(n: int) -> Poly:
     """x_1^{n-1} x_2^{n-2} ... x_{n-1}, the seed of every rank-n Schubert polynomial."""
@@ -76,6 +80,8 @@ def delta_w(w: Permutation) -> Poly:
     return out
 
 
+# Keys: permutations of rank at most MAX_SCHUBERT_RANK, as staircase raises
+# above it.
 @lru_cache(maxsize=None)
 def schubert_poly(w: Permutation) -> Poly:
     n = w.n
@@ -83,6 +89,7 @@ def schubert_poly(w: Permutation) -> Poly:
     return demazure(u, staircase(n))
 
 
+# One entry per rank, at most MAX_DOUBLE_SCHUBERT_RANK.
 @lru_cache(maxsize=None)
 def double_delta(n: int) -> Poly:
     """Product of (x_i - y_j) over i + j <= n, inside Q[x_1..x_n, y_1..y_n]:
@@ -96,6 +103,8 @@ def double_delta(n: int) -> Poly:
     return out
 
 
+# Keys: permutations of rank at most MAX_DOUBLE_SCHUBERT_RANK, as double_delta
+# raises above it.
 @lru_cache(maxsize=None)
 def double_schubert(w: Permutation) -> Poly:
     n = w.n
@@ -147,6 +156,12 @@ def _integer_terms(f: Poly, bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(f._at(bits).items())
 
 
+# The three caches below serve expand_in_schubert_basis.  Its callers in the
+# package (right_multiply, under the filtration certificates) stay within
+# rank MAX_SOERGEL_RANK and degree length(w0) + 1, but no rank limit of the
+# function itself bounds them.  Here w has rank at most MAX_SCHUBERT_RANK, as
+# schubert_poly raises above it, and `bits` is one of the few field widths
+# that the expanded polynomials' degrees call for.
 @lru_cache(maxsize=None)
 def _dual_terms(w: Permutation, bits: int) -> tuple[tuple[int, int], ...]:
     """Terms of the element dual to schubert_poly(w) under the d_{w0} pairing.
@@ -159,6 +174,9 @@ def _dual_terms(w: Permutation, bits: int) -> tuple[tuple[int, int], ...]:
     return _integer_terms(negate_x(permute_x(w0, schubert_poly(w * w0))), bits)
 
 
+# Keys: the strictly decreasing exponents that the expanded monomials sort
+# to; their length is a rank, but their entries grow with the degree, which
+# no rank limit bounds.
 @lru_cache(maxsize=None)
 def _top_divided_difference(lam: Exponent, bits: int) -> tuple[tuple[int, int], ...]:
     """d_{w0}(x^lam) for strictly decreasing lam: a Schur polynomial."""
@@ -166,6 +184,8 @@ def _top_divided_difference(lam: Exponent, bits: int) -> tuple[tuple[int, int], 
     return _integer_terms(demazure(Permutation.longest(n), Poly.monomial(lam, 1, n)), bits)
 
 
+# Keys: every packed monomial of every expanded polynomial; no rank limit
+# bounds them.
 @lru_cache(maxsize=None)
 def _expand_monomial(alpha: int, n: int, bits: int) -> tuple[tuple[Permutation, dict[Exponent, int]], ...]:
     """The coefficients c_w of x^alpha (packed `bits` wide in n fields), each

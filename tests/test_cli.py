@@ -7,7 +7,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schubstab import cli
 from schubstab.cli import int_list, main, rational
 
 
@@ -287,8 +290,8 @@ class TestTableCommand:
 
 
 class TestJsonOutput:
-    """Payloads go to json.dumps as they are, so every subcommand's must be
-    JSON-native: a stray Fraction or set would raise TypeError."""
+    """Payloads go to cli._json_text as they are, so every subcommand's must
+    be JSON-native: a stray float, Fraction or set raises TypeError."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -323,6 +326,56 @@ class TestJsonOutput:
         assert first_code == second_code == code
         assert first == second
         assert isinstance(json.loads(first), dict)
+
+
+# Characters that json escapes: quote, backslash, controls, DEL, and
+# non-ASCII ones from the BMP and beyond it (written as surrogate pairs).
+_SPECIAL = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(_SPECIAL)), max_size=8)
+_INTS = st.one_of(st.integers(-(2**70), 2**70), st.integers(-3, 3))
+_LEAVES = st.one_of(
+    _TEXT,
+    _INTS,
+    st.booleans(),
+    st.none(),
+    st.lists(_INTS, max_size=6),
+    st.lists(st.one_of(_INTS, st.booleans()), max_size=6),
+    st.sampled_from([[], {}, [[]], [{}], {"": []}, {"a": {}}, ()]),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """cli._json_text renders what json.dumps(sort_keys=True, indent=2)
+    renders, byte for byte, and refuses what the exact contract excludes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_matches_json_dumps(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [1.5, Fraction(1, 2), {1, 2}, {1: "a"}, [1, 2.0], {"a": [Fraction(3)]}],
+        ids=["float", "fraction", "set", "int-key", "float-in-int-list", "nested-fraction"],
+    )
+    def test_refuses_non_json_values(self, obj):
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
+
+    def test_main_raises_on_a_fraction_in_a_payload(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "hn_factors_to_json", lambda factors: [{"re": Fraction(1, 2)}])
+        with pytest.raises(TypeError):
+            main(["hn", "p1", "--degrees", "1", "--json"])
+        assert capsys.readouterr().out == ""
 
 
 class TestUsageErrors:

@@ -4,9 +4,12 @@ Each entry is a command line (without --json), the exit code it gives and
 the SHA-256 of its --json stdout.  The list holds every command the README
 shows, the stability round of bench/rounds.py at seeds 5 and 13, the
 round's `verify soergel` and `verify demazure` operations, the n = 3 box
-scan and the commands refused with exit 2 before any work (their stdout
-is empty).  A change to the library's representation or algorithms
-must leave all of these bytes alone.
+scan, the commands refused with exit 2 before any work (their stdout
+is empty), and the large documents: the 12 rank-5 `schubert --double`
+operations of the demazure round, the rank-6 double Schubert polynomial
+of the longest permutation and the rank-4 graph-twist table.  A change
+to the library's representation or algorithms, or to how the CLI
+renders JSON, must leave all of these bytes alone.
 
 When an output changes on purpose, recompute its entry from the repository
 root with
@@ -108,6 +111,34 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("schubert --n 8 --double --w 1,2,3,4,5,6,7,8", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("schubert --n 5 --w 1,2,3,4,5 --double", 0,
+     "58a8db7d4b71bd63d55c5890e1dc88d62e15425218c9911b6a17afdf99a60f14"),
+    ("schubert --n 5 --w 2,1,3,4,5 --double", 0,
+     "3b76a15091d543a8c1948095cf53c5cb02ee1a03d49c9f12979f8cfe5a9c655f"),
+    ("schubert --n 5 --w 2,1,3,5,4 --double", 0,
+     "47644a510017383d2f824fa7af064a45f62c345b052c9cae03aada6524d787ca"),
+    ("schubert --n 5 --w 2,1,4,5,3 --double", 0,
+     "bf99e1e769179116bbf94d275ccb40c8235ea4085d801a2597028324a15f465b"),
+    ("schubert --n 5 --w 3,1,4,5,2 --double", 0,
+     "e7c318e5c888c6ce369efd64d4480e20b62ac213719cf0d814a20e58e42367af"),
+    ("schubert --n 5 --w 1,5,3,4,2 --double", 0,
+     "1a2aca28bb2d3ec14f530c9066c1cee65759f9e6151c1e8d9d56f191d172f065"),
+    ("schubert --n 5 --w 3,4,1,5,2 --double", 0,
+     "1ccdb0cbb03fbd977cef5a43c37d478bfd04a32364140f466e0b62113533d80c"),
+    ("schubert --n 5 --w 4,1,5,3,2 --double", 0,
+     "8e9ae79092b3c89048537aef647db17e5adc254b1a1caae1a8fb7b99356f8bcb"),
+    ("schubert --n 5 --w 5,1,4,3,2 --double", 0,
+     "4a798f28f0a36c83c60ae1bc68231e2cdb78011a998ab54f64dcb1c2d4b58a36"),
+    ("schubert --n 5 --w 5,2,4,3,1 --double", 0,
+     "5feb33470612e7f62860a94c2f6d5d992c78e250e1002da5185fc31d29e795b7"),
+    ("schubert --n 5 --w 5,4,2,3,1 --double", 0,
+     "8c69a3b7de8ea5e32a0701d35fc64545e273ddb6d580609bfd9e24262fc8886f"),
+    ("schubert --n 5 --w 5,4,3,2,1 --double", 0,
+     "ed0a6eb84a749fb3955f5a973610b1baf6c85739f1584ca72c953860939cac93"),
+    ("schubert --n 6 --double --w 6,5,4,3,2,1", 0,
+     "27f2caa565e04bad3a13ab6272ef29163646a2fe23e4fcf2413ae0e06527b603"),
+    ("table graph-twists --n 4", 0,
+     "3b2b4d61f070aacf7e7eab545f30647ab6faee960303cc2778ef986836450e78"),
 ]
 
 
