@@ -6,8 +6,10 @@ shows, the stability round of bench/rounds.py at seeds 5 and 13, the
 round's `verify soergel` and `verify demazure` operations, the n = 3 box
 scan, the commands refused with exit 2 before any work (their stdout
 is empty), and the large documents: the 12 rank-5 `schubert --double`
-operations of the demazure round, the rank-6 double Schubert polynomial
-of the longest permutation and the rank-4 graph-twist table.  A change
+operations of the demazure round, two rank-6 double Schubert polynomials
+(the longest permutation, which is the seed itself, and 1,5,2,6,3,4, far
+down the weak order from it), a rank-10 single one, and the rank-4 and
+rank-5 graph-twist tables.  A change
 to the library's representation or algorithms, or to how the CLI
 renders JSON, must leave all of these bytes alone.
 
@@ -139,6 +141,12 @@ GOLDEN = [
      "27f2caa565e04bad3a13ab6272ef29163646a2fe23e4fcf2413ae0e06527b603"),
     ("table graph-twists --n 4", 0,
      "3b2b4d61f070aacf7e7eab545f30647ab6faee960303cc2778ef986836450e78"),
+    ("table graph-twists --n 5", 0,
+     "38e0394f71c97b832b64eae411e53e791e56c2b89cf986931c64b2a7ddd362a8"),
+    ("schubert --n 6 --double --w 1,5,2,6,3,4", 0,
+     "44a8f14108b91cd9f32088953f83c336e43de0106b240a515eb741bf44aae953"),
+    ("schubert --n 10 --w 1,6,2,10,3,9,4,8,5,7", 0,
+     "7ef44b587b0e42e1d09998e5ecd6a63c62b673aa0349eb9d869a263442c73652"),
 ]
 
 
