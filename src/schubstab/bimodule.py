@@ -107,8 +107,8 @@ class BimoduleElement:
 
 
 # Keys: permutations of rank at most MAX_SOERGEL_RANK from the certificates,
-# which check it first.  A direct call is bounded only by MAX_SCHUBERT_RANK,
-# which schubert_poly checks after symmetric_group(w.n) is built.
+# which check it first.  A direct call is bounded by MAX_ENUMERATED_RANK,
+# which symmetric_group checks before building anything.
 @lru_cache(maxsize=None)
 def s_element(w: Permutation) -> BimoduleElement:
     """The basis element S_w in left coordinates.
@@ -360,11 +360,11 @@ class GraphTwistEntry:
         }
 
 
-# `table graph-twists --n 6 --json` takes 2.7 to 3.0 s on the same host.  In
-# process, building the table takes 0.2 to 0.3 s, the entries' to_json 0.4 s,
-# the text lines that the command builds even under --json 0.9 to 1.1 s, and
-# the CLI's JSON writer 0.7 to 1.1 s for the 26 MB document.  Rank 7 ran past
-# 65 s with Fraction coefficients and was not timed again.
+# `table graph-twists --n 6 --json` takes 1.8 to 1.9 s on the same host, at
+# 151 MiB peak RSS.  In process, building the table takes 0.2 s, the entries'
+# to_json 0.4 s and the CLI's JSON writer 0.7 to 1.1 s for the 26 MB
+# document.  Rank 7 ran past 65 s with Fraction coefficients and was not
+# timed again.
 MAX_GRAPH_TWIST_RANK = 6
 
 

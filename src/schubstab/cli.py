@@ -249,12 +249,13 @@ def _cmd_table_graph_twists(args) -> int:
     entries = graph_twist_table(args.n)
     payload = {"n": args.n, "entries": [entry.to_json() for entry in entries]}
     lines = []
-    for entry in entries:
-        pairs = " ".join(f"({i},{j})" for i, j in entry.inversion_set)
-        degrees = ",".join(str(d) for d in entry.degrees)
-        lines.append(
-            f"w={entry.w}  inversions=[{pairs}]  delta={entry.delta}  degrees=({degrees})"
-        )
+    if not args.json:
+        for entry in entries:
+            pairs = " ".join(f"({i},{j})" for i, j in entry.inversion_set)
+            degrees = ",".join(str(d) for d in entry.degrees)
+            lines.append(
+                f"w={entry.w}  inversions=[{pairs}]  delta={entry.delta}  degrees=({degrees})"
+            )
     _emit(args, payload, lines)
     return 0
 

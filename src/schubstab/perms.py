@@ -133,14 +133,17 @@ def sort_key(w: Permutation) -> tuple[int, tuple[int, ...]]:
     return (w.length(), w.word)
 
 
-# One entry per rank, with no rank limit of its own.  The filtration
-# certificates, the graph-twist table and verify_demazure_relations check
-# their ranks first (at most 5, 6 and 5); s_element, s_basis_coordinates,
-# double_schubert_expansion and expand_in_schubert_basis reach it before any
-# rank check.
+# The largest rank any caller admits (double_schubert_expansion, at
+# MAX_DOUBLE_SCHUBERT_RANK); rank 11 would build 39 916 800 permutations.
+MAX_ENUMERATED_RANK = 7
+
+
+# One entry per rank, at most MAX_ENUMERATED_RANK: check_rank raises above it.
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> tuple[Permutation, ...]:
-    """All n! permutations of {1..n}, length ascending then lexicographic."""
+    """All n! permutations of {1..n}, length ascending then lexicographic.
+    Ranks beyond MAX_ENUMERATED_RANK are refused before any is built."""
+    check_rank(n, MAX_ENUMERATED_RANK, "enumerating the symmetric group")
     perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
     perms.sort(key=sort_key)
     return tuple(perms)
@@ -203,14 +206,3 @@ def longest_reduced_word_count(n: int) -> int:
     for i in range(1, n):
         denominator *= (2 * i - 1) ** (n - i)
     return math.factorial(n * (n - 1) // 2) // denominator
-
-
-def canonical_reduced_word(w: Permutation) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word, by greedy descent choice."""
-    letters = []
-    cur = w
-    while not cur.is_identity:
-        a = cur.left_descents()[0]
-        letters.append(a)
-        cur = Permutation.simple(a, cur.n) * cur
-    return tuple(letters)

@@ -53,7 +53,6 @@ from typing import Iterable, Union
 
 from .perms import (
     Permutation,
-    canonical_reduced_word,
     longest_reduced_word_count,
     reduced_words,
     symmetric_group,
@@ -526,20 +525,6 @@ def divided_difference(j: int, f: Poly) -> Poly:
     return Poly._reduced(f.nx, f.ny, out, f._den, f._bits, f._top)
 
 
-def demazure(w: Permutation, f: Poly) -> Poly:
-    """Composite divided difference along any reduced word of w.
-
-    The operators satisfy the braid relations, so the result does not depend
-    on the chosen word; the canonical (lex-smallest) one is used.
-    """
-    if w.n != f.nx:
-        raise ValueError(f"rank mismatch: permutation of {w.n}, polynomial has {f.nx} x-variables")
-    out = f
-    for a in reversed(canonical_reduced_word(w)):
-        out = divided_difference(a, out)
-    return out
-
-
 # ----------------------------------------------------- two-alphabet moves
 
 
@@ -675,8 +660,9 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
 
     Checks, on `trials` seeded random polynomials in n variables:
     square vanishing, the braid and commuting relations, the twisted
-    Leibniz rule, and independence of demazure(w, -) from the choice of
-    reduced word for every w in the rank-n group.
+    Leibniz rule, and, for every w in the rank-n group, that the composite
+    of divided differences along a reduced word of w is the same for every
+    reduced word.
 
     Every composite is read from one suffix table per trial polynomial, so
     each distinct word suffix is applied once: d_j d_j f, both sides of the

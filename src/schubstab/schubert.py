@@ -1,26 +1,30 @@
-"""Schubert and double Schubert polynomials, and expansion over them.
+"""Schubert and double Schubert polynomials, inversion products, and
+expansion over the Schubert basis.
 
-Everything is driven by divided differences applied to two seeds: the
-staircase monomial x_1^{n-1} x_2^{n-2} ... x_{n-1} for the single
-polynomials, and the product of (x_i - y_j) over i + j <= n for the
-two-alphabet ones.  For a permutation w of rank n,
+Each family is built by one walk up the weak order (Macdonald, Notes on
+Schubert Polynomials, 1991).  The rank-n seed sits at the longest element
+w_0: the staircase monomial x_1^{n-1} x_2^{n-2} ... x_{n-1}, or the product
+of (x_i - y_j) over i + j <= n for two alphabets.  Below it S_w = d_i
+S_{w s_i} at the first ascent i of w, so each polynomial costs one divided
+difference given its parent, and the walk applies a different reduced word
+of w^{-1} w_0 to the seed for each w.  That is sound by the braid relations,
+which verify_demazure_relations certifies on its own inputs, keyed by words;
+keying generation by permutation is fine, as generation is not the claim
+under test.  delta_w walks down to the identity the same way.
 
-    schubert_poly(w)   = demazure(w^{-1} w_0, staircase)
-    double_schubert(w) = demazure(w^{-1} w_0, double seed)
-
-with w_0 the longest element.  The single polynomials form a free basis of
-Q[x_1..x_n] over the symmetric polynomials; expand_in_schubert_basis
-computes the (unique) symmetric coefficients through the d_{w0} pairing,
-under which the Schubert basis has an explicit dual basis, so each
-coefficient is one top divided difference of a product.  Those are
-evaluated by straightening monomials into Schur polynomials, which avoids
-any linear algebra and any Monk-rule bookkeeping.
+The single polynomials form a free basis of Q[x_1..x_n] over the symmetric
+polynomials; expand_in_schubert_basis computes the (unique) symmetric
+coefficients through the d_{w0} pairing, under which the Schubert basis has
+an explicit dual basis, so each coefficient is one top divided difference
+of a product.  Those are evaluated by straightening monomials into Schur
+polynomials, which avoids any linear algebra and any Monk-rule bookkeeping.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable
 
 from .perms import Permutation, check_rank, length_additive_factorizations, symmetric_group
 from .poly import (
@@ -29,7 +33,7 @@ from .poly import (
     _accumulate,
     _unpack,
     _width_for,
-    demazure,
+    divided_difference,
     is_symmetric,
     negate_x,
     permute_x,
@@ -45,12 +49,12 @@ from .poly import (
 # Xeon container under Python 3.11.7; w = 1,7,2,11,3,10,4,9,5,8,6 at rank 11
 # takes 10 s.
 MAX_SCHUBERT_RANK = 10
-# `schubert --double` at rank 7 takes up to 10 s on the same host, for
-# w = 7,6,5,4,3,2,1, whose polynomial is the 484 912-term seed itself and
-# whose --json document has 128.8 MB.  Computing it takes 0.8 s; in process,
-# Poly.to_json takes 2.9 to 4.0 s of the rest and the CLI's JSON writer 5.0 to
-# 5.4 s.  The four other words tried take under 4 s.
-# Rank 8 ran past 65 s with Fraction coefficients and was not timed again.
+# `schubert --double --json` at rank 7 takes 9.2 to 10.7 s on the same host at
+# 673 MiB peak RSS for w = 7,6,5,4,3,2,1: its polynomial is the 484 912-term
+# seed, and Poly.to_json and the JSON writer of its 128.8 MB document are
+# nearly all of the time.  Eight other words take 1.6 to 3.0 s at 120 to 258
+# MiB, of which the walk's cached ancestors are up to 71 MiB.  Rank 8 ran past
+# 65 s with Fraction coefficients and was not timed again.
 MAX_DOUBLE_SCHUBERT_RANK = 7
 
 
@@ -64,29 +68,42 @@ def staircase(n: int) -> Poly:
     return Poly.monomial(exp, 1, n)
 
 
+def _walk(w: Permutation, seed: Callable[[int], Poly], family: Callable[[Permutation], Poly]) -> Poly:
+    """family(w) from its parent: d_i family(w s_i) at the first ascent i of
+    w, and the seed at w_0, the only permutation without one.  The seed is
+    taken first, so its rank check runs before the walk goes any deeper."""
+    top = seed(w.n)
+    for i in range(1, w.n):
+        if w.word[i - 1] < w.word[i]:
+            return divided_difference(i, family(w * Permutation.simple(i, w.n)))
+    return top
+
+
+# Keys: permutations of rank at most MAX_SCHUBERT_RANK, as staircase raises
+# above it, and with each w every ancestor on its walk.
+@lru_cache(maxsize=None)
+def schubert_poly(w: Permutation) -> Poly:
+    return _walk(w, staircase, schubert_poly)
+
+
+# Keys: permutations of rank at most MAX_SCHUBERT_RANK, checked before the
+# walk, which is at most 45 calls deep, and with each w every one on its walk.
+@lru_cache(maxsize=None)
 def delta_w(w: Permutation) -> Poly:
     """Product of (x_i - x_j) over the inversions of w.
 
     For the longest element this is the full Vandermonde determinant; for
-    the identity it is 1.
+    the identity it is 1.  At the first descent i of w, the inversions of w
+    are those of w s_i with positions i and i+1 swapped, plus (i, i+1); so
+    delta_w(w) = s_i(delta_w(w s_i)) * (x_i - x_{i+1}).
     """
+    check_rank(w.n, MAX_SCHUBERT_RANK, "inversion products")
     n = w.n
-    bits = _width_for(1)
-    out = Poly.one(n)
-    for i, j in sorted(w.inversions()):
-        # x_i is the field (n - i) from the bottom, x_1 the top one.
-        factor = {1 << (bits * (n - i)): 1, 1 << (bits * (n - j)): -1}
-        out = out * Poly._trusted(n, 0, factor, 1, bits, 1)
-    return out
-
-
-# Keys: permutations of rank at most MAX_SCHUBERT_RANK, as staircase raises
-# above it.
-@lru_cache(maxsize=None)
-def schubert_poly(w: Permutation) -> Poly:
-    n = w.n
-    u = w.inverse() * Permutation.longest(n)
-    return demazure(u, staircase(n))
+    for i in range(1, n):
+        if w.word[i - 1] > w.word[i]:
+            s = Permutation.simple(i, n)
+            return permute_x(s, delta_w(w * s)) * (Poly.x(i, n) - Poly.x(i + 1, n))
+    return Poly.one(n)
 
 
 # One entry per rank, at most MAX_DOUBLE_SCHUBERT_RANK.
@@ -104,12 +121,10 @@ def double_delta(n: int) -> Poly:
 
 
 # Keys: permutations of rank at most MAX_DOUBLE_SCHUBERT_RANK, as double_delta
-# raises above it.
+# raises above it, and with each w every ancestor on its walk.
 @lru_cache(maxsize=None)
 def double_schubert(w: Permutation) -> Poly:
-    n = w.n
-    u = w.inverse() * Permutation.longest(n)
-    return demazure(u, double_delta(n))
+    return _walk(w, double_delta, double_schubert)
 
 
 def double_schubert_expansion(w: Permutation) -> Poly:
@@ -180,8 +195,11 @@ def _dual_terms(w: Permutation, bits: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def _top_divided_difference(lam: Exponent, bits: int) -> tuple[tuple[int, int], ...]:
     """d_{w0}(x^lam) for strictly decreasing lam: a Schur polynomial."""
-    n = len(lam)
-    return _integer_terms(demazure(Permutation.longest(n), Poly.monomial(lam, 1, n)), bits)
+    out = Poly.monomial(lam, 1, len(lam))
+    for k in range(1, len(lam)):  # the letters of (1)(2,1)...(n-1,...,1), a reduced word of w0
+        for j in range(k, 0, -1):
+            out = divided_difference(j, out)
+    return _integer_terms(out, bits)
 
 
 # Keys: every packed monomial of every expanded polynomial; no rank limit

@@ -109,10 +109,10 @@ class TestVerifyCommands:
              ["bimodule.symmetric_group", "bimodule.delta_w"],
              "rank 7 is outside 1..6 for graph-twist tables"),
             (["schubert", "--n", "11", "--w", "1,2,3,4,5,6,7,8,9,10,11"],
-             ["schubert.demazure"],
+             ["schubert.divided_difference"],
              "rank 11 is outside 1..10 for Schubert polynomials"),
             (["schubert", "--n", "8", "--double", "--w", "1,2,3,4,5,6,7,8"],
-             ["schubert.demazure"],
+             ["schubert.divided_difference"],
              "rank 8 is outside 1..7 for double Schubert polynomials"),
         ],
     )

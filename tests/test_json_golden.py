@@ -9,9 +9,9 @@ is empty), and the large documents: the 12 rank-5 `schubert --double`
 operations of the demazure round, two rank-6 double Schubert polynomials
 (the longest permutation, which is the seed itself, and 1,5,2,6,3,4, far
 down the weak order from it), a rank-10 single one, and the rank-4 and
-rank-5 graph-twist tables.  A change
-to the library's representation or algorithms, or to how the CLI
-renders JSON, must leave all of these bytes alone.
+rank-5 graph-twist tables.  A change to the library's representation or
+algorithms, or to how the CLI renders JSON, must leave all of these bytes
+alone.
 
 When an output changes on purpose, recompute its entry from the repository
 root with

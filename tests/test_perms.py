@@ -14,7 +14,6 @@ import pytest
 
 from schubstab.perms import (
     Permutation,
-    canonical_reduced_word,
     length_additive_factorizations,
     longest_reduced_word_count,
     reduced_words,
@@ -197,12 +196,6 @@ def test_reduced_words_properties_s4():
             assert product_of_simples(letters, 4) == w
 
 
-def test_canonical_reduced_word_is_lex_smallest():
-    for w in symmetric_group(4):
-        assert canonical_reduced_word(w) == reduced_words(w)[0]
-    assert canonical_reduced_word(Permutation.longest(3)) == (1, 2, 1)
-
-
 def test_longest_word_count_s4():
     # Known count for the longest element of rank 4.
     assert len(reduced_words(Permutation.longest(4))) == 16
@@ -229,6 +222,27 @@ def test_symmetric_group_enumeration(n):
     dist = oracle_length_distribution(n)
     for ell, count in enumerate(dist):
         assert sum(1 for w in perms if w.length() == ell) == count
+
+
+def test_enumerating_callers_refuse_rank_11_before_building_the_group():
+    # Rank 11 would build 39 916 800 permutations.  Each caller below reaches
+    # symmetric_group before any rank check of its own.
+    from schubstab.bimodule import BimoduleElement, s_basis_coordinates, s_element
+    from schubstab.poly import Poly
+    from schubstab.schubert import double_schubert_expansion, expand_in_schubert_basis
+
+    e = Permutation.identity(11)
+    calls = [
+        lambda: s_element(e),
+        lambda: s_basis_coordinates(BimoduleElement(11, {e: Poly.one(11)})),
+        lambda: double_schubert_expansion(e),
+        lambda: expand_in_schubert_basis(Poly.x(1, 11)),
+    ]
+    for call in calls:
+        cached = symmetric_group.cache_info().currsize
+        with pytest.raises(ValueError, match="rank 11 is outside 1..7 for enumerating"):
+            call()
+        assert symmetric_group.cache_info().currsize == cached
 
 
 def test_json_one_line_form():

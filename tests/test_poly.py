@@ -22,7 +22,6 @@ from schubstab.poly import (
     MAX_LONGEST_WORDS,
     Poly,
     _SuffixTable,
-    demazure,
     demazure_word_count,
     divided_difference,
     is_symmetric,
@@ -51,6 +50,29 @@ def demazure_along_word(letters, f):
     for a in reversed(tuple(letters)):
         out = poly_module.divided_difference(a, out)
     return out
+
+
+def canonical_reduced_word(w):
+    """Lexicographically smallest reduced word of w, by greedy choice of the
+    smallest left descent."""
+    letters = []
+    cur = w
+    while not cur.is_identity:
+        a = cur.left_descents()[0]
+        letters.append(a)
+        cur = Permutation.simple(a, cur.n) * cur
+    return tuple(letters)
+
+
+def demazure(w, f):
+    """The composite divided difference of w along its canonical word.
+
+    The chain oracle for generation: schubert_poly(w) and double_schubert(w)
+    are this operator of w^{-1} w_0 applied to their seeds, each from scratch.
+    """
+    if w.n != f.nx:
+        raise ValueError(f"rank mismatch: permutation of {w.n}, polynomial has {f.nx} x-variables")
+    return demazure_along_word(canonical_reduced_word(w), f)
 
 
 # ------------------------------------------------------------ ring basics

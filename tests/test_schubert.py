@@ -29,6 +29,7 @@ from schubstab.schubert import (
     specialization_check,
     staircase,
 )
+from test_poly import demazure
 
 
 def x(i, n):
@@ -58,6 +59,15 @@ def test_delta_w():
     assert delta_w(Permutation.longest(3)) == vdm
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_delta_w_matches_the_product_of_its_inversions(n):
+    for w in symmetric_group(n):
+        want = Poly.one(n)
+        for i, j in w.inversions():
+            want = want * (x(i, n) - x(j, n))
+        assert delta_w(w) == want
+
+
 def test_double_delta():
     assert double_delta(1) == Poly.one(1, 1)
     assert double_delta(2) == Poly.x(1, 2, 2) - Poly.y(1, 2, 2)
@@ -82,6 +92,17 @@ RANK3_TABLE = {
 def test_schubert_poly_rank3_table():
     for word, expected in RANK3_TABLE.items():
         assert schubert_poly(perm(*word)) == expected()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_matches_the_divided_difference_chain(n):
+    # The oracle applies the whole chain of w^{-1} w_0 to each seed along the
+    # lex-smallest reduced word, and shares nothing between permutations.
+    w0 = Permutation.longest(n)
+    for w in symmetric_group(n):
+        u = w.inverse() * w0
+        assert schubert_poly(w) == demazure(u, staircase(n))
+        assert double_schubert(w) == demazure(u, double_delta(n))
 
 
 def test_schubert_poly_identity_and_longest():
@@ -230,8 +251,24 @@ def test_ranks_beyond_budget_are_refused_before_any_work(monkeypatch):
     def boom(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(schubert_module, "demazure", boom)
+    monkeypatch.setattr(schubert_module, "divided_difference", boom)
     with pytest.raises(ValueError, match="rank 11 is outside 1..10 for Schubert"):
         schubert_poly(Permutation.identity(11))
     with pytest.raises(ValueError, match="rank 8 is outside 1..7 for double Schubert"):
         double_schubert(Permutation.identity(8))
+
+
+def test_deep_ranks_are_refused_not_recursed(monkeypatch):
+    # At rank 60 the identity and w_0 are 1770 steps apart: a walk between
+    # them before the rank check would end in RecursionError.
+    def boom(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(schubert_module, "divided_difference", boom)
+    e = Permutation.identity(60)
+    with pytest.raises(ValueError, match="rank 60 is outside 1..10 for Schubert"):
+        schubert_poly(e)
+    with pytest.raises(ValueError, match="rank 60 is outside 1..7 for double Schubert"):
+        double_schubert(e)
+    with pytest.raises(ValueError, match="rank 60 is outside 1..10 for inversion products"):
+        delta_w(Permutation.longest(60))
