@@ -159,8 +159,10 @@ def _cmd_schubert(args) -> int:
     if w.n != args.n:
         raise ValueError(f"--w has rank {w.n}, --n is {args.n}")
     poly = double_schubert(w) if args.double else schubert_poly(w)
-    payload = {"w": w.to_json(), "double": args.double, "poly": poly.to_json()}
-    _emit(args, payload, [] if args.json else [str(poly)])
+    if args.json:
+        _emit(args, {"w": w.to_json(), "double": args.double, "poly": poly.to_json()}, [])
+    else:
+        _emit(args, None, [str(poly)])
     return 0
 
 
@@ -247,16 +249,17 @@ def _cmd_derive_chain(args) -> int:
 
 def _cmd_table_graph_twists(args) -> int:
     entries = graph_twist_table(args.n)
-    payload = {"n": args.n, "entries": [entry.to_json() for entry in entries]}
+    if args.json:
+        _emit(args, {"n": args.n, "entries": [entry.to_json() for entry in entries]}, [])
+        return 0
     lines = []
-    if not args.json:
-        for entry in entries:
-            pairs = " ".join(f"({i},{j})" for i, j in entry.inversion_set)
-            degrees = ",".join(str(d) for d in entry.degrees)
-            lines.append(
-                f"w={entry.w}  inversions=[{pairs}]  delta={entry.delta}  degrees=({degrees})"
-            )
-    _emit(args, payload, lines)
+    for entry in entries:
+        pairs = " ".join(f"({i},{j})" for i, j in entry.inversion_set)
+        degrees = ",".join(str(d) for d in entry.degrees)
+        lines.append(
+            f"w={entry.w}  inversions=[{pairs}]  delta={entry.delta}  degrees=({degrees})"
+        )
+    _emit(args, None, lines)
     return 0
 
 

@@ -294,10 +294,10 @@ class Poly:
 
     def _combine(self, other: Union["Poly", Scalar], sign: int) -> "Poly":
         """self + sign * other."""
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.nx, self.ny)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other, self.nx, self.ny)
         self._check_ring(other)
         bits = max(self._bits, other._bits)
         den = lcm(self._den, other._den)
@@ -323,16 +323,16 @@ class Poly:
         return Poly.const(other, self.nx, self.ny) - self
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly._trusted(self.nx, self.ny, {}, 1, self._bits, self._top)
-            out = {k: v * other.numerator for k, v in self._num.items()}
-            return Poly._reduced(
-                self.nx, self.ny, out, self._den * other.denominator, self._bits, self._top
-            )
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            return sum_of_products(((self, other),), self.nx, self.ny)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return sum_of_products(((self, other),), self.nx, self.ny)
+        if not other:
+            return Poly._trusted(self.nx, self.ny, {}, 1, self._bits, self._top)
+        out = {k: v * other.numerator for k, v in self._num.items()}
+        return Poly._reduced(
+            self.nx, self.ny, out, self._den * other.denominator, self._bits, self._top
+        )
 
     __rmul__ = __mul__
 
@@ -345,10 +345,12 @@ class Poly:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.nx, self.ny)
+        if other is self:
+            return True
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other, self.nx, self.ny)
         if (self.nx, self.ny, self._den, len(self._num)) != (
             other.nx, other.ny, other._den, len(other._num)
         ):
@@ -421,18 +423,24 @@ def sum_of_products(pairs: Iterable[tuple[Poly, Poly]], nx: int, ny: int = 0) ->
     Every product is added into one dict of numerators over the lcm of the
     pairs' denominators, in fields wide enough for every product's
     exponents (the sum of its factors' bounds), so no intermediate
-    polynomial is built and no field carries into the next.
+    polynomial is built and no field carries into the next.  One pass over
+    the pairs checks their rings and finds the bound, the width and the
+    denominator.
     """
     pairs = list(pairs)
-    top, bits = 0, _FIELD_BITS
+    top, bits, den = 0, _FIELD_BITS, 1
     for a, b in pairs:
-        for p in (a, b):
-            if p.nx != nx or p.ny != ny:
-                raise ValueError(f"ring mismatch: ({nx},{ny}) vs ({p.nx},{p.ny})")
-        top = max(top, a._top + b._top)
-        bits = max(bits, a._bits, b._bits)
+        if a.nx != nx or a.ny != ny or b.nx != nx or b.ny != ny:
+            p = b if a.nx == nx and a.ny == ny else a
+            raise ValueError(f"ring mismatch: ({nx},{ny}) vs ({p.nx},{p.ny})")
+        if a._top + b._top > top:
+            top = a._top + b._top
+        if a._bits > bits or b._bits > bits:
+            bits = max(a._bits, b._bits)
+        d = a._den * b._den
+        if d != 1:
+            den = lcm(den, d)
     bits = max(bits, _width_for(top))
-    den = lcm(*(a._den * b._den for a, b in pairs))
     acc: dict[int, int] = {}
     get = acc.get
     for a, b in pairs:
@@ -502,10 +510,13 @@ def divided_difference(j: int, f: Poly) -> Poly:
     For p > q its image is the sum of x_j^(p-1-k) x_{j+1}^(q+k) r over
     k = 0..p-q-1; for p < q it is minus the image of x_j^q x_{j+1}^p r; for
     p = q it is 0.  The y-variables sit in r and are inert.  No exponent
-    grows, so the fields keep their width.
+    grows, so the fields keep their width.  A zero f, once the index is
+    checked, is its own image.
     """
     if not 1 <= j <= f.nx - 1:
         raise ValueError(f"operator index {j} out of range for {f.nx} x-variables")
+    if not f._num:
+        return f
     hi, lo = _adjacent_fields(j, f)
     mask = (1 << f._bits) - 1
     clear = ~((mask << hi) | (mask << lo))

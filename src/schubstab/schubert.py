@@ -249,7 +249,10 @@ def expand_in_schubert_basis(f: Poly) -> dict[Permutation, Poly]:
     symmetric polynomials, so c_w = d_{w0}(f * dual_w).  The work is done
     per packed monomial of f and cached; the numerators stay over f's
     denominator until the end.  The fields are first widened, if needed,
-    to hold f's exponent bound plus the duals' n - 1.
+    to hold f's exponent bound plus the duals' n - 1.  Only the
+    coefficients of permutations left with a nonzero Schur term are built
+    and checked for symmetry; the d_{w0}(x^lam) are Schur polynomials of
+    distinct shapes, so every other coefficient is zero.
     """
     if f.ny != 0:
         raise ValueError("expansion is defined for x-variable polynomials only")
@@ -264,8 +267,11 @@ def expand_in_schubert_basis(f: Poly) -> dict[Permutation, Poly]:
                 slot[lam] = slot.get(lam, 0) + c * k
     out: dict[Permutation, Poly] = {}
     for w in symmetric_group(n):
+        slot = [(lam, k) for lam, k in by_lam.get(w, {}).items() if k]
+        if not slot:
+            continue
         terms: dict[int, int] = {}
-        for lam, k in by_lam.get(w, {}).items():
+        for lam, k in slot:
             _accumulate(terms, ((exp, k * v) for exp, v in _top_divided_difference(lam, bits)))
         c_w = Poly._reduced(n, 0, terms, f._den, bits, top)
         if c_w.is_zero:

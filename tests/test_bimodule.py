@@ -265,6 +265,40 @@ def test_s_basis_coordinates_round_trip():
             assert rebuilt == elem
 
 
+def test_back_substitution_sums_only_where_something_is_pending(monkeypatch):
+    n = 4
+    elem = right_multiply(s_element(perm(2, 1, 4, 3)), x(2, n))
+    expected = s_basis_coordinates(elem)  # also warms the caches
+    sizes = []
+    real = bimodule_module.sum_of_products
+
+    def counting(pairs, nx, ny=0):
+        pairs = list(pairs)
+        sizes.append(len(pairs))
+        return real(pairs, nx, ny)
+
+    monkeypatch.setattr(bimodule_module, "sum_of_products", counting)
+    assert s_basis_coordinates(elem) == expected
+    reached = set(elem.coords).union(*(set(s_element(w).coords) - {w} for w in expected))
+    assert 0 not in sizes
+    assert len(sizes) == len(reached) < len(symmetric_group(n))
+
+
+def test_back_substitution_refuses_a_coordinate_longer_than_its_element(monkeypatch):
+    bad = perm(2, 1, 3)
+    real = s_element
+
+    def corrupted(w):
+        elem = real(w)
+        if w != bad:
+            return elem
+        return BimoduleElement(3, {**elem.coords, Permutation.longest(3): x(1, 3)})
+
+    monkeypatch.setattr(bimodule_module, "s_element", corrupted)
+    with pytest.raises(RuntimeError, match="back-substitution left a residual"):
+        s_basis_coordinates(BimoduleElement(3, {bad: Poly.one(3)}))
+
+
 def test_membership_frozen():
     w0 = Permutation.longest(3)
     ok, witness = membership_in_gamma(s_element(w0), w0.length())
@@ -408,6 +442,23 @@ def test_certificates_name_a_wrong_diagonal_entry(monkeypatch):
     cert = verify_triangular_injectivity(identity)
     assert [v["w"] for v in cert["violations"]] == [[2, 3, 1]]
     assert cert["determinant_nonzero"] is False
+
+
+def test_certificates_name_a_nonzero_off_diagonal_entry(monkeypatch):
+    w, w_prime = perm(2, 1, 3), perm(2, 3, 1)
+    real_f_map = f_map
+
+    def corrupted(v, elem):
+        got = real_f_map(v, elem)
+        return got + x(1, 3) if v == w and elem == s_element(w_prime) else got
+
+    monkeypatch.setattr("schubstab.bimodule.f_map", corrupted)
+    identity = verify_filtration_identity(3)
+    assert identity["pairs"] == oracle_qualifying_pairs(3)
+    assert identity["violations"] == [
+        {"w": [2, 1, 3], "w_prime": [2, 3, 1], "got": "x1", "expected": "0"}
+    ]
+    assert verify_triangular_injectivity(identity)["determinant_nonzero"] is False
 
 
 # ------------------------------------------------------------ degree table

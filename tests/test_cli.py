@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubstab import cli
+from schubstab.bimodule import GraphTwistEntry
 from schubstab.cli import int_list, main, rational
+from schubstab.poly import Poly
 
 
 def run(argv, capsys):
@@ -287,6 +289,32 @@ class TestTableCommand:
         assert code == 0
         blob = json.loads(out)
         assert blob["entries"][1]["inversions"] == [[1, 2]]
+
+
+class TestTextModeBuildsNoPayload:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["schubert", "--n", "3", "--w", "2,3,1"], "x1*x2\n"),
+            (
+                ["schubert", "--n", "3", "--w", "2,3,1", "--double"],
+                "y1^2 - x2*y1 - x1*y1 + x1*x2\n",
+            ),
+            (
+                ["table", "graph-twists", "--n", "2"],
+                "w=[1,2]  inversions=[]  delta=1  degrees=(0,0)\n"
+                "w=[2,1]  inversions=[(1,2)]  delta=-x2 + x1  degrees=(1,1)\n",
+            ),
+        ],
+        ids=["schubert", "double", "graph-twists"],
+    )
+    def test_text_mode_never_calls_to_json(self, capsys, monkeypatch, argv, text):
+        def refuse(self):
+            raise RuntimeError("to_json called in text mode")
+
+        monkeypatch.setattr(Poly, "to_json", refuse)
+        monkeypatch.setattr(GraphTwistEntry, "to_json", refuse)
+        assert run(argv, capsys) == (0, text, "")
 
 
 class TestJsonOutput:

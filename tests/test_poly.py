@@ -120,6 +120,38 @@ def test_scalar_coercion_and_equality():
     assert Poly.const(Fraction(3, 2), 1) * 2 == 3
 
 
+@pytest.mark.parametrize(
+    "left, right, equal",
+    [
+        (Poly.zero(2), 0, True),
+        (Poly.one(2), 1, True),
+        (Poly.x(1, 2), 0, False),
+        (Poly.const(Fraction(1, 2), 2), Fraction(1, 2), True),
+        (Poly.const(Fraction(1, 2), 2), Fraction(1, 3), False),
+        (Poly.x(1, 2) + Poly.x(2, 2), Poly.x(2, 2) + Poly.x(1, 2), True),
+        (Poly.one(2), Poly.one(3), False),
+        (Poly.one(2), Poly.one(2, 1), False),
+        (Poly.one(2), "1", False),
+        (Poly.one(2), None, False),
+    ],
+)
+def test_equality_against_each_kind_of_operand(left, right, equal):
+    assert (left == right) is equal
+    assert (right == left) is equal
+    assert (left != right) is not equal
+
+
+def test_a_poly_equals_itself_and_refuses_other_operands():
+    f = x(1, 2) * x(2, 2) - Fraction(1, 3)
+    assert f == f
+    assert not f != f
+    assert f.__eq__("1") is NotImplemented
+    for op in ("__add__", "__sub__", "__mul__"):
+        assert getattr(f, op)("x1") is NotImplemented
+    with pytest.raises(TypeError):
+        f * "x1"
+
+
 def test_degrees():
     f = x(1, 3) ** 2 * x(2, 3) + x(3, 3)
     assert f.total_degree() == 3
@@ -190,6 +222,18 @@ def test_divided_difference_frozen_examples():
         divided_difference(2, x(1, 2))
     with pytest.raises(ValueError):
         divided_difference(0, x(1, 2))
+
+
+def test_divided_difference_of_zero_checks_the_index_and_keeps_the_ring():
+    for j in (0, 3):
+        with pytest.raises(ValueError):
+            divided_difference(j, Poly.zero(3))
+    for nx, ny in ((3, 0), (3, 2)):
+        for j in (1, 2):
+            out = divided_difference(j, Poly.zero(nx, ny))
+            assert out.is_zero
+            assert (out.nx, out.ny) == (nx, ny)
+            assert out == Poly.zero(nx, ny)
 
 
 def test_divided_difference_kills_symmetric_and_drops_degree():

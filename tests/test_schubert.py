@@ -17,6 +17,7 @@ from schubstab.poly import (
     random_poly,
     set_y_to_zero,
     specialize_y_to_x,
+    sum_of_products,
     widen_with_y,
 )
 from schubstab.schubert import (
@@ -240,6 +241,25 @@ def test_expand_round_trip_random():
                 assert not c.is_zero
                 rebuilt = rebuilt + c * schubert_poly(w)
             assert rebuilt == f
+
+
+@pytest.mark.parametrize("u, k", [((2, 1, 3, 4, 5), 3), ((1, 3, 2, 5, 4), 1), ((3, 1, 5, 2, 4), 5)])
+def test_expansion_builds_only_the_coefficients_it_returns(monkeypatch, u, k):
+    f = schubert_poly(Permutation(u)) * Poly.x(k, 5)
+    expected = expand_in_schubert_basis(f)  # also warms the caches
+    built = []
+    real = Poly._reduced.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(Poly, "_reduced", classmethod(counting))
+    got = expand_in_schubert_basis(f)
+    assert len(built) <= len(got)
+    assert got == expected
+    assert list(got) == [w for w in symmetric_group(5) if w in got]
+    assert sum_of_products(((c, schubert_poly(w)) for w, c in got.items()), 5) == f
 
 
 def test_expand_rejects_y_variables():
