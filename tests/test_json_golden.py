@@ -8,8 +8,9 @@ scan, the commands refused with exit 2 before any work (their stdout
 is empty), and the large documents: the 12 rank-5 `schubert --double`
 operations of the demazure round, two rank-6 double Schubert polynomials
 (the longest permutation, which is the seed itself, and 1,5,2,6,3,4, far
-down the weak order from it), a rank-10 single one, and the rank-4 and
-rank-5 graph-twist tables.  A change to the library's representation or
+down the weak order from it), a rank-7 double one far below the rank-7
+seed (1,5,2,7,3,6,4), a rank-10 single one, and the rank-4 and rank-5
+graph-twist tables.  A change to the library's representation or
 algorithms, or to how the CLI renders JSON, must leave all of these bytes
 alone.
 
@@ -147,6 +148,8 @@ GOLDEN = [
      "44a8f14108b91cd9f32088953f83c336e43de0106b240a515eb741bf44aae953"),
     ("schubert --n 10 --w 1,6,2,10,3,9,4,8,5,7", 0,
      "7ef44b587b0e42e1d09998e5ecd6a63c62b673aa0349eb9d869a263442c73652"),
+    ("schubert --n 7 --double --w 1,5,2,7,3,6,4", 0,
+     "61cf071a00c658dfb4822e8044aa11e0134116fa91036cc36d3256cd514e0dfd"),
 ]
 
 
