@@ -359,20 +359,24 @@ class GraphTwistEntry:
     delta: Poly
     degrees: tuple[int, ...]
 
-    def to_json(self) -> dict:
+    def payload(self) -> dict:
+        """to_json with delta left a Poly, which the CLI's JSON writer renders
+        as its to_json."""
         return {
             "w": self.w.to_json(),
             "inversions": [list(p) for p in self.inversion_set],
-            "delta": self.delta.to_json(),
+            "delta": self.delta,
             "degrees": list(self.degrees),
         }
 
+    def to_json(self) -> dict:
+        return {**self.payload(), "delta": self.delta.to_json()}
 
-# `table graph-twists --n 6 --json` takes 1.8 to 1.9 s on the same host, at
-# 151 MiB peak RSS.  In process, building the table takes 0.2 s, the entries'
-# to_json 0.4 s and the CLI's JSON writer 0.7 to 1.1 s for the 26 MB
-# document.  Rank 7 ran past 65 s with Fraction coefficients and was not
-# timed again.
+
+# `table graph-twists --n 6 --json` takes 0.84 to 0.86 s on the same host, at
+# 105 MiB peak RSS.  In process, building the table takes 0.2 to 0.26 s and
+# the CLI's JSON writer 0.5 to 0.7 s for the 26 MB document.  Rank 7 ran past
+# 65 s with Fraction coefficients and was not timed again.
 MAX_GRAPH_TWIST_RANK = 6
 
 

@@ -6,9 +6,11 @@ is a single JSON document rendered by _json_text, byte for byte as the
 standard library's json.dumps renders it with sort_keys=True and indent=2:
 sorted keys, a two-space indent, "," between items and ": " after keys,
 strings escaped to ASCII by json's C encoder, and each list of ints written
-in one join.  It refuses floats, Fractions, sets and non-str keys with
-TypeError.  Identical invocations (including seeds) produce byte-identical
-output.
+in one join.  A Poly in a payload is rendered as its to_json, straight
+from its packed terms, one string template per term, without building
+to_json's dicts and lists.  It refuses floats, Fractions, sets and non-str
+keys with TypeError.  Identical invocations (including seeds) produce
+byte-identical output.
 
 Exit codes: 0 when every emitted certificate has an empty violations list,
 1 when some check found violations or a derivation was refused, 2 for
@@ -38,7 +40,7 @@ from .bimodule import (
 )
 from .lattice import ChargeParams, verify_charge_transforms
 from .perms import Permutation
-from .poly import demazure_word_count, verify_demazure_relations
+from .poly import Poly, demazure_word_count, verify_demazure_relations
 from .schubert import double_schubert, schubert_poly
 from .stability import (
     SplitSheafP1,
@@ -124,7 +126,29 @@ def _json_text(obj, nl: str = "\n") -> str:
         return "null"
     if isinstance(obj, int):
         return _int_repr(obj)
+    if isinstance(obj, Poly):
+        return _poly_text(obj, nl)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _poly_text(p: Poly, nl: str) -> str:
+    """_json_text(p.to_json(), nl): each term is written from p's term walk
+    by one template, with a %d slot per exponent field."""
+    slots = p.nx + p.ny
+    head = nl + "  "
+    nvars = "{" + head + '"nvars": ' + _int_repr(slots) + "," + head + '"terms": '
+    if p.is_zero:
+        return nvars + "[]" + nl + "}"
+    term = head + "  "
+    key = term + "  "
+    field = key + "  "
+    exps = "[" + field + ("," + field).join(["%d"] * slots) + key + "]" if slots else "[]"
+    template = (
+        "{" + key + '"den": "%s",' + key + '"exp": ' + exps + ","
+        + key + '"num": "%s"' + term + "}"
+    )
+    terms = [template % (den, *exp, num) for exp, num, den in p._json_terms()]
+    return nvars + "[" + term + ("," + term).join(terms) + head + "]" + nl + "}"
 
 
 def _emit(args, payload, lines) -> None:
@@ -160,7 +184,7 @@ def _cmd_schubert(args) -> int:
         raise ValueError(f"--w has rank {w.n}, --n is {args.n}")
     poly = double_schubert(w) if args.double else schubert_poly(w)
     if args.json:
-        _emit(args, {"w": w.to_json(), "double": args.double, "poly": poly.to_json()}, [])
+        _emit(args, {"w": w.to_json(), "double": args.double, "poly": poly}, [])
     else:
         _emit(args, None, [str(poly)])
     return 0
@@ -250,7 +274,7 @@ def _cmd_derive_chain(args) -> int:
 def _cmd_table_graph_twists(args) -> int:
     entries = graph_twist_table(args.n)
     if args.json:
-        _emit(args, {"n": args.n, "entries": [entry.to_json() for entry in entries]}, [])
+        _emit(args, {"n": args.n, "entries": [entry.payload() for entry in entries]}, [])
         return 0
     lines = []
     for entry in entries:

@@ -18,8 +18,9 @@ adds fields, first check the bound of their result and repack into wider
 fields when it does not fit.  The width is _FIELD_BITS unless an exponent
 needs more, so no exponent is ever refused.  The package reads terms only
 in packed form; `Fraction` and exponent tuples appear only at the edge:
-`as_fraction`, `coefficient`, `to_json`, `__str__` and the read-only
-`terms` view, whose len() is the number of terms.
+`as_fraction`, `coefficient`, `__str__`, the term walk that `to_json` and
+the CLI's JSON writer share, and the read-only `terms` view, whose len()
+is the number of terms.
 
 Most of the package works in the pure-x ring (ny = 0); the y-block exists
 for two-alphabet polynomials and is inert under the group action and the
@@ -46,7 +47,7 @@ denominator.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -95,6 +96,17 @@ def _low_bits(slots: int, bits: int) -> int:
     """The lowest bit of each of the `slots` least significant fields: the
     parity of a key's degree there is the parity of its popcount under this."""
     return sum(1 << (bits * s) for s in range(slots))
+
+
+def _unpack_with_degrees(
+    keys: Iterable[int], slots: int, bits: int
+) -> dict[int, tuple[int, Exponent]]:
+    """Each key of `slots` fields mapped to (its degree, its exponents)."""
+    out = {}
+    for key in keys:
+        exp = _unpack(key, slots, bits)
+        out[key] = (sum(exp), exp)
+    return out
 
 
 def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -269,20 +281,29 @@ class Poly:
         slots, bits = self.nx + self.ny, self._bits
         return max((sum(_unpack(k, slots, bits)) for k in self._num), default=-1)
 
-    def _graded(self, descending: bool = False) -> list[tuple[list[int], int]]:
-        """(exponent list, numerator) per term, by total degree, ascending or
+    def _graded(self, descending: bool = False) -> list[tuple[Exponent, int]]:
+        """(exponent tuple, numerator) per term, by total degree, ascending or
         descending, then by exponents ascending.  Within one degree the
-        exponents compare as their keys do, x_1 being the top field."""
+        exponents compare as their keys do, x_1 being the top field, so each
+        term sorts by one int: its signed degree above its key.  A key is read
+        as a high and a low half, each unpacked once however many terms share
+        it."""
         slots, bits = self.nx + self.ny, self._bits
-        mask = (1 << bits) - 1
-        shifts = range(bits * (slots - 1), -1, -bits)
+        low_slots = slots // 2
+        cut = bits * low_slots
+        low_mask = (1 << cut) - 1
+        num = self._num
+        high = _unpack_with_degrees({k >> cut for k in num}, slots - low_slots, bits)
+        low = _unpack_with_degrees({k & low_mask for k in num}, low_slots, bits)
+        width = bits * slots
         sign = -1 if descending else 1
         rows = []
-        for k, c in self._num.items():
-            exp = [(k >> s) & mask for s in shifts]
-            rows.append((sign * sum(exp), k, exp, c))
+        for k, c in num.items():
+            high_degree, high_exp = high[k >> cut]
+            low_degree, low_exp = low[k & low_mask]
+            rows.append(((sign * (high_degree + low_degree)) << width | k, high_exp + low_exp, c))
         rows.sort()
-        return [(exp, c) for _, _, exp, c in rows]
+        return [(exp, c) for _, exp, c in rows]
 
     # ---------------------------------------------------------- arithmetic
 
@@ -397,16 +418,23 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self})"
 
-    def to_json(self) -> dict:
-        """Schema: {"nvars": k, "terms": [{"exp": [...], "num": "...", "den": "..."}]}."""
+    def _json_terms(self) -> Iterator[tuple[Exponent, str, str]]:
+        """(exponents, numerator, denominator) per term in _graded order,
+        the coefficient reduced by its own gcd and both parts as decimal
+        strings: the terms of to_json, and of cli._json_text, which renders a
+        Poly from them without building to_json."""
         den = self._den
         if den == 1:
-            terms = [{"exp": exp, "num": str(c), "den": "1"} for exp, c in self._graded()]
+            for exp, c in self._graded():
+                yield exp, str(c), "1"
         else:
-            terms = []
             for exp, c in self._graded():
                 g = gcd(c, den)
-                terms.append({"exp": exp, "num": str(c // g), "den": str(den // g)})
+                yield exp, str(c // g), str(den // g)
+
+    def to_json(self) -> dict:
+        """Schema: {"nvars": k, "terms": [{"exp": [...], "num": "...", "den": "..."}]}."""
+        terms = [{"exp": list(exp), "num": num, "den": den} for exp, num, den in self._json_terms()]
         return {"nvars": self.nx + self.ny, "terms": terms}
 
 

@@ -49,12 +49,13 @@ from .poly import (
 # Xeon container under Python 3.11.7; w = 1,7,2,11,3,10,4,9,5,8,6 at rank 11
 # takes 10 s.
 MAX_SCHUBERT_RANK = 10
-# `schubert --double --json` at rank 7 takes 9.2 to 10.7 s on the same host at
-# 673 MiB peak RSS for w = 7,6,5,4,3,2,1: its polynomial is the 484 912-term
-# seed, and Poly.to_json and the JSON writer of its 128.8 MB document are
-# nearly all of the time.  Eight other words take 1.6 to 3.0 s at 120 to 258
-# MiB, of which the walk's cached ancestors are up to 71 MiB.  Rank 8 ran past
-# 65 s with Fraction coefficients and was not timed again.
+# `schubert --double --json` at rank 7 takes 4.0 to 4.7 s on the same host at
+# 566 MiB peak RSS for w = 7,6,5,4,3,2,1: its polynomial is the 484 912-term
+# seed, computed in 0.4 to 0.7 s, and the JSON writer renders its 128.8 MB
+# document in the rest.  w = 6,7,4,5,2,3,1 takes 2.4 s at 243 MiB and
+# 1,5,2,7,3,6,4 2.0 s at 147 MiB; of that the walk's cached ancestors are up
+# to 71 MiB.  Rank 8 ran past 65 s with Fraction coefficients and was not
+# timed again.
 MAX_DOUBLE_SCHUBERT_RANK = 7
 
 
@@ -110,13 +111,24 @@ def delta_w(w: Permutation) -> Poly:
 @lru_cache(maxsize=None)
 def double_delta(n: int) -> Poly:
     """Product of (x_i - y_j) over i + j <= n, inside Q[x_1..x_n, y_1..y_n]:
-    the seed of every double Schubert polynomial, so it checks the rank."""
+    the seed of every double Schubert polynomial, so it checks the rank.
+
+    Row i, the product over j <= m = n - i, is written out as the sum over
+    k of (-1)^k x_i^(m-k) e_k(y_1..y_m), 2^m terms, and the rows are
+    multiplied shortest first."""
     check_rank(n, MAX_DOUBLE_SCHUBERT_RANK, "double Schubert polynomials")
     out = Poly.one(n, n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i + j <= n:
-                out = out * (Poly.x(i, n, n) - Poly.y(j, n, n))
+    for i in range(n - 1, 0, -1):
+        m = n - i
+        row = {}
+        for k in range(m + 1):
+            for ys in combinations(range(n, n + m), k):
+                exp = [0] * (2 * n)
+                exp[i - 1] = m - k
+                for slot in ys:
+                    exp[slot] = 1
+                row[tuple(exp)] = (-1) ** k
+        out = out * Poly(n, n, row)
     return out
 
 

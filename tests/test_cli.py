@@ -1,19 +1,21 @@
 """Command-line interface: parsing, output discipline, exit codes."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schubstab import cli
 from schubstab.bimodule import GraphTwistEntry
 from schubstab.cli import int_list, main, rational
 from schubstab.poly import Poly
+from test_json_golden import GOLDEN
 
 
 def run(argv, capsys):
@@ -381,6 +383,27 @@ _TREES = st.recursive(
 )
 
 
+# Polynomials in x-only and x-and-y rings (nvars 0 included), with negative
+# coefficients, non-integer ones over different denominators, and exponents
+# of 64 and more, which need fields wider than the default six bits.
+_COEFFS = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from([1, 1, 2, 3, 4, 6, 9])
+)
+
+
+@st.composite
+def _polys(draw):
+    nx = draw(st.integers(0, 3))
+    ny = draw(st.sampled_from([0, 0, 1, 2]))
+    exponent = st.one_of(st.integers(0, 3), st.integers(60, 70))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[exponent] * (nx + ny)), _COEFFS, max_size=6
+        )
+    )
+    return Poly(nx, ny, terms)
+
+
 class TestJsonWriter:
     """cli._json_text renders what json.dumps(sort_keys=True, indent=2)
     renders, byte for byte, and refuses what the exact contract excludes."""
@@ -389,6 +412,22 @@ class TestJsonWriter:
     @given(_TREES)
     def test_matches_json_dumps(self, obj):
         assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_polys())
+    @example(Poly.zero(2))
+    @example(Poly.zero(0, 0))
+    @example(Poly.const(Fraction(-3, 4), 0, 0))
+    @example(Poly(2, 1, {(0, 0, 0): Fraction(1, 2), (1, 64, 0): -3, (0, 1, 2): Fraction(5, 6)}))
+    def test_renders_a_poly_as_json_dumps_renders_its_to_json(self, p):
+        placements = [
+            lambda q: q,
+            lambda q: {"double": True, "poly": q, "w": [2, 1]},
+            lambda q: {"entries": [{"delta": q, "n": 0}, q], "n": 2},
+        ]
+        for place in placements:
+            want = json.dumps(place(p.to_json()), sort_keys=True, indent=2)
+            assert cli._json_text(place(p)) == want
 
     @pytest.mark.parametrize(
         "obj",
@@ -404,6 +443,29 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             main(["hn", "p1", "--degrees", "1", "--json"])
         assert capsys.readouterr().out == ""
+
+
+class TestPolyPayloads:
+    """schubert and table graph-twists hand their Poly objects to
+    cli._json_text, which renders them without calling Poly.to_json."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "schubert --n 2 --w 2,1",
+            "schubert --n 3 --w 2,3,1 --double",
+            "schubert --n 5 --w 5,1,4,3,2 --double",
+            "table graph-twists --n 4",
+        ],
+    )
+    def test_golden_bytes_without_to_json(self, capsys, monkeypatch, command):
+        def refuse(self):
+            raise RuntimeError("Poly.to_json called by the CLI")
+
+        monkeypatch.setattr(Poly, "to_json", refuse)
+        code, out, _ = run([*command.split(), "--json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == {c: d for c, _, d in GOLDEN}[command]
 
 
 class TestUsageErrors:

@@ -77,6 +77,15 @@ def test_double_delta():
     assert double_delta(3) == (x1 - y1) * (x1 - y2) * (x2 - y1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_double_delta_matches_the_product_of_its_binomials(n):
+    want = Poly.one(n, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1 - i):
+            want = want * (Poly.x(i, n, n) - Poly.y(j, n, n))
+    assert double_delta(n) == want
+
+
 # ------------------------------------------------------ single alphabet
 
 
