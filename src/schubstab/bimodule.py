@@ -10,7 +10,10 @@ distinguished elements
           length(w) of schubert_v(-x) (x) schubert_u
 
 are unitriangular over that basis in length order, so they form a free
-basis too; Gamma_j is the span of the S_w with length(w) >= j.
+basis too; Gamma_j is the span of the S_w with length(w) >= j.  The right
+action multiplies the right factor: right_multiply re-expands each
+schubert_u * x^m over the Schubert basis, once per process for each
+(u, m), and slides the symmetric coefficients across the tensor.
 
 The evaluation map F_w sends f (x) g to g(x_{w(1)}, ..., x_{w(n)}) * f,
 i.e. it permutes the right factor's variables by w and multiplies.  The
@@ -24,13 +27,30 @@ w = (2,3,1) the value is the inversion product of (3,1,2); the two
 orientations agree on involutions.  Consequently the F_w matrix over any
 downward-closed length range is triangular with nonzero diagonal, which is
 the injectivity input the filtration argument needs.
+
+The matrix is built by the nil-Hecke descent recursion (Kostant and
+Kumar, "The nil Hecke ring and cohomology of G/P for a Kac-Moody group G",
+Adv. Math. 1986; Billey, "Kostant polynomials and the cohomology ring for
+G/B", Duke Math. J. 1999), not by one evaluation per entry.  The divided
+difference d_i is linear over the symmetric polynomials, so 1 (x) d_i is
+well defined on the bimodule; it sends S_u to S_{u s_i} when
+u s_i < u, and
+
+    F_w((1 (x) d_i) m) = (F_w(m) - F_{w s_i}(m)) / (x_{w(i)} - x_{w(i+1)}).
+
+So the column of S_v follows from the column of its parent u = v s_i at
+the first ascent i of v, the walk that builds the Schubert polynomials,
+and only the top column S_{w0} is evaluated by f_map, the definition.  The
+certificate assumes nothing it checks: every step's
+(1 (x) d_i) S_u = S_v is compared on the stored coordinates, and every
+division is exact or raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Mapping, Union
+from typing import Iterator, Mapping
 
 from .perms import (
     Permutation,
@@ -39,7 +59,7 @@ from .perms import (
     sort_key,
     symmetric_group,
 )
-from .poly import Poly, negate_x, permute_x, sum_of_products
+from .poly import Exponent, Poly, divide_exact, negate_x, permute_x, sum_of_products
 from .schubert import delta_w, expand_in_schubert_basis, schubert_poly
 
 
@@ -83,10 +103,6 @@ class BimoduleElement:
     def __sub__(self, other: "BimoduleElement") -> "BimoduleElement":
         return self + (-other)
 
-    def left_multiply(self, f: Union[Poly, int]) -> "BimoduleElement":
-        """The left R-action: multiply every coordinate by f."""
-        return BimoduleElement(self.n, {u: c * f for u, c in self.coords.items()})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BimoduleElement):
             return NotImplemented
@@ -122,47 +138,42 @@ def s_element(w: Permutation) -> BimoduleElement:
     )
 
 
-class _TwistedSchuberts(dict):
-    """permute_x(w, schubert_u) by u, for one w, computed on first lookup."""
-
-    def __init__(self, w: Permutation):
-        super().__init__()
-        self.w = w
-
-    def __missing__(self, u: Permutation) -> Poly:
-        out = self[u] = permute_x(self.w, schubert_poly(u))
-        return out
-
-
-@lru_cache(maxsize=1)
-def _twisted_schuberts(w: Permutation) -> _TwistedSchuberts:
-    """The row of w: kept for the last w only, which is all that a scan
-    over the F_w(S_w') with w outermost reuses, and at most n! polynomials."""
-    return _TwistedSchuberts(w)
-
-
 def f_map(w: Permutation, elem: BimoduleElement) -> Poly:
     """Evaluation against the w-twisted diagonal: sum of
     coordinate[u] * permute_x(w, schubert_u), added up in one sum of products."""
     if w.n != elem.n:
         raise ValueError(f"rank mismatch: {w.n} vs {elem.n}")
-    twisted = _twisted_schuberts(w)
-    return sum_of_products(((c, twisted[u]) for u, c in elem.coords.items()), elem.n)
+    return sum_of_products(
+        ((c, permute_x(w, schubert_poly(u))) for u, c in elem.coords.items()), elem.n
+    )
+
+
+# Keys: a permutation and the exponents of one term of a right factor, whose
+# degree nothing bounds.  The closure certificates reach n! * n of them at
+# rank n, 719 over ranks 1..5; the size bound drops the least recently used
+# key beyond 1024.
+@lru_cache(maxsize=1024)
+def _schubert_times_monomial(u: Permutation, exp: Exponent) -> tuple[tuple[Permutation, Poly], ...]:
+    """schubert_u * x^exp over the Schubert basis: (t, symmetric coefficient) pairs."""
+    return tuple(expand_in_schubert_basis(schubert_poly(u) * Poly.monomial(exp, 1, u.n)).items())
 
 
 def right_multiply(elem: BimoduleElement, g: Poly) -> BimoduleElement:
     """The right R-action in left coordinates.
 
-    Each schubert_u * g is re-expanded over the Schubert basis with
-    symmetric coefficients, which then slide across the tensor to the left;
-    the new coordinate at t is one sum of products c * sym.
+    Each schubert_u * x^m, for a term a x^m of g, is read over the Schubert
+    basis from the product table, whose symmetric coefficients then slide
+    across the tensor to the left; the new coordinate at t is one sum of
+    products of a * coordinate[u] with those coefficients.
     """
     if g.ny != 0 or g.nx != elem.n:
         raise ValueError("right factor must be an x-polynomial of matching rank")
     pairs: dict[Permutation, list[tuple[Poly, Poly]]] = {}
-    for u, c in elem.coords.items():
-        for t, sym in expand_in_schubert_basis(schubert_poly(u) * g).items():
-            pairs.setdefault(t, []).append((c, sym))
+    for exp, a in g.terms.items():
+        for u, c in elem.coords.items():
+            scaled = c if a == 1 else c * a
+            for t, sym in _schubert_times_monomial(u, exp):
+                pairs.setdefault(t, []).append((scaled, sym))
     return BimoduleElement(elem.n, {t: sum_of_products(p, elem.n) for t, p in pairs.items()})
 
 
@@ -214,35 +225,80 @@ def membership_in_gamma(elem: BimoduleElement, j: int) -> tuple[bool, dict[Permu
 
 # ------------------------------------------------------------ certificates
 
-# `verify soergel --n 5` (8 165 F-matrix pairs) takes 0.8 to 1.2 s on a 2-core
-# Xeon container under Python 3.11.7.  In process on the same host,
-# verify_bimodule_closure(5), which the command does not emit, takes 1.6 to
-# 2.3 s for its 600 products.  Rank 6 (720 S_w) ran past 45 s with Fraction
+# `verify soergel --n 5 --json` (8 165 F-matrix pairs) takes 0.6 to 0.65 s on
+# a 2-core Xeon container under Python 3.11.7, 0.4 s of it in
+# verify_filtration_identity(5).  In process on the same host,
+# verify_bimodule_closure(5), which the command does not emit, takes 1.0 to
+# 1.2 s for its 600 products.  Rank 6 (720 S_w) ran past 45 s with Fraction
 # coefficients and was not timed again.
 MAX_SOERGEL_RANK = 5
 check_soergel_rank = partial(check_rank, limit=MAX_SOERGEL_RANK, what="filtration certificates")
+
+
+def f_matrix_columns(n: int) -> Iterator[tuple[Permutation, int | None, dict[Permutation, Poly]]]:
+    """The F-matrix entries F_w(S_v) with length(w) <= length(v), one column
+    per v, longest v first, by the descent recursion (module docstring).
+
+    Yields (v, i, column), where column maps each w with length(w) <=
+    length(v) to F_w(S_v).  At w0, i is None and f_map evaluates the column
+    over all of S_n.  Every other column is divided out of its parent
+    u = v s_i at the first ascent i of v, which is longer and so already
+    built: F_w(S_u) and F_{w s_i}(S_u) both lie in u's column, and an entry
+    whose two parent entries are zero is zero.  The column of S_v holds
+    only if (1 (x) d_i) S_u = S_v, which the caller checks by
+    _descent_step_holds(v, i).
+    """
+    perms = symmetric_group(n)
+    w0 = perms[-1]
+    columns = {w0: {w: f_map(w, s_element(w0)) for w in perms}}
+    yield w0, None, columns[w0]
+    for v in reversed(perms[:-1]):
+        i = next(i for i in range(1, n) if v.word[i - 1] < v.word[i])
+        s = Permutation.simple(i, n)
+        parent = columns[v * s]
+        lv = v.length()
+        column = columns[v] = {}
+        for w in perms:
+            if w.length() > lv:
+                break
+            a, b = parent[w], parent[w * s]
+            if a.is_zero and b.is_zero:
+                column[w] = a
+            else:
+                column[w] = divide_exact(a - b, w.word[i - 1], w.word[i])
+        yield v, i, column
+
+
+def _descent_step_holds(v: Permutation, i: int) -> bool:
+    """(1 (x) d_i) S_{v s_i} = S_v, compared on stored coordinates: d_i
+    sends schubert_t to schubert_{t s_i} when t(i) > t(i+1) and to zero
+    otherwise, so each such t is relabelled t s_i and the rest dropped."""
+    s = Permutation.simple(i, v.n)
+    image = {
+        t * s: c for t, c in s_element(v * s).coords.items() if t.word[i - 1] > t.word[i]
+    }
+    return BimoduleElement(v.n, image) == s_element(v)
 
 
 def verify_filtration_identity(n: int) -> dict:
     """Check F_w(S_{w'}) over all pairs with length(w') >= length(w).
 
     Expected value: (-1)^{length(w)} * delta_w(w.inverse()) on the diagonal,
-    zero off it.
+    zero off it.  The entries come from f_matrix_columns; a column whose
+    descent step fails _descent_step_holds is named by w' alone, and its
+    entries are still checked.
     """
     check_soergel_rank(n)
-    perms = symmetric_group(n)
     pairs = 0
     violations: list[dict] = []
-    for w in perms:
-        lw = w.length()
-        sign = -1 if lw % 2 else 1
-        expected_diag = sign * delta_w(w.inverse())
-        for w_prime in perms:
-            if w_prime.length() < lw:
-                continue
-            pairs += 1
-            got = f_map(w, s_element(w_prime))
-            diagonal = w_prime == w
+    for w_prime, i, column in f_matrix_columns(n):
+        if i is not None and not _descent_step_holds(w_prime, i):
+            violations.append({"w_prime": w_prime.to_json(), "descent": i})
+        pairs += len(column)
+        sign = -1 if w_prime.length() % 2 else 1
+        expected_diag = sign * delta_w(w_prime.inverse())
+        for w, got in column.items():
+            diagonal = w == w_prime
             if (got == expected_diag) if diagonal else got.is_zero:
                 continue
             expected = expected_diag if diagonal else Poly.zero(n)

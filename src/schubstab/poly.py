@@ -20,7 +20,8 @@ needs more, so no exponent is ever refused.  The package reads terms only
 in packed form; `Fraction` and exponent tuples appear only at the edge:
 `as_fraction`, `coefficient`, `__str__`, the term walk that `to_json` and
 the CLI's JSON writer share, and the read-only `terms` view, whose len()
-is the number of terms.
+is the number of terms and which the package walks only for the few terms
+of a right factor in `bimodule.right_multiply`.
 
 Most of the package works in the pure-x ring (ny = 0); the y-block exists
 for two-alphabet polynomials and is inert under the group action and the
@@ -121,7 +122,8 @@ class _Terms(Mapping):
     """Read-only view of a Poly's terms: exponent tuples to nonzero Fractions.
 
     len() is the number of terms; iteration unpacks each exponent and every
-    lookup builds a Fraction, so the package itself never reads it.
+    lookup builds a Fraction, so the package walks it only where each term
+    is used whole, as a key of bimodule.right_multiply's product table.
     """
 
     __slots__ = ("_poly",)
@@ -275,11 +277,6 @@ class Poly:
 
     def coefficient(self, exp: Iterable[int]) -> Fraction:
         return Fraction(self._num.get(self._key(exp), 0), self._den)
-
-    def total_degree(self) -> int:
-        """Max total degree of a term; -1 for the zero polynomial."""
-        slots, bits = self.nx + self.ny, self._bits
-        return max((sum(_unpack(k, slots, bits)) for k in self._num), default=-1)
 
     def _graded(self, descending: bool = False) -> list[tuple[Exponent, int]]:
         """(exponent tuple, numerator) per term, by total degree, ascending or
@@ -564,6 +561,43 @@ def divided_difference(j: int, f: Poly) -> Poly:
     return Poly._reduced(f.nx, f.ny, out, f._den, f._bits, f._top)
 
 
+def divide_exact(f: Poly, a: int, b: int) -> Poly:
+    """f / (x_a - x_b) for a != b; ArithmeticError when it leaves a remainder.
+
+    Long division with x_a leading.  The terms are taken in falling degree
+    p of x_a: each one c x_a^p r with p > 0 puts c x_a^(p-1) r into the
+    quotient and hands c x_a^(p-1) x_b r down to degree p - 1, so what is
+    left at degree 0 is the remainder.  A handed-down exponent of x_b can
+    reach twice f's bound before it cancels, so the fields are first
+    widened to hold that.  An exact quotient keeps f's bound, its
+    denominator and, by Gauss's lemma, its content.
+    """
+    if a == b or not (1 <= a <= f.nx and 1 <= b <= f.nx):
+        raise ValueError(f"need two distinct x-indices in 1..{f.nx}, got {a} and {b}")
+    if not f._num:
+        return f
+    bits = max(f._bits, _width_for(2 * f._top))
+    slots = f.nx + f.ny
+    shift_a, unit_b = bits * (slots - a), 1 << (bits * (slots - b))
+    unit_a, mask = 1 << shift_a, (1 << bits) - 1
+    by_degree: dict[int, dict[int, int]] = {}
+    for key, c in f._at(bits).items():
+        by_degree.setdefault((key >> shift_a) & mask, {})[key] = c
+    quotient: dict[int, int] = {}
+    for p in range(max(by_degree), 0, -1):
+        lower = by_degree.setdefault(p - 1, {})
+        get = lower.get
+        for key, c in by_degree.pop(p, {}).items():
+            if c:
+                key -= unit_a
+                quotient[key] = c
+                key += unit_b
+                lower[key] = get(key, 0) + c
+    if any(by_degree[0].values()):
+        raise ArithmeticError(f"x{a} - x{b} does not divide {f}")
+    return Poly._trusted(f.nx, f.ny, quotient, f._den, bits, f._top)
+
+
 # ----------------------------------------------------- two-alphabet moves
 
 
@@ -604,15 +638,6 @@ def specialize_y_to_x(f: Poly) -> Poly:
     low = (1 << shift) - 1
     moved = (((k >> shift) + (k & low), c) for k, c in f._at(bits).items())
     return Poly._reduced(n, 0, _accumulate({}, moved), f._den, bits, top)
-
-
-def set_y_to_zero(f: Poly) -> Poly:
-    """Ring map y_i -> 0, landing in the pure-x ring: the terms whose
-    y-fields are all zero, shifted down past them."""
-    shift = f._bits * f.ny
-    low = (1 << shift) - 1
-    out = {k >> shift: c for k, c in f._num.items() if not k & low}
-    return Poly._reduced(f.nx, 0, out, f._den, f._bits, f._top)
 
 
 def negate_x(f: Poly) -> Poly:

@@ -183,12 +183,14 @@ def _integer_terms(f: Poly, bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(f._at(bits).items())
 
 
-# The three caches below serve expand_in_schubert_basis.  Its callers in the
-# package (right_multiply, under the filtration certificates) stay within
-# rank MAX_SOERGEL_RANK and degree length(w0) + 1, but no rank limit of the
-# function itself bounds them.  Here w has rank at most MAX_SCHUBERT_RANK, as
-# schubert_poly raises above it, and `bits` is one of the few field widths
-# that the expanded polynomials' degrees call for.
+# The three caches below serve expand_in_schubert_basis.  Its caller in the
+# package, bimodule's product table under the filtration certificates, stays
+# within rank MAX_SOERGEL_RANK and degree length(w0) + 1, but nothing bounds
+# the degree of a direct call, so the two caches keyed by exponents are
+# bounded by size, each well above what the certificates of every admitted
+# rank fill.  Here w has rank at most perms.MAX_ENUMERATED_RANK, as
+# symmetric_group raises above it, and `bits` is one of the few field widths
+# that the expanded polynomials' degrees call for, so it needs no size bound.
 @lru_cache(maxsize=None)
 def _dual_terms(w: Permutation, bits: int) -> tuple[tuple[int, int], ...]:
     """Terms of the element dual to schubert_poly(w) under the d_{w0} pairing.
@@ -203,8 +205,9 @@ def _dual_terms(w: Permutation, bits: int) -> tuple[tuple[int, int], ...]:
 
 # Keys: the strictly decreasing exponents that the expanded monomials sort
 # to; their length is a rank, but their entries grow with the degree, which
-# no rank limit bounds.
-@lru_cache(maxsize=None)
+# no rank limit bounds.  The closure certificates at ranks 1..5 reach 19 of
+# them; the size bound drops the least recently used key beyond 64.
+@lru_cache(maxsize=64)
 def _top_divided_difference(lam: Exponent, bits: int) -> tuple[tuple[int, int], ...]:
     """d_{w0}(x^lam) for strictly decreasing lam: a Schur polynomial."""
     out = Poly.monomial(lam, 1, len(lam))
@@ -215,8 +218,9 @@ def _top_divided_difference(lam: Exponent, bits: int) -> tuple[tuple[int, int], 
 
 
 # Keys: every packed monomial of every expanded polynomial; no rank limit
-# bounds them.
-@lru_cache(maxsize=None)
+# bounds them.  The closure certificates at ranks 1..5 reach 487 of them; the
+# size bound drops the least recently used key beyond 1024.
+@lru_cache(maxsize=1024)
 def _expand_monomial(alpha: int, n: int, bits: int) -> tuple[tuple[Permutation, dict[Exponent, int]], ...]:
     """The coefficients c_w of x^alpha (packed `bits` wide in n fields), each
     as {lam: k} meaning the sum of k * d_{w0}(x^lam) over strictly

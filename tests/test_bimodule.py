@@ -7,6 +7,7 @@ Rank-4 sweeps are in the acceptance suite.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from schubstab.bimodule import (
     MAX_SOERGEL_RANK,
     BimoduleElement,
     f_map,
+    f_matrix_columns,
     graph_twist_table,
     membership_in_gamma,
     right_multiply,
@@ -28,7 +30,12 @@ from schubstab.bimodule import (
 )
 from schubstab.perms import Permutation, symmetric_group
 from schubstab.poly import Poly, random_poly
-from schubstab.schubert import delta_w, schubert_poly, specialization_check
+from schubstab.schubert import (
+    delta_w,
+    expand_in_schubert_basis,
+    schubert_poly,
+    specialization_check,
+)
 
 
 def x(i, n):
@@ -37,6 +44,12 @@ def x(i, n):
 
 def perm(*word):
     return Permutation(tuple(word))
+
+
+def left_multiply(elem, f):
+    """The left R-action: every coordinate times f, the oracle the left-linear
+    checks multiply by."""
+    return BimoduleElement(elem.n, {u: c * f for u, c in elem.coords.items()})
 
 
 def oracle_qualifying_pairs(n):
@@ -103,7 +116,7 @@ def test_f_map_is_left_linear():
     s1 = perm(2, 1)
     for _ in range(5):
         f = random_poly(rng, 2, max_degree=3, n_terms=3)
-        elem = s_element(s1).left_multiply(f)
+        elem = left_multiply(s_element(s1), f)
         assert f_map(s1, elem) == f * f_map(s1, s_element(s1))
 
 
@@ -235,7 +248,7 @@ def test_left_right_actions_commute():
             elem = BimoduleElement(n, coords)
             f = random_poly(rng, n, max_degree=2, n_terms=2)
             g = random_poly(rng, n, max_degree=2, n_terms=2)
-            assert right_multiply(elem.left_multiply(f), g) == right_multiply(elem, g).left_multiply(f)
+            assert right_multiply(left_multiply(elem, f), g) == left_multiply(right_multiply(elem, g), f)
 
 
 def test_right_action_is_associative_on_products():
@@ -243,6 +256,39 @@ def test_right_action_is_associative_on_products():
     elem = BimoduleElement(2, {e: Poly.one(2)})
     g, h = x(1, 2), x(2, 2)
     assert right_multiply(right_multiply(elem, g), h) == right_multiply(elem, g * h)
+
+
+def _right_multiply_oracle(elem, g):
+    """Every schubert_u * g expanded directly, with no product table."""
+    out = BimoduleElement(elem.n, {})
+    for u, c in elem.coords.items():
+        expanded = BimoduleElement(elem.n, expand_in_schubert_basis(schubert_poly(u) * g))
+        out = out + left_multiply(expanded, c)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_table_equals_direct_expansion_for_every_variable(n):
+    for u in symmetric_group(n):
+        one = BimoduleElement(n, {u: Poly.one(n)})
+        for k in range(1, n + 1):
+            g = x(k, n)
+            want = BimoduleElement(n, expand_in_schubert_basis(schubert_poly(u) * g))
+            assert right_multiply(one, g) == want, (u, k)
+
+
+def test_product_table_is_linear_over_a_multi_term_factor():
+    n = 4
+    g = x(1, n) * x(3, n) - Fraction(2, 3) * x(2, n) ** 2 + 5
+    for u in symmetric_group(n):
+        one = BimoduleElement(n, {u: Poly.one(n)})
+        want = BimoduleElement(n, expand_in_schubert_basis(schubert_poly(u) * g))
+        assert right_multiply(one, g) == want, u
+    rng = random.Random(29)
+    elem = BimoduleElement(
+        n, {u: random_poly(rng, n, max_degree=2, n_terms=2) for u in symmetric_group(n)[::5]}
+    )
+    assert right_multiply(elem, g) == _right_multiply_oracle(elem, g)
 
 
 # ------------------------------------------------------------- filtration
@@ -261,7 +307,7 @@ def test_s_basis_coordinates_round_trip():
             sc = s_basis_coordinates(elem)
             rebuilt = BimoduleElement(n, {})
             for w, c in sc.items():
-                rebuilt = rebuilt + s_element(w).left_multiply(c)
+                rebuilt = rebuilt + left_multiply(s_element(w), c)
             assert rebuilt == elem
 
 
@@ -428,15 +474,24 @@ def test_ranks_beyond_budget_are_refused_before_any_work(monkeypatch):
             graph_twist_table(n)
 
 
+def _plant_in_column(monkeypatch, w_prime, w, fault):
+    """Replace F_w(S_{w'}) by fault(F_w(S_{w'})) where the recursion hands its
+    column to the certificate; the columns the recursion divides on are
+    left as they are."""
+    real = bimodule_module.f_matrix_columns
+
+    def planted(n):
+        for v, i, column in real(n):
+            if v == w_prime:
+                column = {**column, w: fault(column[w])}
+            yield v, i, column
+
+    monkeypatch.setattr(bimodule_module, "f_matrix_columns", planted)
+
+
 def test_certificates_name_a_wrong_diagonal_entry(monkeypatch):
     bad = perm(2, 3, 1)
-    real_f_map = f_map
-
-    def corrupted(w, elem):
-        got = real_f_map(w, elem)
-        return got + 1 if w == bad and elem == s_element(bad) else got
-
-    monkeypatch.setattr("schubstab.bimodule.f_map", corrupted)
+    _plant_in_column(monkeypatch, bad, bad, lambda got: got + 1)
     identity = verify_filtration_identity(3)
     assert [(v["w"], v["w_prime"]) for v in identity["violations"]] == [([2, 3, 1], [2, 3, 1])]
     cert = verify_triangular_injectivity(identity)
@@ -446,19 +501,60 @@ def test_certificates_name_a_wrong_diagonal_entry(monkeypatch):
 
 def test_certificates_name_a_nonzero_off_diagonal_entry(monkeypatch):
     w, w_prime = perm(2, 1, 3), perm(2, 3, 1)
-    real_f_map = f_map
-
-    def corrupted(v, elem):
-        got = real_f_map(v, elem)
-        return got + x(1, 3) if v == w and elem == s_element(w_prime) else got
-
-    monkeypatch.setattr("schubstab.bimodule.f_map", corrupted)
+    _plant_in_column(monkeypatch, w_prime, w, lambda got: got + x(1, 3))
     identity = verify_filtration_identity(3)
     assert identity["pairs"] == oracle_qualifying_pairs(3)
     assert identity["violations"] == [
         {"w": [2, 1, 3], "w_prime": [2, 3, 1], "got": "x1", "expected": "0"}
     ]
     assert verify_triangular_injectivity(identity)["determinant_nonzero"] is False
+
+
+# --------------------------------------------------- the descent recursion
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_recursion_equals_f_map_on_every_qualifying_pair(n):
+    pairs = 0
+    for v, i, column in f_matrix_columns(n):
+        assert list(column) == [w for w in symmetric_group(n) if w.length() <= v.length()]
+        for w, got in column.items():
+            pairs += 1
+            assert got == f_map(w, s_element(v)), (w, v)
+    assert pairs == oracle_qualifying_pairs(n)
+
+
+def test_descent_step_names_a_planted_coordinate(monkeypatch):
+    # S_{(2,3,1)} is divided out of S_{w0} at i = 1.  Its coordinate at e
+    # has no descent at 2, so the step from it to its child (2,1,3) still
+    # holds, and only (2,3,1) is named; its F-entries stay right, since the
+    # recursion reads no coordinate below w0.
+    bad = perm(2, 3, 1)
+    real = s_element
+
+    def planted(w):
+        elem = real(w)
+        if w != bad:
+            return elem
+        e = Permutation.identity(3)
+        return BimoduleElement(3, {**elem.coords, e: elem.coords[e] + x(2, 3)})
+
+    monkeypatch.setattr(bimodule_module, "s_element", planted)
+    identity = verify_filtration_identity(3)
+    assert identity["violations"] == [{"w_prime": [2, 3, 1], "descent": 1}]
+    assert identity["pairs"] == oracle_qualifying_pairs(3)
+    assert verify_triangular_injectivity(identity)["determinant_nonzero"] is False
+
+
+def test_division_by_a_linear_form_is_exact_or_raises(monkeypatch):
+    real = bimodule_module.divide_exact
+
+    def off_by_one(f, a, b):
+        return real(f + 1, a, b)
+
+    monkeypatch.setattr(bimodule_module, "divide_exact", off_by_one)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        verify_filtration_identity(3)
 
 
 # ------------------------------------------------------------ degree table

@@ -1,9 +1,18 @@
-"""The package namespace: every exported name resolves, none is listed twice."""
+"""The package namespace: every exported name resolves, none is listed twice,
+and the helpers that only tests use live in the tests."""
 
 import schubstab
+from schubstab.bimodule import BimoduleElement
+from schubstab.poly import Poly
 
 
 def test_all_names_resolve_and_are_unique():
     assert len(schubstab.__all__) == len(set(schubstab.__all__))
     missing = [name for name in schubstab.__all__ if not hasattr(schubstab, name)]
     assert missing == []
+
+
+def test_test_only_helpers_are_not_in_the_package():
+    assert not hasattr(schubstab.poly, "set_y_to_zero")
+    assert not hasattr(Poly, "total_degree")
+    assert not hasattr(BimoduleElement, "left_multiply")

@@ -23,12 +23,12 @@ from schubstab.poly import (
     Poly,
     _SuffixTable,
     demazure_word_count,
+    divide_exact,
     divided_difference,
     is_symmetric,
     negate_x,
     permute_x,
     random_poly,
-    set_y_to_zero,
     specialize_y_to_x,
     verify_demazure_relations,
     widen_with_y,
@@ -38,6 +38,18 @@ from schubstab.poly import (
 
 def x(i, n):
     return Poly.x(i, n)
+
+
+def total_degree(f):
+    """Max total degree of a term, -1 for the zero polynomial: the degree
+    oracle of the divided-difference and expansion tests."""
+    return max((sum(e) for e in f.terms), default=-1)
+
+
+def set_y_to_zero(f):
+    """Ring map y_i -> 0 into the pure-x ring: the oracle by which double
+    Schubert polynomials recover single ones."""
+    return Poly(f.nx, 0, {e[: f.nx]: c for e, c in f.terms.items() if not any(e[f.nx :])})
 
 
 def demazure_along_word(letters, f):
@@ -154,8 +166,8 @@ def test_a_poly_equals_itself_and_refuses_other_operands():
 
 def test_degrees():
     f = x(1, 3) ** 2 * x(2, 3) + x(3, 3)
-    assert f.total_degree() == 3
-    assert Poly.zero(3).total_degree() == -1
+    assert total_degree(f) == 3
+    assert total_degree(Poly.zero(3)) == -1
     assert max(e[0] for e in f.terms) == 2
     assert max(e[2] for e in f.terms) == 1
     assert sorted({sum(e) for e in f.terms}) == [1, 3]
@@ -250,7 +262,7 @@ def test_divided_difference_kills_symmetric_and_drops_degree():
     f = x(1, 3) ** 3 * x(2, 3)
     g = divided_difference(1, f)
     assert len({sum(e) for e in f.terms}) == 1
-    assert g.total_degree() == f.total_degree() - 1
+    assert total_degree(g) == total_degree(f) - 1
 
 
 def test_divided_difference_output_invariance_implies_square_zero():
@@ -498,6 +510,37 @@ def test_divided_difference_multiplies_back(data):
     root = Poly.x(j, nx, ny) - Poly.x(j + 1, nx, ny)
     sj = Permutation.simple(j, nx)
     assert root * divided_difference(j, f) == f - permute_x(sj, f)
+
+
+def test_divide_exact_frozen():
+    f = x(1, 3) ** 2 - x(2, 3) ** 2
+    assert divide_exact(f, 1, 2) == x(1, 3) + x(2, 3)
+    assert divide_exact(f, 2, 1) == -x(1, 3) - x(2, 3)
+    assert divide_exact(Poly.zero(3), 1, 3).is_zero
+    # A handed-down x2 exponent reaches 63, the top of a six-bit field.
+    top = x(1, 2) ** 63 - x(2, 2) ** 63
+    assert divide_exact(top, 1, 2) == sum(x(1, 2) ** k * x(2, 2) ** (62 - k) for k in range(63))
+    for a, b in ((1, 1), (0, 2), (1, 4)):
+        with pytest.raises(ValueError, match="distinct x-indices"):
+            divide_exact(f, a, b)
+    for rest in (Poly.one(3), x(1, 3), x(3, 3) ** 2 * x(1, 3)):
+        with pytest.raises(ArithmeticError, match="x1 - x2 does not divide"):
+            divide_exact(f + rest, 1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_divide_exact_undoes_a_linear_factor(data):
+    nx = data.draw(st.integers(2, 4))
+    ny = data.draw(st.sampled_from((0, nx)))
+    f = data.draw(_polys(nx, ny))
+    a, b = data.draw(st.permutations(range(1, nx + 1)))[:2]
+    root = Poly.x(a, nx, ny) - Poly.x(b, nx, ny)
+    q = divide_exact(root * f, a, b)
+    _assert_clean(q)
+    assert q == f
+    with pytest.raises(ArithmeticError):
+        divide_exact(root * f + Poly.x(a, nx, ny) ** data.draw(st.integers(0, 3)), a, b)
 
 
 @settings(max_examples=80, deadline=None)

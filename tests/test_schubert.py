@@ -9,13 +9,14 @@ import random
 
 import pytest
 
+import schubstab.bimodule as bimodule_module
 import schubstab.schubert as schubert_module
+from schubstab.bimodule import BimoduleElement
 from schubstab.perms import Permutation, symmetric_group
 from schubstab.poly import (
     Poly,
     is_symmetric,
     random_poly,
-    set_y_to_zero,
     specialize_y_to_x,
     sum_of_products,
     widen_with_y,
@@ -30,7 +31,7 @@ from schubstab.schubert import (
     specialization_check,
     staircase,
 )
-from test_poly import demazure
+from test_poly import demazure, set_y_to_zero, total_degree
 
 
 def x(i, n):
@@ -126,7 +127,7 @@ def test_schubert_poly_nonnegative_integer_coefficients_rank4():
         f = schubert_poly(w)
         assert not f.is_zero
         assert {sum(e) for e in f.terms} == {w.length()}
-        assert f.total_degree() == w.length()
+        assert total_degree(f) == w.length()
         for c in f.terms.values():
             assert c.denominator == 1 and c > 0
 
@@ -269,6 +270,31 @@ def test_expansion_builds_only_the_coefficients_it_returns(monkeypatch, u, k):
     assert got == expected
     assert list(got) == [w for w in symmetric_group(5) if w in got]
     assert sum_of_products(((c, schubert_poly(w)) for w, c in got.items()), 5) == f
+
+
+def test_expansion_caches_stay_within_their_bounds():
+    """x1^d at rank 3 adds exponent keys at every degree d, which no rank
+    limit bounds: the caches keyed by exponents keep at most their size
+    bound, and the one keyed by permutations at most the rank-3 group per
+    field width (one width here, as every exponent stays below 64)."""
+    by_size = (
+        schubert_module._expand_monomial,
+        schubert_module._top_divided_difference,
+        bimodule_module._schubert_times_monomial,
+    )
+    duals = schubert_module._dual_terms
+    duals_before = duals.cache_info().currsize
+    one = BimoduleElement(3, {Permutation.identity(3): Poly.one(3)})
+    for d in range(1, 41):
+        g = x(1, 3) ** d
+        assert bimodule_module.right_multiply(one, g).coords == expand_in_schubert_basis(g)
+        for cache in by_size:
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize, cache
+    assert duals.cache_info().currsize - duals_before <= len(symmetric_group(3))
+    # The 40 expansions meet more Schur shapes than that bound holds.
+    info = schubert_module._top_divided_difference.cache_info()
+    assert info.currsize == info.maxsize
 
 
 def test_expand_rejects_y_variables():
