@@ -56,7 +56,6 @@ from typing import Iterable, Union
 from .perms import (
     Permutation,
     longest_reduced_word_count,
-    reduced_words,
     symmetric_group,
 )
 
@@ -675,8 +674,11 @@ def random_poly(
     return Poly(nx, ny, terms)
 
 
-# verify_demazure_relations walks every reduced word of every permutation;
-# the longest one has 768 words at n = 5 and 292 864 at n = 6.
+# The rank gate of verify_demazure_relations, in reduced words of the
+# longest permutation: 768 at n = 5 and 292 864 at n = 6.  The certificate
+# makes n!(n-1)/2 + 2(n-1) divided differences per trial, not one per
+# reduced word, so this count does not measure its cost.  The limit stands
+# so that rank 6 keeps its refusal and its message.
 MAX_LONGEST_WORDS = 10_000
 
 
@@ -706,9 +708,9 @@ class _SuffixTable(dict):
     """Composites of divided differences along words, for one polynomial f.
 
     The entry of the empty word is f, and the entry of (a,) + tail is
-    divided_difference(a, self[tail]): rightmost letter first, the way
-    reduced_words builds its words from those of shorter permutations.
-    Entries are computed on first lookup.
+    divided_difference(a, self[tail]): rightmost letter first, so a word
+    (a,) + first(v) of w = s_a v costs one divided difference once the
+    first word of v is in the table.  Entries are computed on first lookup.
     """
 
     def __init__(self, f: Poly):
@@ -717,6 +719,33 @@ class _SuffixTable(dict):
     def __missing__(self, word: tuple[int, ...]) -> Poly:
         out = self[word] = divided_difference(word[0], self[word[1:]])
         return out
+
+
+def _descent_words(n: int) -> Iterator[tuple[Permutation, list[tuple[int, ...]], bool]]:
+    """Per w of rank n, in symmetric_group order: the words (a,) + first(s_a w)
+    over the left descents a of w, ascending, and whether w has two or more
+    reduced words.
+
+    first(w) is the lexicographically first reduced word of w, which is
+    (min descent,) + first(s_min w), so it is built in one pass up the
+    group with no word enumerated.  Every reduced word of w is (a,) + t
+    with t a reduced word of s_a w, and the words listed here are those
+    with t = first(s_a w), first(w) first.  w has two or more reduced words
+    when it has two or more descents, or one descent a and s_a w has two or
+    more.
+    """
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    several: dict[tuple[int, ...], bool] = {}
+    for w in symmetric_group(n):
+        # Keyed by one-line words: s_a w swaps the values a and a + 1.
+        below = [
+            (a, tuple(a + 1 if v == a else a if v == a + 1 else v for v in w.word))
+            for a in w.left_descents()
+        ]
+        words = [(a,) + first[v] for a, v in below]
+        first[w.word] = words[0] if words else ()
+        several[w.word] = len(below) > 1 or any(several[v] for _, v in below)
+        yield w, words, several[w.word]
 
 
 def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
@@ -728,12 +757,29 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     of divided differences along a reduced word of w is the same for every
     reduced word.
 
+    Reduced-word independence is proved by induction on length.  For each
+    w, in length order, and each left descent a other than the least, the
+    composite along (a,) + first(s_a w) is compared with the one along
+    first(w), the lexicographically first reduced word of w.  If every
+    shorter permutation passed, every reduced word (a,) + t of w has the
+    composite d_a applied to that of s_a w, so a clean pass proves the
+    claim for every reduced word.  A violation names w, the trial and the
+    word (a,) + first(s_a w) that disagrees with first(w): two reduced
+    words of w that give different composites.  Against comparing every
+    reduced word with the first, the violations are a subsequence of that
+    check's, empty exactly when it is, and in each trial they name every
+    shortest w that it names; above those, where a shorter permutation
+    already failed, they may name fewer words.  The count of
+    reduced_word_independence is the number of w with two or more reduced
+    words, times trials.
+
     Every composite is read from one suffix table per trial polynomial, so
-    each distinct word suffix is applied once: d_j d_j f, both sides of the
-    braid and commuting relations, d_j f and d_j g in the Leibniz rule, and
-    every reduced word's composite.  Only d_j(fg) is applied outside a
-    table.  Tables are keyed by words, never by permutations: a permutation
-    key would give every reduced word of w one value, which is the claim
+    each distinct word is applied once: d_j d_j f, both sides of the braid
+    and commuting relations, d_j f and d_j g in the Leibniz rule, and
+    n!(n-1)/2 reduced-word composites, one per (w, left descent).  Only
+    d_j(fg) is applied outside a table, with fg formed once per trial.
+    Tables are keyed by words, never by permutations: a permutation key
+    would give every reduced word of w one value, which is the claim
     under test.  Ranks below 2, and ranks whose longest permutation has
     more than MAX_LONGEST_WORDS reduced words, are refused with ValueError
     by demazure_word_count before any work.
@@ -768,16 +814,17 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     for t, f_table in enumerate(tables):
         g_table = tables[(t + 1) % len(tables)]
         f, g = f_table[()], g_table[()]
+        fg = f * g
         for j in range(1, n):
             counts["leibniz"] += 1
-            lhs = divided_difference(j, f * g)
-            rhs = f_table[(j,)] * g + permute_x(Permutation.simple(j, n), f) * g_table[(j,)]
+            lhs = divided_difference(j, fg)
+            sj_f = permute_x(Permutation.simple(j, n), f)
+            rhs = sum_of_products(((f_table[(j,)], g), (sj_f, g_table[(j,)])), n)
             if lhs != rhs:
                 violations.append({"relation": "leibniz", "j": j, "trial": t})
 
-    for w in symmetric_group(n):
-        words = reduced_words(w)
-        if len(words) < 2:
+    for w, words, several in _descent_words(n):
+        if not several:
             continue
         for t, table in enumerate(tables):
             counts["reduced_word_independence"] += 1

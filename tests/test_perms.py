@@ -206,6 +206,15 @@ def test_longest_word_count_s4():
     assert longest_reduced_word_count(7) == 1100742656
 
 
+def test_reduced_words_refuses_rank_7_before_any_word(monkeypatch):
+    """Rank 7's longest permutation has 1 100 742 656 reduced words."""
+    assert reduced_words(Permutation.simple(1, 6)) == ((1,),)
+    monkeypatch.setattr(Permutation, "left_descents", None)
+    for n in (7, 8):
+        with pytest.raises(ValueError, match=f"rank {n} is outside 1..6 for reduced words"):
+            reduced_words(Permutation.longest(n))
+
+
 # ------------------------------------------------------------ enumeration
 
 

@@ -8,6 +8,7 @@ the packed core against an unpacked tuple-and-Fraction oracle, with
 exponents at the top of a field.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -364,6 +365,63 @@ def test_certificate_names_a_wrong_divided_difference(monkeypatch, n):
     assert fault in named
     assert named == _plain_word_violations(n, polys)
     assert all(v["trial"] == 0 for v in named)
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(any(item == other for other in rest) for item in short)
+
+
+def test_certificate_names_the_shortest_failure_of_a_planted_fault(monkeypatch):
+    """A fault that survives later divided differences makes many words of
+    longer permutations disagree.  The certificate compares one word per
+    left descent with the first word, so it names a subsequence of the
+    word-by-word violations, none for a clean trial, and every shortest
+    failing w of a faulty one."""
+    n, trials, seed = 4, 3, 5
+    rng = random.Random(seed)
+    polys = [random_poly(rng, n) for _ in range(trials)]
+    real = divided_difference
+    planted = Poly.monomial((4, 2, 1, 0), 1, n)
+    faults = ((1, polys[0]), (3, polys[2]))
+
+    def wrong(j, g):
+        out = real(j, g)
+        return out + planted if (j, g) in faults else out
+
+    monkeypatch.setattr(poly_module, "divided_difference", wrong)
+    cert = verify_demazure_relations(n, trials, seed)
+    named = [v for v in cert["violations"] if v["relation"] == "reduced_word_independence"]
+    oracle = _plain_word_violations(n, polys)
+    assert len(oracle) > len(named)
+    assert _is_subsequence(named, oracle)
+    for t in range(trials):
+        mine = [Permutation(v["w"]) for v in named if v["trial"] == t]
+        theirs = [Permutation(v["w"]) for v in oracle if v["trial"] == t]
+        assert bool(mine) == bool(theirs) == (t != 1)
+        if theirs:
+            shortest = min(w.length() for w in theirs)
+            assert min(w.length() for w in mine) == shortest
+            assert {w for w in mine if w.length() == shortest} == {
+                w for w in theirs if w.length() == shortest
+            }
+
+
+@pytest.mark.parametrize("n, trials, seed, calls", [(5, 1, 7, 248), (4, 20, 5, 840)])
+def test_certificate_makes_one_divided_difference_per_descent(monkeypatch, n, trials, seed, calls):
+    """Per trial: one per (w, left descent), n!(n-1)/2 in all, plus d_j d_j f
+    and d_j(fg) for each j."""
+    made = []
+    real = divided_difference
+
+    def counted(j, g):
+        made.append(j)
+        return real(j, g)
+
+    monkeypatch.setattr(poly_module, "divided_difference", counted)
+    verify_demazure_relations(n, trials, seed)
+    descents = math.factorial(n) * (n - 1) // 2
+    assert len(made) == calls == trials * (descents + 2 * (n - 1))
 
 
 def _plain_relation_violations(n, polys):
