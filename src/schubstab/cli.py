@@ -40,7 +40,7 @@ from .bimodule import (
 )
 from .lattice import ChargeParams, verify_charge_transforms
 from .perms import Permutation
-from .poly import Poly, demazure_word_count, verify_demazure_relations
+from .poly import Poly, check_demazure_rank, verify_demazure_relations
 from .schubert import double_schubert, schubert_poly
 from .stability import (
     SplitSheafP1,
@@ -191,7 +191,7 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_verify_demazure(args) -> int:
-    demazure_word_count(args.n)
+    check_demazure_rank(args.n)
     _progress(f"checking divided-difference relations at n={args.n} ...")
     cert = verify_demazure_relations(args.n, args.trials, args.seed)
     _emit(args, cert, _cert_lines(cert))

@@ -48,9 +48,10 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, Sequence, Union
 
+from .perms import check_rank
 from .poly import as_fraction
 
 Scalar = Union[int, Fraction]
@@ -64,14 +65,7 @@ Scalar = Union[int, Fraction]
 MAX_LATTICE_RANK = 12
 
 
-def _check_rank(n: int) -> None:
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    if n > MAX_LATTICE_RANK:
-        raise ValueError(
-            f"rank {n} exceeds the limit of {MAX_LATTICE_RANK} "
-            f"(a class has 2^{n} components)"
-        )
+check_lattice_rank = partial(check_rank, limit=MAX_LATTICE_RANK, what="charge lattices")
 
 
 @dataclass(frozen=True)
@@ -114,9 +108,6 @@ class ExactComplex:
 
     __rmul__ = __mul__
 
-    def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def to_json(self) -> dict:
         return {"re": str(self.re), "im": str(self.im)}
 
@@ -146,7 +137,7 @@ class ChargeParams:
         object.__setattr__(self, "b", as_fraction(self.b))
         if self.a <= 0:
             raise ValueError("parameter a must be positive")
-        _check_rank(self.n)
+        check_lattice_rank(self.n)
         q = math.lcm(self.a.denominator, self.b.denominator)
         big_a, big_b = int(self.a * q), int(self.b * q)
         re_nums, im_nums = [], []
@@ -197,7 +188,7 @@ class LatticeVector:
     __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, components: Mapping[Iterable[int], Scalar]):
-        _check_rank(n)
+        check_lattice_rank(n)
         values = [Fraction(0)] * (1 << n)
         given: set[int] = set()
         for key, value in components.items():
@@ -321,7 +312,7 @@ def v_of_line_bundle(c: Sequence[Scalar]) -> LatticeVector:
     q_i and the old half p_i.
     """
     n = len(c)
-    _check_rank(n)
+    check_lattice_rank(n)
     nums, den = [1], 1
     for degree in map(as_fraction, c):
         p, q = degree.numerator, degree.denominator
@@ -444,7 +435,7 @@ def isogeny_pushforward(m: int, vec: LatticeVector) -> LatticeVector:
 def random_lattice_vector(rng: random.Random, n: int) -> LatticeVector:
     """Integer components uniform in [-10, 10] over all 2^n subsets, drawn
     in display order."""
-    _check_rank(n)
+    check_lattice_rank(n)
     masks = _display_order(n)
     return _from_masks(n, masks, [rng.randint(-10, 10) for _ in masks])
 

@@ -53,11 +53,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .perms import (
-    Permutation,
-    longest_reduced_word_count,
-    symmetric_group,
-)
+from .perms import MAX_ENUMERATED_RANK, Permutation, check_rank, symmetric_group
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -674,34 +670,12 @@ def random_poly(
     return Poly(nx, ny, terms)
 
 
-# The rank gate of verify_demazure_relations, in reduced words of the
-# longest permutation: 768 at n = 5 and 292 864 at n = 6.  The certificate
-# makes n!(n-1)/2 + 2(n-1) divided differences per trial, not one per
-# reduced word, so this count does not measure its cost.  The limit stands
-# so that rank 6 keeps its refusal and its message.
-MAX_LONGEST_WORDS = 10_000
-
-
-def demazure_word_count(n: int) -> int:
-    """Number of reduced words of the longest permutation of rank n.
-
-    This is the one gate of verify_demazure_relations, run before any work.
-    Raises ValueError for n < 2, which has no relation to check, and beyond
-    MAX_LONGEST_WORDS.  The count grows with the rank, so ranks are tried
-    upwards and the first one over the limit refuses: a huge n never
-    reaches the factorial of n(n-1)/2.
-    """
+def check_demazure_rank(n: int) -> None:
+    """The gate of verify_demazure_relations: n < 2 has no relation to
+    check, and the certificate walks symmetric_group(n), whose limit binds."""
     if n < 2:
         raise ValueError("need at least two variables")
-    count = 1
-    for k in range(2, n + 1):
-        count = longest_reduced_word_count(k)
-        if count > MAX_LONGEST_WORDS:
-            raise ValueError(
-                f"rank {n} has at least {count} reduced words for its longest "
-                f"permutation, beyond the limit of {MAX_LONGEST_WORDS}"
-            )
-    return count
+    check_rank(n, MAX_ENUMERATED_RANK, "divided-difference relations")
 
 
 class _SuffixTable(dict):
@@ -780,11 +754,12 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     d_j(fg) is applied outside a table, with fg formed once per trial.
     Tables are keyed by words, never by permutations: a permutation key
     would give every reduced word of w one value, which is the claim
-    under test.  Ranks below 2, and ranks whose longest permutation has
-    more than MAX_LONGEST_WORDS reduced words, are refused with ValueError
-    by demazure_word_count before any work.
+    under test.  No reduced word is listed, so the cost per trial is those
+    n!(n-1)/2 + 2(n-1) divided differences, and the rank is bounded by the
+    group the certificate walks: check_demazure_rank refuses n < 2 and
+    n > MAX_ENUMERATED_RANK with ValueError before any work.
     """
-    demazure_word_count(n)
+    check_demazure_rank(n)
     rng = random.Random(seed)
     tables = [_SuffixTable(random_poly(rng, n)) for _ in range(trials)]
     violations: list[dict] = []

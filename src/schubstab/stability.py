@@ -35,10 +35,10 @@ from .lattice import (
     ExactComplex,
     LatticeVector,
     _charge_numerators,
-    _check_rank,
     _display_order,
     _from_masks,
     central_charge,
+    check_lattice_rank,
     twist,
     vector_from_rank_deg,
 )
@@ -204,7 +204,7 @@ def scan_class_count(n: int, bound: int) -> int:
     below 1 and a count beyond MAX_SCAN_CLASSES, so a caller can refuse a
     scan before starting it.
     """
-    _check_rank(n)
+    check_lattice_rank(n)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     side = 2 * bound + 1

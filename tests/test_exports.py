@@ -3,6 +3,7 @@ and the helpers that only tests use live in the tests."""
 
 import schubstab
 from schubstab.bimodule import BimoduleElement
+from schubstab.lattice import ExactComplex
 from schubstab.poly import Poly
 
 
@@ -16,3 +17,13 @@ def test_test_only_helpers_are_not_in_the_package():
     assert not hasattr(schubstab.poly, "set_y_to_zero")
     assert not hasattr(Poly, "total_degree")
     assert not hasattr(BimoduleElement, "left_multiply")
+    assert not hasattr(ExactComplex, "abs_squared")
+    for module, name in (
+        (schubstab.perms, "reduced_words"),
+        (schubstab.perms, "longest_reduced_word_count"),
+        (schubstab.perms, "MAX_REDUCED_WORDS_RANK"),
+        (schubstab.poly, "demazure_word_count"),
+        (schubstab.poly, "MAX_LONGEST_WORDS"),
+        (schubstab, "reduced_words"),
+    ):
+        assert not hasattr(module, name), name

@@ -3,16 +3,16 @@
 Each entry is a command line (without --json), the exit code it gives and
 the SHA-256 of its --json stdout.  The list holds every command the README
 shows, the stability round of bench/rounds.py at seeds 5 and 13, the
-round's `verify soergel` and `verify demazure` operations, the n = 3 box
-scan, the commands refused with exit 2 before any work (their stdout
-is empty), and the large documents: the 12 rank-5 `schubert --double`
-operations of the demazure round, two rank-6 double Schubert polynomials
-(the longest permutation, which is the seed itself, and 1,5,2,6,3,4, far
-down the weak order from it), a rank-7 double one far below the rank-7
-seed (1,5,2,7,3,6,4), a rank-10 single one, and the rank-4 and rank-5
-graph-twist tables.  A change to the library's representation or
-algorithms, or to how the CLI renders JSON, must leave all of these bytes
-alone.
+round's `verify soergel` and `verify demazure` operations, `verify
+demazure` at ranks 6 and 7, the n = 3 box scan, the commands refused with
+exit 2 before any work (their stdout is empty), and the large documents:
+the 12 rank-5 `schubert --double` operations of the demazure round, two
+rank-6 double Schubert polynomials (the longest permutation, which is
+the seed itself, and 1,5,2,6,3,4, far down the weak order from it), a
+rank-7 double one far below the rank-7 seed (1,5,2,7,3,6,4), a rank-10
+single one, and the rank-4 and rank-5 graph-twist tables.  A change to
+the library's representation or algorithms, or to how the CLI renders
+JSON, must leave all of these bytes alone.
 
 When an output changes on purpose, recompute its entry from the repository
 root with
@@ -94,7 +94,11 @@ GOLDEN = [
      "aa0acc32540fb75ad43e8515246c250a2d2dd4fb1868d708172667f233318cbe"),
     ("scan bayer --n 2", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("verify demazure --n 6", 2,
+    ("verify demazure --n 6", 0,
+     "cc5aa98b3102254e45ecaaa492061e3e4437189921b19ab70561a68e665bf638"),
+    ("verify demazure --n 7 --trials 1 --seed 7", 0,
+     "8ec649495580904732bd63109aa956a97efb6dc1c0cf62e33fbca21ccb69f6a1"),
+    ("verify demazure --n 8", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify soergel --n 2", 0,
      "35cb70c40652c47f66a4d1bb73b132f7b6af07534ac8f93cf5f1d5b788f6fd1e"),

@@ -157,9 +157,6 @@ class TestExactComplex:
         assert (u - u).is_zero
         assert -v == ExactComplex.of(F(-1, 3), 1)
 
-    def test_abs_squared(self):
-        assert ExactComplex.of(3, 4).abs_squared() == 25
-
     def test_parts_are_fractions(self):
         z = ExactComplex(2, F(1, 3))
         assert type(z.re) is Fraction and type(z.im) is Fraction
@@ -209,6 +206,7 @@ class TestLatticeVector:
 
     def test_rank_budget(self):
         big = MAX_LATTICE_RANK + 1
+        refusal = f"is outside 1..{MAX_LATTICE_RANK} for charge lattices"
         for build in (
             lambda: LatticeVector(big, {}),
             lambda: LatticeVector(40, {}),
@@ -219,10 +217,10 @@ class TestLatticeVector:
             lambda: scan_class_count(big, 1),
             lambda: scan_class_count(30, 1),
         ):
-            with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_LATTICE_RANK}"):
+            with pytest.raises(ValueError, match=refusal):
                 build()
         assert v_of_point(MAX_LATTICE_RANK).component(()) == 1
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match=f"rank 0 {refusal}"):
             LatticeVector(0, {})
 
     def test_json_sorted_nonzero_only(self):

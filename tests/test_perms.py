@@ -4,7 +4,9 @@ Oracles used to freeze expected values:
   - inversion sets by direct double-loop pair scan,
   - composition by pointwise evaluation p(q(i)),
   - reduced words by exhaustive search over all letter sequences of the
-    right length,
+    right length, against the descent recursion `reduced_words` below,
+    which test_poly uses to list every word the certificate's induction
+    stands in for,
   - length distribution via the q-factorial, built by polynomial convolution.
 """
 
@@ -15,8 +17,6 @@ import pytest
 from schubstab.perms import (
     Permutation,
     length_additive_factorizations,
-    longest_reduced_word_count,
-    reduced_words,
     symmetric_group,
 )
 
@@ -54,6 +54,19 @@ def oracle_reduced_words(w):
         if product_of_simples(letters, n) == w:
             found.append(letters)
     return sorted(found)
+
+
+def reduced_words(w):
+    """All reduced words for w, sorted lexicographically: (a,) + t over the
+    left descents a of w, ascending, and the reduced words t of s_a w.
+    Uncached; rank 6's longest permutation has 292 864 words."""
+    if w.is_identity:
+        return ((),)
+    return tuple(
+        (a,) + tail
+        for a in w.left_descents()
+        for tail in reduced_words(Permutation.simple(a, w.n) * w)
+    )
 
 
 def oracle_length_distribution(n):
@@ -197,22 +210,9 @@ def test_reduced_words_properties_s4():
 
 
 def test_longest_word_count_s4():
-    # Known count for the longest element of rank 4.
-    assert len(reduced_words(Permutation.longest(4))) == 16
-    # Stanley's closed form against the enumeration, then known values.
-    for n in range(1, 6):
-        assert longest_reduced_word_count(n) == len(reduced_words(Permutation.longest(n)))
-    assert longest_reduced_word_count(6) == 292864
-    assert longest_reduced_word_count(7) == 1100742656
-
-
-def test_reduced_words_refuses_rank_7_before_any_word(monkeypatch):
-    """Rank 7's longest permutation has 1 100 742 656 reduced words."""
-    assert reduced_words(Permutation.simple(1, 6)) == ((1,),)
-    monkeypatch.setattr(Permutation, "left_descents", None)
-    for n in (7, 8):
-        with pytest.raises(ValueError, match=f"rank {n} is outside 1..6 for reduced words"):
-            reduced_words(Permutation.longest(n))
+    # Stanley's count N! / prod_{i=1}^{n-1} (2i - 1)^{n-i}, N = n(n-1)/2.
+    for n, count in ((1, 1), (2, 1), (3, 2), (4, 16), (5, 768)):
+        assert len(reduced_words(Permutation.longest(n))) == count
 
 
 # ------------------------------------------------------------ enumeration

@@ -18,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schubstab.poly as poly_module
-from schubstab.perms import Permutation, reduced_words, symmetric_group
+from schubstab.perms import Permutation, symmetric_group
 from schubstab.poly import (
-    MAX_LONGEST_WORDS,
     Poly,
     _SuffixTable,
-    demazure_word_count,
+    check_demazure_rank,
     divide_exact,
     divided_difference,
     is_symmetric,
@@ -35,6 +34,7 @@ from schubstab.poly import (
     widen_with_y,
     x_to_neg_y,
 )
+from test_perms import reduced_words
 
 
 def x(i, n):
@@ -320,10 +320,13 @@ def test_suffix_table_matches_word_by_word():
                 assert value == demazure_along_word(word, f)
 
 
-def _plain_word_violations(n, polys):
-    """The reduced-word-independence loop with word-by-word composites."""
+def _plain_word_violations(n, polys, max_length=math.inf):
+    """The reduced-word-independence loop with word-by-word composites, over
+    the w of length at most max_length."""
     out = []
     for w in symmetric_group(n):
+        if w.length() > max_length:
+            break
         words = reduced_words(w)
         if len(words) < 2:
             continue
@@ -377,37 +380,50 @@ def test_certificate_names_the_shortest_failure_of_a_planted_fault(monkeypatch):
     longer permutations disagree.  The certificate compares one word per
     left descent with the first word, so it names a subsequence of the
     word-by-word violations, none for a clean trial, and every shortest
-    failing w of a faulty one."""
-    n, trials, seed = 4, 3, 5
-    rng = random.Random(seed)
-    polys = [random_poly(rng, n) for _ in range(trials)]
+    failing w of a faulty one.
+
+    Both lists are in length order and are cut at length 6, all of S4,
+    which keeps those claims: at n = 6 the word-by-word oracle would apply
+    all 1 095 266 reduced words of S6 per trial, and up to length 6 it
+    applies 2 432."""
+    trials, seed, max_length = 3, 5, 6
     real = divided_difference
-    planted = Poly.monomial((4, 2, 1, 0), 1, n)
-    faults = ((1, polys[0]), (3, polys[2]))
+    for n in (4, 6):
+        rng = random.Random(seed)
+        polys = [random_poly(rng, n) for _ in range(trials)]
+        planted = Poly.monomial((4, 2, 1) + (0,) * (n - 3), 1, n)
+        faults = ((1, polys[0]), (3, polys[2]))
 
-    def wrong(j, g):
-        out = real(j, g)
-        return out + planted if (j, g) in faults else out
+        def wrong(j, g):
+            out = real(j, g)
+            return out + planted if (j, g) in faults else out
 
-    monkeypatch.setattr(poly_module, "divided_difference", wrong)
-    cert = verify_demazure_relations(n, trials, seed)
-    named = [v for v in cert["violations"] if v["relation"] == "reduced_word_independence"]
-    oracle = _plain_word_violations(n, polys)
-    assert len(oracle) > len(named)
-    assert _is_subsequence(named, oracle)
-    for t in range(trials):
-        mine = [Permutation(v["w"]) for v in named if v["trial"] == t]
-        theirs = [Permutation(v["w"]) for v in oracle if v["trial"] == t]
-        assert bool(mine) == bool(theirs) == (t != 1)
-        if theirs:
-            shortest = min(w.length() for w in theirs)
-            assert min(w.length() for w in mine) == shortest
-            assert {w for w in mine if w.length() == shortest} == {
-                w for w in theirs if w.length() == shortest
-            }
+        monkeypatch.setattr(poly_module, "divided_difference", wrong)
+        cert = verify_demazure_relations(n, trials, seed)
+        named = [
+            v
+            for v in cert["violations"]
+            if v["relation"] == "reduced_word_independence"
+            and Permutation(v["w"]).length() <= max_length
+        ]
+        oracle = _plain_word_violations(n, polys, max_length)
+        assert len(oracle) > len(named)
+        assert _is_subsequence(named, oracle)
+        for t in range(trials):
+            mine = [Permutation(v["w"]) for v in named if v["trial"] == t]
+            theirs = [Permutation(v["w"]) for v in oracle if v["trial"] == t]
+            assert bool(mine) == bool(theirs) == (t != 1)
+            if theirs:
+                shortest = min(w.length() for w in theirs)
+                assert min(w.length() for w in mine) == shortest
+                assert {w for w in mine if w.length() == shortest} == {
+                    w for w in theirs if w.length() == shortest
+                }
 
 
-@pytest.mark.parametrize("n, trials, seed, calls", [(5, 1, 7, 248), (4, 20, 5, 840)])
+@pytest.mark.parametrize(
+    "n, trials, seed, calls", [(5, 1, 7, 248), (4, 20, 5, 840), (6, 2, 7, 3620), (7, 1, 7, 15132)]
+)
 def test_certificate_makes_one_divided_difference_per_descent(monkeypatch, n, trials, seed, calls):
     """Per trial: one per (w, left descent), n!(n-1)/2 in all, plus d_j d_j f
     and d_j(fg) for each j."""
@@ -477,18 +493,18 @@ def test_certificate_names_a_wrong_first_difference_in_every_relation(monkeypatc
 
 
 def test_demazure_budget_refuses_before_any_work(monkeypatch):
-    assert demazure_word_count(5) == 768 <= MAX_LONGEST_WORDS
-    assert demazure_word_count(2) == 1
+    """The certificate walks symmetric_group(n), so its limit is the group's."""
+    for n in (2, 7):
+        check_demazure_rank(n)
 
     def boom(*args):
         raise AssertionError("check started")
 
     monkeypatch.setattr(poly_module, "random_poly", boom)
     monkeypatch.setattr(poly_module, "divided_difference", boom)
-    with pytest.raises(ValueError, match="at least 292864 reduced words"):
-        verify_demazure_relations(6, 1, 0)
-    with pytest.raises(ValueError, match="beyond the limit"):
-        demazure_word_count(10**9)
+    for n in (8, 10**9):
+        with pytest.raises(ValueError, match=f"rank {n} is outside 1..7 for divided-difference"):
+            verify_demazure_relations(n, 1, 0)
     for n in (0, 1):
         with pytest.raises(ValueError, match="need at least two variables"):
             verify_demazure_relations(n, 1, 0)
