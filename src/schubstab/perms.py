@@ -20,7 +20,7 @@ from functools import lru_cache
 
 @dataclass(frozen=True)
 class Permutation:
-    """Permutation of {1..n} in one-line notation (a tuple of values)."""
+    """Permutation of {1..n} in one-line notation (a tuple of ints)."""
 
     word: tuple[int, ...]
 
@@ -30,6 +30,8 @@ class Permutation:
         n = len(word)
         if n == 0:
             raise ValueError("rank must be at least 1")
+        if any(type(v) is not int for v in word):
+            raise TypeError(f"permutation entries must be ints: {word!r}")
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {word!r}")
 

@@ -16,12 +16,12 @@ A field must never carry into its neighbour.  Every Poly keeps an upper
 bound on its exponents; a product, and the y -> x specialization, which
 adds fields, first check the bound of their result and repack into wider
 fields when it does not fit.  The width is _FIELD_BITS unless an exponent
-needs more, so no exponent is ever refused.  The package reads terms only
-in packed form; `Fraction` and exponent tuples appear only at the edge:
-`as_fraction`, `coefficient`, `__str__`, the term walk that `to_json` and
-the CLI's JSON writer share, and the read-only `terms` view, whose len()
-is the number of terms and which the package walks only for the few terms
-of a right factor in `bimodule.right_multiply`.
+needs more, so no exponent is refused for its size.  The package reads
+terms only in packed form; `Fraction` and exponent tuples appear only at
+the edge: `as_fraction`, `__str__`, the term walk that `to_json` and the
+CLI's JSON writer share, and `terms`, a read-only mapping of exponent
+tuples to Fractions unpacked afresh on each read, which the package reads
+only for the few terms of a right factor in `bimodule.right_multiply`.
 
 Most of the package works in the pure-x ring (ny = 0); the y-block exists
 for two-alphabet polynomials and is inert under the group action and the
@@ -37,12 +37,13 @@ swapped; if p = q, it is 0 (Macdonald, Notes on Schubert Polynomials,
 1991, ch. II).
 
 `Poly(nx, ny, terms)` and every named constructor validate their input:
-exponent tuples of width nx + ny, no negative exponent, coefficients
-converted by `as_fraction` (a float is refused) and zeros dropped.  Results
-the module computes itself are built already in normal form and wrapped by
-`Poly._trusted`, which checks nothing, or by `Poly._reduced`, which only
-drops zero terms and cancels the common content of numerators and
-denominator.
+exponent tuples of width nx + ny whose entries are nonnegative ints (any
+other type, a float, a Fraction or a bool, is refused with TypeError),
+coefficients converted by `as_fraction` (a float is refused) and zeros
+dropped.  Results the module computes itself are built already in normal
+form and wrapped by `Poly._trusted`, which checks nothing, or by
+`Poly._reduced`, which only drops zero terms and cancels the common
+content of numerators and denominator.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import random
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Union
 
 from .perms import MAX_ENUMERATED_RANK, Permutation, check_rank, symmetric_group
@@ -113,39 +115,6 @@ def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]]) -> dict[i
     return acc
 
 
-class _Terms(Mapping):
-    """Read-only view of a Poly's terms: exponent tuples to nonzero Fractions.
-
-    len() is the number of terms; iteration unpacks each exponent and every
-    lookup builds a Fraction, so the package walks it only where each term
-    is used whole, as a key of bimodule.right_multiply's product table.
-    """
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: "Poly"):
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly._num)
-
-    def __iter__(self):
-        p = self._poly
-        slots = p.nx + p.ny
-        for key in p._num:
-            yield _unpack(key, slots, p._bits)
-
-    def __getitem__(self, exp) -> Fraction:
-        p = self._poly
-        c = p._num.get(p._key(exp))
-        if c is None:
-            raise KeyError(exp)
-        return Fraction(c, p._den)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
 class Poly:
     """Immutable sparse polynomial: integer numerators over a shared
     denominator, keyed by packed exponents (see the module docstring)."""
@@ -158,9 +127,11 @@ class Poly:
         clean: dict[Exponent, Fraction] = {}
         width = nx + ny
         for exp, c in terms.items():
-            exp = tuple(e if isinstance(e, int) else _integral(e) for e in exp)
+            exp = tuple(exp)
             if len(exp) != width:
                 raise ValueError(f"exponent {exp} has {len(exp)} slots, ring has {width}")
+            if any(type(e) is not int for e in exp):
+                raise TypeError(f"exponent {exp!r} must hold ints")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
             c = as_fraction(c)
@@ -215,18 +186,15 @@ class Poly:
         slots, old = self.nx + self.ny, self._bits
         return {_pack(_unpack(k, slots, old), bits): c for k, c in self._num.items()}
 
-    def _key(self, exp) -> int | None:
-        """The packed key of an exponent sequence, or None when no term of
-        this ring can have it."""
-        exp = tuple(exp)
-        if len(exp) != self.nx + self.ny or not all(0 <= e <= self._top and e == int(e) for e in exp):
-            return None
-        return _pack(map(int, exp), self._bits)
-
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
-        """Read-only view: exponent tuples to nonzero Fraction coefficients."""
-        return _Terms(self)
+        """Read-only mapping of exponent tuples to nonzero Fraction
+        coefficients, in the order of the packed terms, unpacked afresh on
+        each read."""
+        slots, bits, den = self.nx + self.ny, self._bits, self._den
+        return MappingProxyType(
+            {_unpack(k, slots, bits): Fraction(c, den) for k, c in self._num.items()}
+        )
 
     # ------------------------------------------------------- constructors
 
@@ -269,9 +237,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self._num
-
-    def coefficient(self, exp: Iterable[int]) -> Fraction:
-        return Fraction(self._num.get(self._key(exp), 0), self._den)
 
     def _graded(self, descending: bool = False) -> list[tuple[Exponent, int]]:
         """(exponent tuple, numerator) per term, by total degree, ascending or
@@ -428,13 +393,6 @@ class Poly:
         """Schema: {"nvars": k, "terms": [{"exp": [...], "num": "...", "den": "..."}]}."""
         terms = [{"exp": list(exp), "num": num, "den": den} for exp, num, den in self._json_terms()]
         return {"nvars": self.nx + self.ny, "terms": terms}
-
-
-def _integral(e) -> int:
-    """An exponent given as a non-int number, as an int if it is integral."""
-    if e != int(e):
-        raise ValueError(f"exponent {e!r} is not an integer")
-    return int(e)
 
 
 def sum_of_products(pairs: Iterable[tuple[Poly, Poly]], nx: int, ny: int = 0) -> Poly:
@@ -613,11 +571,9 @@ def x_to_neg_y(f: Poly, nx: int) -> Poly:
     """Send a pure-x polynomial f(x_1..x_k) to f(-y_1..-y_k) in Q[x_1..x_nx, y].
 
     The y-block is the least significant one, so every key stays as it is
-    and only odd-degree terms change sign."""
+    and the signs are those of negate_x(f)."""
     _require_pure_x(f)
-    odd = _low_bits(f.nx, f._bits)
-    out = {k: -c if (k & odd).bit_count() & 1 else c for k, c in f._num.items()}
-    return Poly._trusted(nx, f.nx, out, f._den, f._bits, f._top)
+    return Poly._trusted(nx, f.nx, negate_x(f)._num, f._den, f._bits, f._top)
 
 
 def specialize_y_to_x(f: Poly) -> Poly:

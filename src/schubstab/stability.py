@@ -417,6 +417,14 @@ def weaken_twist(fact: RelationFact) -> RelationFact:
     return RelationFact(fact.twist - 1, fact.shift, fact.strict)
 
 
+# A reachable goal (a_j, j) is j restriction steps and j*N - a_j
+# weakenings, each recorded in the certificate, and nothing else bounds N.
+# At this limit `derive chain --adegrees 1 --N 100000` takes 0.43 s, and
+# with --json 0.9-1.0 s at 131 MiB for 17.8 MB of output (whole process,
+# 2-core Xeon, Python 3.11.7).
+MAX_CHAIN_STEPS = 100_000
+
+
 def derive_twist_chain(a_degrees: Sequence[int], big_n: int) -> list[dict]:
     """Derive the goal (a_j, j, strict) for each j, or refuse.
 
@@ -424,13 +432,21 @@ def derive_twist_chain(a_degrees: Sequence[int], big_n: int) -> list[dict]:
     which caps the twist at j*N; weakening then lowers the twist one step
     at a time.  So the goal is derivable exactly when a_j <= j*N, and when
     it is not, the certificate names the obstruction instead of asserting.
+    Raises ValueError before any step when the reachable goals take more
+    than MAX_CHAIN_STEPS steps in all.
     """
     if big_n < 1:
         raise ValueError("N must be positive")
-    certificates: list[dict] = []
+    total = 0
     for j, a in enumerate(a_degrees, start=1):
         if a < 1:
             raise ValueError(f"a_{j} must be a positive integer, got {a}")
+        if a <= j * big_n:
+            total += j + j * big_n - a
+    if total > MAX_CHAIN_STEPS:
+        raise ValueError(f"chain of {total} steps exceeds the limit of {MAX_CHAIN_STEPS}")
+    certificates: list[dict] = []
+    for j, a in enumerate(a_degrees, start=1):
         goal = {"twist": a, "shift": j, "strict": True}
         entry: dict = {
             "check": "twist_chain",

@@ -266,6 +266,20 @@ class TestDeriveCommand:
         blob = json.loads(out)
         assert [c["achievable"] for c in blob["certificates"]] == [True, True]
 
+    def test_oversized_chain_is_refused(self, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("chain started")
+
+        monkeypatch.setattr("schubstab.stability.compose_relations", boom)
+        argv = ["derive", "chain", "--adegrees", "1", "--N", "1000000000"]
+        for extra in ([], ["--json"]):
+            code, out, err = run(argv + extra, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [
+                "error: chain of 1000000000 steps exceeds the limit of 100000"
+            ]
+
 
 class TestTableCommand:
     def test_graph_twists_rank2(self, capsys):

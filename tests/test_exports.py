@@ -24,6 +24,10 @@ def test_test_only_helpers_are_not_in_the_package():
         (schubstab.perms, "MAX_REDUCED_WORDS_RANK"),
         (schubstab.poly, "demazure_word_count"),
         (schubstab.poly, "MAX_LONGEST_WORDS"),
+        (schubstab.poly, "_Terms"),
+        (schubstab.poly, "_integral"),
+        (Poly, "coefficient"),
+        (Poly, "_key"),
         (schubstab, "reduced_words"),
     ):
         assert not hasattr(module, name), name

@@ -98,6 +98,9 @@ def test_identity_and_validation():
         Permutation.identity(0)
     with pytest.raises(ValueError):
         Permutation.longest(0)
+    for word in ((2.0, 1.0), (True,)):
+        with pytest.raises(TypeError, match="must be ints"):
+            Permutation(word)
 
 
 def test_simple_reflections():

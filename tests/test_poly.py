@@ -107,6 +107,11 @@ def test_construction_validation():
         Poly.x(3, 2)
     with pytest.raises(ValueError):
         Poly.y(1, 2, 0)
+    for e in (2.0, Fraction(2), True):
+        with pytest.raises(TypeError, match="must hold ints"):
+            Poly(2, 0, {(e, 1): 3})
+        with pytest.raises(TypeError, match="must hold ints"):
+            Poly.monomial((1, e), 1, 2)
 
 
 def test_arithmetic_laws_random():
@@ -805,7 +810,7 @@ def test_widen_and_neg_y_embeddings():
     f = x(1, 2) + 2 * x(2, 2)
     wide = widen_with_y(f, 2)
     assert wide.nx == 2 and wide.ny == 2
-    assert wide.coefficient((1, 0, 0, 0)) == 1
+    assert wide.terms[(1, 0, 0, 0)] == 1
     neg = x_to_neg_y(f, 2)
     assert neg == -Poly.y(1, 2, 2) - 2 * Poly.y(2, 2, 2)
     # Signs alternate with degree.

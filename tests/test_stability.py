@@ -395,6 +395,17 @@ class TestTwistChain:
             derive_twist_chain([0], 3)
         with pytest.raises(ValueError):
             derive_twist_chain([1], 0)
+        with pytest.raises(ValueError, match="chain of 1000000000 steps exceeds"):
+            derive_twist_chain([1], 10**9)
+
+    def test_step_budget(self, monkeypatch):
+        # [2, 5] at N = 3 takes 2 + 3 steps, as its words show; [1, 5]
+        # takes 3 + 3, and the budget sums over the reachable goals only.
+        monkeypatch.setattr("schubstab.stability.MAX_CHAIN_STEPS", 5)
+        certs = derive_twist_chain([2, 5, 100], 3)
+        assert [len(c["steps"]) for c in certs] == [2, 3, 0]
+        with pytest.raises(ValueError, match="chain of 6 steps exceeds the limit of 5"):
+            derive_twist_chain([1, 5], 3)
 
     def test_replay(self):
         for cert in derive_twist_chain([1, 4, 9], 3):
