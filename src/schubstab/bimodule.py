@@ -89,20 +89,6 @@ class BimoduleElement:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def __add__(self, other: "BimoduleElement") -> "BimoduleElement":
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        out = dict(self.coords)
-        for u, c in other.coords.items():
-            out[u] = out.get(u, Poly.zero(self.n)) + c
-        return BimoduleElement(self.n, out)
-
-    def __neg__(self) -> "BimoduleElement":
-        return BimoduleElement(self.n, {u: -c for u, c in self.coords.items()})
-
-    def __sub__(self, other: "BimoduleElement") -> "BimoduleElement":
-        return self + (-other)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BimoduleElement):
             return NotImplemented
@@ -225,12 +211,12 @@ def membership_in_gamma(elem: BimoduleElement, j: int) -> tuple[bool, dict[Permu
 
 # ------------------------------------------------------------ certificates
 
-# `verify soergel --n 5 --json` (8 165 F-matrix pairs) takes 0.6 to 0.65 s on
-# a 2-core Xeon container under Python 3.11.7, 0.4 s of it in
-# verify_filtration_identity(5).  In process on the same host,
-# verify_bimodule_closure(5), which the command does not emit, takes 1.0 to
-# 1.2 s for its 600 products.  Rank 6 (720 S_w) ran past 45 s with Fraction
-# coefficients and was not timed again.
+# `verify soergel --n 5 --json` (8 165 F-matrix pairs) takes 0.35 to 0.47 s
+# on a 2-core Xeon container under Python 3.11.7.  In a fresh process on the
+# same host, verify_bimodule_closure(5), which the command does not emit,
+# takes 0.65 to 0.80 s for its 600 products.  Rank 6 (720 S_w), run in full
+# with this limit lifted, took 398.5 s for its 4 320 products, with no
+# violation and a 51 MiB peak.
 MAX_SOERGEL_RANK = 5
 check_soergel_rank = partial(check_rank, limit=MAX_SOERGEL_RANK, what="filtration certificates")
 
@@ -416,17 +402,14 @@ class GraphTwistEntry:
     degrees: tuple[int, ...]
 
     def payload(self) -> dict:
-        """to_json with delta left a Poly, which the CLI's JSON writer renders
-        as its to_json."""
+        """The row's JSON object, with delta left a Poly, which the CLI's JSON
+        writer renders as its to_json."""
         return {
             "w": self.w.to_json(),
             "inversions": [list(p) for p in self.inversion_set],
             "delta": self.delta,
             "degrees": list(self.degrees),
         }
-
-    def to_json(self) -> dict:
-        return {**self.payload(), "delta": self.delta.to_json()}
 
 
 # `table graph-twists --n 6 --json` takes 0.84 to 0.86 s on the same host, at

@@ -15,10 +15,12 @@ integer real and imaginary numerators over one positive common
 denominator.  Each level sum of a class is an int over the class's
 denominator, so a charge is two integer dot products with those
 numerators (_charge_numerators); central_charge makes the two Fractions
-of the result and nothing else.  The shadow scans in stability.py compare
-phases of integer-scaled charges by cross products.  Everything here is
-Fraction or int arithmetic; there is no floating point in any code path,
-and every entry point refuses a float with TypeError (poly.as_fraction).
+of the result and nothing else, and ExactComplex only carries them.  The
+shadow scans in stability.py order integer-scaled charges by the same
+strip test and ray order that PhasePoint applies to those Fractions.
+Everything here is Fraction or int arithmetic; there is no floating point
+in any code path, and every entry point refuses a float with TypeError
+(poly.as_fraction).
 
 A LatticeVector stores its components the way poly.Poly stores a
 polynomial: nums is a tuple of 2^n ints over one denominator den > 0, with
@@ -80,33 +82,6 @@ class ExactComplex:
             object.__setattr__(self, "re", as_fraction(self.re))
         if not isinstance(self.im, Fraction):
             object.__setattr__(self, "im", as_fraction(self.im))
-
-    @staticmethod
-    def of(re: Scalar, im: Scalar = 0) -> "ExactComplex":
-        return ExactComplex(re, im)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
-
-    def __mul__(self, other: Union["ExactComplex", Scalar]) -> "ExactComplex":
-        if isinstance(other, (int, Fraction)):
-            return ExactComplex(self.re * other, self.im * other)
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         return {"re": str(self.re), "im": str(self.im)}
@@ -170,7 +145,7 @@ def _display_order(n: int) -> tuple[int, ...]:
 
 def _mask(n: int, key: Iterable[int]) -> int:
     elements = set(key)
-    if not all(isinstance(i, int) and 1 <= i <= n for i in elements):
+    if not all(type(i) is int and 1 <= i <= n for i in elements):
         raise ValueError(f"subset {sorted(elements)} not within 1..{n}")
     return sum(1 << (i - 1) for i in elements)
 
@@ -404,7 +379,7 @@ def twist(vec: LatticeVector, c: Sequence[Scalar]) -> LatticeVector:
 
 
 def _check_isogeny_degree(m: int) -> None:
-    if not isinstance(m, int):
+    if type(m) is not int:
         raise TypeError(f"isogeny degree must be an int, not {m!r}")
     if m < 1:
         raise ValueError("isogeny degree must be positive")

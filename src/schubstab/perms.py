@@ -104,10 +104,6 @@ class Permutation:
         object.__setattr__(self, "_length", count)
         return count
 
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.word))
-
     def left_descents(self) -> list[int]:
         """Values a with length(s_a * w) < length(w), ascending.
 
@@ -125,8 +121,9 @@ class Permutation:
 
 
 def check_rank(n: int, limit: int, what: str) -> None:
-    """The rank gate of `what`: ValueError unless 1 <= n <= limit."""
-    if not 1 <= n <= limit:
+    """The rank gate of `what`: ValueError unless n is an int (not a bool)
+    with 1 <= n <= limit."""
+    if type(n) is not int or not 1 <= n <= limit:
         raise ValueError(f"rank {n} is outside 1..{limit} for {what}")
 
 

@@ -220,15 +220,6 @@ class Poly:
         return Poly(nx, ny, {tuple(exp): Fraction(1)})
 
     @staticmethod
-    def y(i: int, nx: int, ny: int) -> "Poly":
-        """The variable y_i (1-indexed)."""
-        if not 1 <= i <= ny:
-            raise ValueError(f"y-index {i} out of range for {ny} y-variables")
-        exp = [0] * (nx + ny)
-        exp[nx + i - 1] = 1
-        return Poly(nx, ny, {tuple(exp): Fraction(1)})
-
-    @staticmethod
     def monomial(exp: Iterable[int], coeff: Scalar, nx: int, ny: int = 0) -> "Poly":
         return Poly(nx, ny, {tuple(exp): coeff})
 

@@ -5,7 +5,10 @@ Im z > 0, or Im z = 0 and Re z < 0, determines theta in (0, 1] on the ray
 R_{>0} e^{i pi theta}; two such rays are compared by the sign of the cross
 product Re(z1)Im(z2) - Re(z2)Im(z1), with the negative real axis maximal.
 A homological shift k moves the phase into (k, k+1], so phase points order
-lexicographically by shift and then by ray.
+lexicographically by shift and then by ray.  _strip and _phase_below are
+the one strip test and the one ray order: they hold for Fraction parts and
+for integer multiples alike, so PhasePoint applies them to its charge and
+the shadow scans to integer-scaled charges.
 
 Three families of checks live here:
   * Harder-Narasimhan filtrations of split sheaves on the projective line,
@@ -34,6 +37,7 @@ from .lattice import (
     ChargeParams,
     ExactComplex,
     LatticeVector,
+    Scalar,
     _charge_numerators,
     _display_order,
     _from_masks,
@@ -44,11 +48,26 @@ from .lattice import (
 )
 
 
+def _strip(x: Scalar, y: Scalar) -> bool:
+    """Whether the charge x + iy lies on a ray with theta in (0, 1].  x and
+    y are the parts of a charge or any common positive multiple of them, as
+    Fractions or ints."""
+    return y > 0 or (y == 0 and x < 0)
+
+
+def _phase_below(x1: Scalar, y1: Scalar, x2: Scalar, y2: Scalar) -> bool:
+    """Whether the strip charge x1 + iy1 has a smaller theta than x2 + iy2,
+    phase one (the negative real axis) maximal; exact for Fractions or ints."""
+    if y1 == 0:
+        return False
+    if y2 == 0:
+        return True
+    return x1 * y2 - x2 * y1 > 0
+
+
 def in_strip(z: ExactComplex) -> bool:
     """Whether z lies on a ray with theta in (0, 1]."""
-    if z.is_zero:
-        return False
-    return z.im > 0 or (z.im == 0 and z.re < 0)
+    return _strip(z.re, z.im)
 
 
 @total_ordering
@@ -60,13 +79,8 @@ class PhasePoint:
     shift: int = 0
 
     def __post_init__(self):
-        z = self.charge
-        if z.is_zero:
-            raise ValueError("zero charge has no phase")
-        if z.im < 0:
-            raise ValueError("charge below the real axis is outside the strip")
-        if z.im == 0 and z.re > 0:
-            raise ValueError("positive real charge is outside the strip")
+        if not in_strip(self.charge):
+            raise ValueError(f"charge {self.charge} is outside the strip 0 < phase <= 1")
 
     @property
     def is_phase_one(self) -> bool:
@@ -92,12 +106,8 @@ class PhasePoint:
             return NotImplemented
         if self.shift != other.shift:
             return self.shift < other.shift
-        if self.is_phase_one:
-            return False
-        if other.is_phase_one:
-            return True
         z, w = self.charge, other.charge
-        return z.re * w.im - w.re * z.im > 0
+        return _phase_below(z.re, z.im, w.re, w.im)
 
     def __hash__(self) -> int:
         return hash((self.shift, self._ray()))
@@ -130,22 +140,17 @@ class SplitSheafP1:
     torsion_lengths: tuple[int, ...] = ()
 
     def __post_init__(self):
-        degs = tuple(sorted(self.bundle_degrees, reverse=True))
-        tors = tuple(sorted(self.torsion_lengths, reverse=True))
-        if not all(isinstance(d, int) for d in degs):
+        degs, tors = self.bundle_degrees, self.torsion_lengths
+        if not all(type(d) is int for d in degs):
             raise ValueError("bundle degrees must be integers")
-        if not all(isinstance(t, int) and t >= 1 for t in tors):
+        if not all(type(t) is int and t >= 1 for t in tors):
             raise ValueError("torsion lengths must be positive integers")
-        object.__setattr__(self, "bundle_degrees", degs)
-        object.__setattr__(self, "torsion_lengths", tors)
+        object.__setattr__(self, "bundle_degrees", tuple(sorted(degs, reverse=True)))
+        object.__setattr__(self, "torsion_lengths", tuple(sorted(tors, reverse=True)))
 
     @property
     def is_zero(self) -> bool:
         return not self.bundle_degrees and not self.torsion_lengths
-
-    @property
-    def summands(self) -> int:
-        return len(self.bundle_degrees) + len(self.torsion_lengths)
 
     def to_json(self) -> dict:
         return {
@@ -243,20 +248,6 @@ def _integer_charge_rows(
 
 def _dot(row: tuple[int, ...], values: tuple[int, ...]) -> int:
     return sum(map(operator.mul, row, values))
-
-
-def _strip(x: int, y: int) -> bool:
-    """in_strip for an integer-scaled charge x + iy."""
-    return y > 0 or (y == 0 and x < 0)
-
-
-def _phase_below(x1: int, y1: int, x2: int, y2: int) -> bool:
-    """PhasePoint order of two strip charges at shift 0, phase one maximal."""
-    if y1 == 0:
-        return False
-    if y2 == 0:
-        return True
-    return x1 * y2 - x2 * y1 > 0
 
 
 def _exact_phases(p: ChargeParams, vec: LatticeVector) -> tuple[PhasePoint, PhasePoint]:
@@ -391,7 +382,6 @@ class RelationFact:
 
 
 IDENTITY_FACT = RelationFact(0, 0, False)
-BAYER_FACT = RelationFact(1, 0, False)
 
 
 def restriction_fact(big_n: int) -> RelationFact:
@@ -435,11 +425,11 @@ def derive_twist_chain(a_degrees: Sequence[int], big_n: int) -> list[dict]:
     Raises ValueError before any step when the reachable goals take more
     than MAX_CHAIN_STEPS steps in all.
     """
-    if big_n < 1:
-        raise ValueError("N must be positive")
+    if type(big_n) is not int or big_n < 1:
+        raise ValueError(f"N must be a positive integer, got {big_n}")
     total = 0
     for j, a in enumerate(a_degrees, start=1):
-        if a < 1:
+        if type(a) is not int or a < 1:
             raise ValueError(f"a_{j} must be a positive integer, got {a}")
         if a <= j * big_n:
             total += j + j * big_n - a

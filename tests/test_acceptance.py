@@ -92,7 +92,7 @@ def test_criterion_03_specialization_identities():
     """Equal-alphabet collapse and the permuted specialization sweep."""
     for u in symmetric_group(4):
         collapsed = specialize_y_to_x(double_schubert(u))
-        expected = Poly.one(4) if u.is_identity else Poly.zero(4)
+        expected = Poly.one(4) if u == Permutation.identity(4) else Poly.zero(4)
         assert collapsed == expected, str(u)
     checked = 0
     for n in (3, 4):
@@ -164,14 +164,14 @@ def test_criterion_06_charge_transformation_laws():
 def test_criterion_07_skyscraper_normalization():
     """The point class has charge -1 and sits at the top of the strip."""
     rng = random.Random(55)
-    top = phase(ExactComplex.of(-1))
+    top = phase(ExactComplex(-1, 0))
     checked = 0
     for _ in range(10):
         a = F(rng.randint(1, 20), rng.randint(1, 9))
         b = F(rng.randint(-20, 20), rng.randint(1, 9))
         for n in (1, 2, 3):
             z = central_charge(ChargeParams(a, b, n), v_of_point(n))
-            assert z == ExactComplex.of(-1)
+            assert z == ExactComplex(-1, 0)
             assert phase(z) == top
             assert phase(z).is_phase_one
             checked += 1
@@ -256,7 +256,7 @@ def test_criterion_09_hn_oracle_equivalence():
         for degs in itertools.combinations_with_replacement(pool, bsize):
             for tors in ((1,), (2,), (1, 1), (1, 2), (2, 2)):
                 sheaf = SplitSheafP1(degs, tors)
-                if sheaf.summands <= 5:
+                if len(degs) + len(tors) <= 5:
                     check(sheaf)
     print(f"PASS HN oracle equivalence: {checked} split sheaves")
 

@@ -3,9 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,14 @@ from schubstab.bimodule import GraphTwistEntry
 from schubstab.cli import int_list, main, rational
 from schubstab.poly import Poly
 from test_json_golden import GOLDEN
+
+
+def child_env():
+    """os.environ with the directory this process imported schubstab from
+    first on PYTHONPATH, so a child interpreter runs the same sources."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def run(argv, capsys):
@@ -316,10 +326,10 @@ class TestTextModeBuildsNoPayload:
     )
     def test_text_mode_never_calls_to_json(self, capsys, monkeypatch, argv, text):
         def refuse(self):
-            raise RuntimeError("to_json called in text mode")
+            raise RuntimeError("JSON payload built in text mode")
 
         monkeypatch.setattr(Poly, "to_json", refuse)
-        monkeypatch.setattr(GraphTwistEntry, "to_json", refuse)
+        monkeypatch.setattr(GraphTwistEntry, "payload", refuse)
         assert run(argv, capsys) == (0, text, "")
 
 
@@ -511,6 +521,7 @@ class TestSharedParser:
                  *argv],
                 capture_output=True,
                 text=True,
+                env=child_env(),
             )
             fresh.append((proc.returncode, proc.stdout))
         assert [code for code, _ in in_process] == [2, 0, 0, 0, 0]
@@ -524,6 +535,7 @@ class TestConsoleScript:
              "import sys; from schubstab.cli import main; sys.exit(main(['schubert', '--n', '2', '--w', '2,1']))"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "x1"

@@ -2,9 +2,11 @@
 and the helpers that only tests use live in the tests."""
 
 import schubstab
-from schubstab.bimodule import BimoduleElement
+from schubstab.bimodule import BimoduleElement, GraphTwistEntry
 from schubstab.lattice import ExactComplex
+from schubstab.perms import Permutation
 from schubstab.poly import Poly
+from schubstab.stability import SplitSheafP1
 
 
 def test_all_names_resolve_and_are_unique():
@@ -28,6 +30,21 @@ def test_test_only_helpers_are_not_in_the_package():
         (schubstab.poly, "_integral"),
         (Poly, "coefficient"),
         (Poly, "_key"),
+        (Poly, "y"),
         (schubstab, "reduced_words"),
+        (ExactComplex, "of"),
+        (ExactComplex, "is_zero"),
+        (ExactComplex, "__add__"),
+        (ExactComplex, "__sub__"),
+        (ExactComplex, "__neg__"),
+        (ExactComplex, "__mul__"),
+        (ExactComplex, "__rmul__"),
+        (BimoduleElement, "__add__"),
+        (BimoduleElement, "__neg__"),
+        (BimoduleElement, "__sub__"),
+        (GraphTwistEntry, "to_json"),
+        (Permutation, "is_identity"),
+        (SplitSheafP1, "summands"),
+        (schubstab.stability, "BAYER_FACT"),
     ):
         assert not hasattr(module, name), name

@@ -60,7 +60,7 @@ def reduced_words(w):
     """All reduced words for w, sorted lexicographically: (a,) + t over the
     left descents a of w, ascending, and the reduced words t of s_a w.
     Uncached; rank 6's longest permutation has 292 864 words."""
-    if w.is_identity:
+    if not w.length():
         return ((),)
     return tuple(
         (a,) + tail
@@ -142,8 +142,8 @@ def test_inverse():
     w = Permutation((2, 3, 1))
     assert w.inverse().word == (3, 1, 2)
     for p in symmetric_group(4):
-        assert (p * p.inverse()).is_identity
-        assert (p.inverse() * p).is_identity
+        assert p * p.inverse() == Permutation.identity(4)
+        assert p.inverse() * p == Permutation.identity(4)
 
 
 # ------------------------------------------------------- length, inversions
@@ -164,11 +164,11 @@ def test_inversions_match_oracle():
 
 
 def test_longest_element():
-    assert Permutation.longest(1).is_identity
+    assert Permutation.longest(1) == Permutation.identity(1)
     assert Permutation.longest(4).word == (4, 3, 2, 1)
     assert Permutation.longest(4).length() == 6
     w0 = Permutation.longest(4)
-    assert (w0 * w0).is_identity
+    assert w0 * w0 == Permutation.identity(4)
 
 
 def test_length_of_inverse_and_descent_step():

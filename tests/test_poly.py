@@ -41,6 +41,13 @@ def x(i, n):
     return Poly.x(i, n)
 
 
+def y(i, nx, ny):
+    """The variable y_i (1-indexed) in the ring of nx x- and ny y-variables."""
+    exp = [0] * (nx + ny)
+    exp[nx + i - 1] = 1
+    return Poly.monomial(exp, 1, nx, ny)
+
+
 def total_degree(f):
     """Max total degree of a term, -1 for the zero polynomial: the degree
     oracle of the divided-difference and expansion tests."""
@@ -70,7 +77,7 @@ def canonical_reduced_word(w):
     smallest left descent."""
     letters = []
     cur = w
-    while not cur.is_identity:
+    while cur.length():
         a = cur.left_descents()[0]
         letters.append(a)
         cur = Permutation.simple(a, cur.n) * cur
@@ -105,8 +112,6 @@ def test_construction_validation():
         Poly(2, 0, {(-1, 0): 1})
     with pytest.raises(ValueError):
         Poly.x(3, 2)
-    with pytest.raises(ValueError):
-        Poly.y(1, 2, 0)
     for e in (2.0, Fraction(2), True):
         with pytest.raises(TypeError, match="must hold ints"):
             Poly(2, 0, {(e, 1): 3})
@@ -219,9 +224,9 @@ def test_is_symmetric():
 
 
 def test_y_block_is_fixed_by_the_action():
-    f = Poly.y(1, 2, 2) + Poly.x(1, 2, 2)
+    f = y(1, 2, 2) + Poly.x(1, 2, 2)
     g = permute_x(Permutation((2, 1)), f)
-    assert g == Poly.y(1, 2, 2) + Poly.x(2, 2, 2)
+    assert g == y(1, 2, 2) + Poly.x(2, 2, 2)
 
 
 # --------------------------------------------------- divided differences
@@ -812,22 +817,22 @@ def test_widen_and_neg_y_embeddings():
     assert wide.nx == 2 and wide.ny == 2
     assert wide.terms[(1, 0, 0, 0)] == 1
     neg = x_to_neg_y(f, 2)
-    assert neg == -Poly.y(1, 2, 2) - 2 * Poly.y(2, 2, 2)
+    assert neg == -y(1, 2, 2) - 2 * y(2, 2, 2)
     # Signs alternate with degree.
-    assert x_to_neg_y(x(1, 1) ** 2, 1) == Poly.y(1, 1, 1) ** 2
+    assert x_to_neg_y(x(1, 1) ** 2, 1) == y(1, 1, 1) ** 2
 
 
 def test_specialize_y_to_x():
-    f = Poly.x(1, 2, 2) - Poly.y(1, 2, 2)
+    f = Poly.x(1, 2, 2) - y(1, 2, 2)
     assert specialize_y_to_x(f).is_zero
-    g = Poly.x(1, 2, 2) * Poly.y(2, 2, 2)
+    g = Poly.x(1, 2, 2) * y(2, 2, 2)
     assert specialize_y_to_x(g) == x(1, 2) * x(2, 2)
     with pytest.raises(ValueError):
         specialize_y_to_x(x(1, 2))
 
 
 def test_set_y_to_zero():
-    f = Poly.x(1, 2, 2) + 3 * Poly.y(2, 2, 2) + Poly.x(2, 2, 2) * Poly.y(1, 2, 2)
+    f = Poly.x(1, 2, 2) + 3 * y(2, 2, 2) + Poly.x(2, 2, 2) * y(1, 2, 2)
     assert set_y_to_zero(f) == x(1, 2)
     assert set_y_to_zero(widen_with_y(x(2, 2) ** 3, 2)) == x(2, 2) ** 3
 
@@ -835,7 +840,7 @@ def test_set_y_to_zero():
 def test_negate_x():
     f = x(1, 2) ** 2 - x(2, 2) + 1
     assert negate_x(f) == x(1, 2) ** 2 + x(2, 2) + 1
-    mixed = Poly.x(1, 1, 1) * Poly.y(1, 1, 1)
+    mixed = Poly.x(1, 1, 1) * y(1, 1, 1)
     assert negate_x(mixed) == -mixed
 
 

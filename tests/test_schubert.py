@@ -31,7 +31,7 @@ from schubstab.schubert import (
     specialization_check,
     staircase,
 )
-from test_poly import demazure, set_y_to_zero, total_degree
+from test_poly import demazure, set_y_to_zero, total_degree, y
 
 
 def x(i, n):
@@ -72,9 +72,9 @@ def test_delta_w_matches_the_product_of_its_inversions(n):
 
 def test_double_delta():
     assert double_delta(1) == Poly.one(1, 1)
-    assert double_delta(2) == Poly.x(1, 2, 2) - Poly.y(1, 2, 2)
+    assert double_delta(2) == Poly.x(1, 2, 2) - y(1, 2, 2)
     x1, x2 = Poly.x(1, 3, 3), Poly.x(2, 3, 3)
-    y1, y2 = Poly.y(1, 3, 3), Poly.y(2, 3, 3)
+    y1, y2 = y(1, 3, 3), y(2, 3, 3)
     assert double_delta(3) == (x1 - y1) * (x1 - y2) * (x2 - y1)
 
 
@@ -83,7 +83,7 @@ def test_double_delta_matches_the_product_of_its_binomials(n):
     want = Poly.one(n, n)
     for i in range(1, n + 1):
         for j in range(1, n + 1 - i):
-            want = want * (Poly.x(i, n, n) - Poly.y(j, n, n))
+            want = want * (Poly.x(i, n, n) - y(j, n, n))
     assert double_delta(n) == want
 
 
@@ -146,12 +146,12 @@ def test_schubert_poly_stable_under_rank_inclusion():
 
 def test_double_schubert_rank2():
     assert double_schubert(Permutation.identity(2)) == Poly.one(2, 2)
-    assert double_schubert(perm(2, 1)) == Poly.x(1, 2, 2) - Poly.y(1, 2, 2)
+    assert double_schubert(perm(2, 1)) == Poly.x(1, 2, 2) - y(1, 2, 2)
 
 
 def test_double_schubert_rank3_spot():
     expected = (
-        Poly.x(1, 3, 3) + Poly.x(2, 3, 3) - Poly.y(1, 3, 3) - Poly.y(2, 3, 3)
+        Poly.x(1, 3, 3) + Poly.x(2, 3, 3) - y(1, 3, 3) - y(2, 3, 3)
     )
     assert double_schubert(perm(1, 3, 2)) == expected
 
@@ -170,7 +170,7 @@ def test_double_schubert_expansion_rank3():
 def test_double_schubert_expansion_rank2_by_hand():
     # s_1 factors as (v,u) in {(e,s_1),(s_1,e)}: x1 from the first, -y1 from
     # the second.
-    assert double_schubert_expansion(perm(2, 1)) == Poly.x(1, 2, 2) - Poly.y(1, 2, 2)
+    assert double_schubert_expansion(perm(2, 1)) == Poly.x(1, 2, 2) - y(1, 2, 2)
 
 
 # -------------------------------------------------------- specialization
@@ -179,7 +179,7 @@ def test_double_schubert_expansion_rank2_by_hand():
 def test_equal_alphabets_collapse_rank3():
     for u in symmetric_group(3):
         collapsed = specialize_y_to_x(double_schubert(u))
-        if u.is_identity:
+        if u == Permutation.identity(u.n):
             assert collapsed == Poly.one(3)
         else:
             assert collapsed.is_zero

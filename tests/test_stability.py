@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import schubstab.stability as stability_module
 from schubstab.lattice import (
     ChargeParams,
     ExactComplex,
@@ -25,7 +26,6 @@ from schubstab.lattice import (
     vector_from_rank_deg,
 )
 from schubstab.stability import (
-    BAYER_FACT,
     IDENTITY_FACT,
     PhasePoint,
     RelationFact,
@@ -35,6 +35,7 @@ from schubstab.stability import (
     derive_twist_chain,
     hn_factors_to_json,
     hn_split_p1,
+    _phase_below,
     in_strip,
     phase,
     replay_twist_chain,
@@ -44,10 +45,20 @@ from schubstab.stability import (
 
 F = Fraction
 
+# The one-twist fact O(1) <= [0], composed in the calculus examples.
+BAYER_FACT = RelationFact(1, 0, False)
+
 
 def float_phase(point):
     """Transcendental rendering of a phase point, test-side only."""
     return point.shift + math.atan2(point.charge.im, point.charge.re) / math.pi
+
+
+def cleared(z):
+    """The parts of z times the lcm of their denominators: the integer
+    multiple of a charge that the shadow scans order."""
+    scale = math.lcm(z.re.denominator, z.im.denominator)
+    return int(z.re * scale), int(z.im * scale)
 
 
 def random_strip_charge(rng):
@@ -62,57 +73,63 @@ def random_strip_charge(rng):
 
 class TestPhasePoint:
     def test_negative_real_is_phase_one(self):
-        top = phase(ExactComplex.of(-1))
+        top = phase(ExactComplex(-1, 0))
         assert top.is_phase_one
-        assert phase(ExactComplex.of(0, 1)) < top
-        assert top == phase(ExactComplex.of(-7))
+        assert phase(ExactComplex(0, 1)) < top
+        assert top == phase(ExactComplex(-7, 0))
 
     def test_frozen_cross_product_example(self):
-        assert phase(ExactComplex.of(1, 1)) < phase(ExactComplex.of(-1, 1))
+        assert phase(ExactComplex(1, 1)) < phase(ExactComplex(-1, 1))
 
     def test_ray_equality_and_hash(self):
-        a = phase(ExactComplex.of(1, 2))
-        b = phase(ExactComplex.of(F(1, 2), 1))
+        a = phase(ExactComplex(1, 2))
+        b = phase(ExactComplex(F(1, 2), 1))
         assert a == b
         assert hash(a) == hash(b)
-        assert len({a, b, phase(ExactComplex.of(2, 1))}) == 2
+        assert len({a, b, phase(ExactComplex(2, 1))}) == 2
 
     def test_rejects_charges_off_the_strip(self):
-        with pytest.raises(ValueError):
-            phase(ExactComplex.of(0))
-        with pytest.raises(ValueError):
-            phase(ExactComplex.of(1, -1))
-        with pytest.raises(ValueError):
-            phase(ExactComplex.of(3))
+        for re, im, shown in ((0, 0, r"0\+0i"), (1, -1, "1-1i"), (3, 0, r"3\+0i")):
+            with pytest.raises(ValueError, match=f"charge {shown} is outside the strip"):
+                phase(ExactComplex(re, im))
 
     def test_shift_dominates(self):
-        low = PhasePoint(ExactComplex.of(-1), 0)  # total phase 1
-        high = PhasePoint(ExactComplex.of(1, 1), 1)  # total phase 5/4
+        low = PhasePoint(ExactComplex(-1, 0), 0)  # total phase 1
+        high = PhasePoint(ExactComplex(1, 1), 1)  # total phase 5/4
         assert low < high
-        assert PhasePoint(ExactComplex.of(0, 1), 2) > PhasePoint(ExactComplex.of(-1), 1)
+        assert PhasePoint(ExactComplex(0, 1), 2) > PhasePoint(ExactComplex(-1, 0), 1)
 
     def test_total_order_matches_atan2_oracle(self):
         rng = random.Random(404)
+        ties = 0
         for _ in range(10_000):
             z1, z2 = random_strip_charge(rng), random_strip_charge(rng)
             p1 = PhasePoint(z1, rng.randint(-2, 2))
             p2 = PhasePoint(z2, rng.randint(-2, 2))
+            # The scans' order on cleared numerators is PhasePoint's on the
+            # Fraction charges, on every pair, ties included.
+            (x1, y1), (x2, y2) = cleared(z1), cleared(z2)
+            assert _phase_below(x1, y1, x2, y2) == (phase(z1) < phase(z2))
+            assert _phase_below(x2, y2, x1, y1) == (phase(z2) < phase(z1))
+            ties += phase(z1) == phase(z2)
             f1, f2 = float_phase(p1), float_phase(p2)
             if abs(f1 - f2) < 1e-12:
                 continue  # too close for the float oracle to adjudicate
             assert (p1 < p2) == (f1 < f2)
             assert (p1 == p2) == False
+        assert ties > 0
 
     def test_equal_rays_detected_exactly(self):
         rng = random.Random(405)
         for _ in range(200):
             z = random_strip_charge(rng)
-            scaled = z * F(rng.randint(1, 9), rng.randint(1, 9))
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            scaled = ExactComplex(z.re * c, z.im * c)
             assert phase(z) == phase(scaled)
             assert not phase(z) < phase(scaled)
 
     def test_json(self):
-        p = PhasePoint(ExactComplex.of(F(-2, 3), F(1, 5)), 1)
+        p = PhasePoint(ExactComplex(F(-2, 3), F(1, 5)), 1)
         assert p.to_json() == {"re": "-2/3", "im": "1/5", "shift": 1}
 
 
@@ -128,6 +145,10 @@ class TestSplitSheafP1:
             SplitSheafP1((), (0,))
         with pytest.raises(ValueError):
             SplitSheafP1((), (-2,))
+        with pytest.raises(ValueError, match="bundle degrees must be integers"):
+            SplitSheafP1((True, 2), ())
+        with pytest.raises(ValueError, match="torsion lengths must be positive integers"):
+            SplitSheafP1((), (True,))
 
     def test_zero_and_display(self):
         assert SplitSheafP1().is_zero
@@ -188,7 +209,7 @@ class TestHnSplitP1:
         assert len(factors) == 1
         sheaf, point = factors[0]
         assert sheaf == SplitSheafP1((3, 3))
-        assert point.charge == ExactComplex.of(-1 * 2 - 6, 2 * 2)
+        assert point.charge == ExactComplex(-1 * 2 - 6, 2 * 2)
 
     def test_two_degrees_ordered(self):
         factors = hn_split_p1(SplitSheafP1((1, 0)), self.P)
@@ -238,7 +259,7 @@ class TestHnSplitP1:
             for degs in itertools.combinations_with_replacement(degree_pool, nb):
                 for tors in [(), (1,), (2,), (1, 1)]:
                     sheaf = SplitSheafP1(degs, tors)
-                    if sheaf.is_zero or sheaf.summands > 5:
+                    if sheaf.is_zero or len(degs) + len(tors) > 5:
                         continue
                     got = [f for f, _ in hn_split_p1(sheaf, p)]
                     assert got == oracle_hn(sheaf, p)
@@ -306,10 +327,18 @@ class TestBayerShadow:
                 bayer_shadow_scan(ChargeParams(F(1), F(0), n), bound)
 
     def test_integer_verdict_is_checked_against_exact_phases(self, monkeypatch):
-        monkeypatch.setattr("schubstab.stability._phase_below", lambda *args: False)
+        # The scan and PhasePoint share one phase order, so what the exact
+        # route can catch is a wrong integer row.  Swapping the rows of Z and
+        # Z(twist(., -1)) reverses every integer verdict.
+        real = stability_module._integer_charge_rows
+
+        def swapped(p, cells):
+            re, im, twisted_re, twisted_im = real(p, cells)
+            return twisted_re, twisted_im, re, im
+
+        monkeypatch.setattr(stability_module, "_integer_charge_rows", swapped)
         with pytest.raises(RuntimeError, match="disagrees"):
             bayer_shadow_scan(ChargeParams(F(1), F(0), 1), 2)
-        monkeypatch.setattr("schubstab.stability._phase_below", lambda *args: True)
         with pytest.raises(RuntimeError, match="disagrees"):
             bayer_shadow_scan(ChargeParams(F(1), F(0), 2), 1)
 
@@ -317,7 +346,7 @@ class TestBayerShadow:
         p = ChargeParams(F(1), F(0), 1)
         before = phase(central_charge(p, vector_from_rank_deg(1, 0)))
         after = phase(central_charge(p, vector_from_rank_deg(1, -1)))
-        assert before == phase(ExactComplex.of(0, 1))
+        assert before == phase(ExactComplex(0, 1))
         assert after < before
 
 
@@ -395,6 +424,10 @@ class TestTwistChain:
             derive_twist_chain([0], 3)
         with pytest.raises(ValueError):
             derive_twist_chain([1], 0)
+        with pytest.raises(ValueError, match="a_1 must be a positive integer, got True"):
+            derive_twist_chain([True], 2)
+        with pytest.raises(ValueError, match="N must be a positive integer, got True"):
+            derive_twist_chain([1], True)
         with pytest.raises(ValueError, match="chain of 1000000000 steps exceeds"):
             derive_twist_chain([1], 10**9)
 

@@ -1,10 +1,12 @@
 """A per-class route to the twist shadow scan, used as an oracle.
 
 The package scans on integer rows of the linear functionals Z and
-Z(twist(., -1)) and compares phases by integer cross products.  This module
-keeps the direct route: every class is built as a LatticeVector, twisted,
-charged with central_charge and compared as PhasePoints.  It is slow and
-lives only in the tests; the certificates of both routes must be equal.
+Z(twist(., -1)) and orders the integer-scaled charges with the phase order
+PhasePoint uses.  This module keeps the direct route: every class is built
+as a LatticeVector, twisted, charged with central_charge and compared as
+PhasePoints.  It is slow and lives only in the tests; the certificates of
+both routes must be equal.  The shared order itself is checked against a
+float atan2 oracle in test_stability.
 """
 
 import itertools
