@@ -273,11 +273,16 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
     tried, and vectors leaving the strip (before or after the twist) are
     skipped rather than counted against the check.
 
-    Z and Z(twist(., -1)) are linear, so each class costs two integer dot
-    products against rows built once from central_charge, and phases are
-    compared by integer cross products.  Each finding is rebuilt through
-    central_charge and PhasePoint for its report; a RuntimeError is raised
-    if that disagrees with the integer verdict.
+    Z and Z(twist(., -1)) are linear, so the integer-scaled parts
+    (x1, y1, x2, y2) of both charges are four rows built once from the
+    charge numerators of the basis vectors.  The scan walks the classes in
+    lines along one coordinate, d on the curve and the last cell for
+    n >= 2 (itertools.product order): four dot products give the parts at
+    the start of a line, and each step adds that coordinate's column of
+    the rows, four integer additions per class.  _strip and _phase_below
+    test and order the integer-scaled charges.  Each finding is rebuilt through central_charge and
+    PhasePoint for its report; a RuntimeError is raised if that disagrees
+    with the integer verdict.
 
     The class count grows like bound^(2^n); beyond MAX_SCAN_CLASSES the
     scan is refused with a ValueError before any class is tried.
@@ -286,16 +291,19 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
     scan_class_count(n, bound)
     cells = _display_order(n)
     rows = _integer_charge_rows(p, cells)
+    span = range(-bound, bound + 1)
     scanned = 0
     skipped = 0
     violations: list[dict] = []
     if n == 1:
-        # cells are the masks (0, 1): a class (r, d) has values (d, r).  Every
-        # class here is in the strip: Im Z = a*r > 0, and torsion has Z = -d.
+        # cells are the masks (0, 1): a class (r, d) has values (d, r), so a
+        # step of d adds the first column.  Every class here is in the strip:
+        # Im Z = a*r > 0, and torsion has Z = -d.
+        sx1, sy1, sx2, sy2 = (row[0] for row in rows)
         for r in range(1, bound + 1):
-            for d in range(-bound, bound + 1):
+            x1, y1, x2, y2 = [_dot(row, (-bound, r)) for row in rows]
+            for d in span:
                 scanned += 1
-                x1, y1, x2, y2 = [_dot(row, (d, r)) for row in rows]
                 if not _phase_below(x2, y2, x1, y1):
                     before, after = _exact_phases(p, vector_from_rank_deg(r, d))
                     if after < before:
@@ -308,10 +316,15 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
                             "after": after.to_json(),
                         }
                     )
+                x1 += sx1
+                y1 += sy1
+                x2 += sx2
+                y2 += sy2
+        # The torsion class (0, d) is d times the first column.
+        x1, y1, x2, y2 = sx1, sy1, sx2, sy2
         for d in range(1, bound + 1):
             scanned += 1
-            x1, y1, x2, y2 = [_dot(row, (d, 0)) for row in rows]
-            if x1 * y2 - x2 * y1:
+            if _phase_below(x1, y1, x2, y2) or _phase_below(x2, y2, x1, y1):
                 before, after = _exact_phases(p, vector_from_rank_deg(0, d))
                 if after == before:
                     raise RuntimeError(f"integer torsion phase disagrees at {(0, d)}")
@@ -323,26 +336,36 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
                         "after": after.to_json(),
                     }
                 )
+            x1 += sx1
+            y1 += sy1
+            x2 += sx2
+            y2 += sy2
     else:
-        for values in itertools.product(range(-bound, bound + 1), repeat=len(cells)):
-            x1, y1, x2, y2 = [_dot(row, values) for row in rows]
-            if not (_strip(x1, y1) and _strip(x2, y2)):
-                skipped += 1
-                continue
-            scanned += 1
-            if _phase_below(x1, y1, x2, y2):
-                vec = _from_masks(n, cells, values)
-                before, after = _exact_phases(p, vec)
-                if not after > before:
-                    raise RuntimeError(f"integer phase order disagrees at {vec}")
-                violations.append(
-                    {
-                        "vector": vec.to_json(),
-                        "kind": "phase_rose",
-                        "before": before.to_json(),
-                        "after": after.to_json(),
-                    }
-                )
+        sx1, sy1, sx2, sy2 = (row[-1] for row in rows)
+        for prefix in itertools.product(span, repeat=len(cells) - 1):
+            x1, y1, x2, y2 = [_dot(row, (*prefix, -bound)) for row in rows]
+            for v in span:
+                if _strip(x1, y1) and _strip(x2, y2):
+                    scanned += 1
+                    if _phase_below(x1, y1, x2, y2):
+                        vec = _from_masks(n, cells, (*prefix, v))
+                        before, after = _exact_phases(p, vec)
+                        if not after > before:
+                            raise RuntimeError(f"integer phase order disagrees at {vec}")
+                        violations.append(
+                            {
+                                "vector": vec.to_json(),
+                                "kind": "phase_rose",
+                                "before": before.to_json(),
+                                "after": after.to_json(),
+                            }
+                        )
+                else:
+                    skipped += 1
+                x1 += sx1
+                y1 += sy1
+                x2 += sx2
+                y2 += sy2
     return {
         "check": "bayer_shadow",
         "params": {"n": n, "a": str(p.a), "b": str(p.b), "bound": bound},

@@ -23,6 +23,7 @@ from schubstab.lattice import (
     ChargeParams,
     ExactComplex,
     central_charge,
+    twist,
     vector_from_rank_deg,
 )
 from schubstab.stability import (
@@ -341,6 +342,56 @@ class TestBayerShadow:
             bayer_shadow_scan(ChargeParams(F(1), F(0), 1), 2)
         with pytest.raises(RuntimeError, match="disagrees"):
             bayer_shadow_scan(ChargeParams(F(1), F(0), 2), 1)
+
+    def test_only_findings_take_the_exact_route(self, monkeypatch):
+        # A finding is re-derived by two exact charges and a clean class by
+        # none, so the scan cannot slide back to charging every class.
+        real = stability_module.central_charge
+        calls = []
+
+        def counted(p, vec):
+            calls.append(vec)
+            return real(p, vec)
+
+        monkeypatch.setattr(stability_module, "central_charge", counted)
+        cert = bayer_shadow_scan(ChargeParams(F(1), F(0), 2), 3)
+        assert len(cert["violations"]) == 17
+        assert len(calls) == 34
+        calls.clear()
+        cert = bayer_shadow_scan(ChargeParams(F(7, 3), F(-2), 1), 25)
+        assert cert["violations"] == []
+        assert cert["scanned"] == 25 * 51 + 25
+        assert calls == []
+
+    def test_curve_scan_steps_the_scaled_exact_charges(self, monkeypatch):
+        # Every curve class passes, so its certificate cannot show a wrong
+        # start or stride of the stepping.  The parts handed to the phase
+        # order must be the exact charges times the one denominator, in the
+        # scan's order: (after, before) for each (r, d), and both ways round
+        # for torsion.
+        p = ChargeParams(F(7, 3), F(-2), 1)
+        den = p.coefficients[2]
+        seen = []
+
+        def spy(*parts):
+            seen.append(parts)
+            return _phase_below(*parts)
+
+        def scaled(vec):
+            z = central_charge(p, vec)
+            return z.re * den, z.im * den
+
+        expected = []
+        for r, d in itertools.product(range(1, 4), range(-3, 4)):
+            vec = vector_from_rank_deg(r, d)
+            expected.append((*scaled(twist(vec, [-1])), *scaled(vec)))
+        for d in range(1, 4):
+            vec = vector_from_rank_deg(0, d)
+            before, after = scaled(vec), scaled(twist(vec, [-1]))
+            expected += [(*before, *after), (*after, *before)]
+        monkeypatch.setattr(stability_module, "_phase_below", spy)
+        assert bayer_shadow_scan(p, 3)["violations"] == []
+        assert seen == expected
 
     def test_twist_drops_phase_spot_check(self):
         p = ChargeParams(F(1), F(0), 1)

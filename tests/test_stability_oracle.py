@@ -1,18 +1,24 @@
 """A per-class route to the twist shadow scan, used as an oracle.
 
 The package scans on integer rows of the linear functionals Z and
-Z(twist(., -1)) and orders the integer-scaled charges with the phase order
-PhasePoint uses.  This module keeps the direct route: every class is built
-as a LatticeVector, twisted, charged with central_charge and compared as
-PhasePoints.  It is slow and lives only in the tests; the certificates of
-both routes must be equal.  The shared order itself is checked against a
-float atan2 oracle in test_stability.
+Z(twist(., -1)): it steps the integer-scaled charges along the box by
+adding one column of the rows per class, and orders them with the phase
+order PhasePoint uses.  This module keeps the direct route: every class is
+built as a LatticeVector, twisted, charged with central_charge and
+compared as PhasePoints.  It is slow and lives only in the tests; the
+certificates of both routes must be equal, also at random fractional
+(a, b), where a wrong start or stride of the box stepping would show.
+Every curve class passes, so on the curve test_stability checks the
+stepped parts themselves.  The shared order is checked against a float
+atan2 oracle in test_stability.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubstab.lattice import (
     ChargeParams,
@@ -112,3 +118,21 @@ def test_box_scan_matches_reference(n, bound, a, b, findings):
     cert = bayer_shadow_scan(p, bound)
     assert len(cert["violations"]) == findings
     assert cert == reference_shadow_scan(p, bound)
+
+
+_A = st.builds(F, st.integers(1, 7), st.integers(1, 6))
+_B = st.builds(F, st.integers(-7, 7), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_A, b=_B, bound=st.integers(1, 12))
+def test_curve_scan_matches_reference_at_random_params(a, b, bound):
+    p = ChargeParams(a, b, 1)
+    assert bayer_shadow_scan(p, bound) == reference_shadow_scan(p, bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_A, b=_B)
+def test_box_scan_matches_reference_at_random_params(a, b):
+    p = ChargeParams(a, b, 2)
+    assert bayer_shadow_scan(p, 2) == reference_shadow_scan(p, 2)
