@@ -204,14 +204,11 @@ def _cmd_verify_soergel(args) -> int:
     _progress(f"checking filtration identity at n={n} ...")
     identity = verify_filtration_identity(n)
     _progress(f"checking change-of-basis unitriangularity at n={n} ...")
-    certs = [identity, verify_unitriangular(n)]
-    if n <= 3:
-        _progress(f"checking right multiplication closure at every level at n={n} ...")
-        certs.extend(verify_bimodule_closure(n))
-        _progress(f"checking triangular injectivity at n={n} ...")
-        certs.append(verify_triangular_injectivity(identity))
-    else:
-        _progress("closure and injectivity certificates are emitted for n <= 3 only")
+    unitriangular = verify_unitriangular(n)
+    _progress(f"deriving triangular injectivity and right closure at every level at n={n} ...")
+    injectivity = verify_triangular_injectivity(identity)
+    closure = verify_bimodule_closure(unitriangular, injectivity)
+    certs = [identity, unitriangular, *closure, injectivity]
     payload = {"certificates": certs}
     lines = [line for cert in certs for line in _cert_lines(cert)]
     _emit(args, payload, lines)

@@ -360,7 +360,7 @@ def twist(vec: LatticeVector, c: Sequence[Scalar]) -> LatticeVector:
     out = list(vec.nums)
     den = vec.den
     for i, degree in enumerate(c):
-        if not isinstance(degree, int):
+        if type(degree) is not int:
             degree = as_fraction(degree)
         if not degree:
             continue

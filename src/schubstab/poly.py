@@ -39,9 +39,9 @@ swapped; if p = q, it is 0 (Macdonald, Notes on Schubert Polynomials,
 `Poly(nx, ny, terms)` and every named constructor validate their input:
 exponent tuples of width nx + ny whose entries are nonnegative ints (any
 other type, a float, a Fraction or a bool, is refused with TypeError),
-coefficients converted by `as_fraction` (a float is refused) and zeros
-dropped.  Results the module computes itself are built already in normal
-form and wrapped by `Poly._trusted`, which checks nothing, or by
+coefficients converted by `as_fraction` (a float or a bool is refused)
+and zeros dropped.  Results the module computes itself are built already
+in normal form and wrapped by `Poly._trusted`, which checks nothing, or by
 `Poly._reduced`, which only drops zero terms and cancels the common
 content of numerators and denominator.
 """
@@ -67,10 +67,18 @@ _FIELD_BITS = 6
 
 
 def as_fraction(value: Union[Scalar, str]) -> Fraction:
-    """Fraction(value) for an int, Fraction or "p/q" string; TypeError on a float."""
+    """Fraction(value) for an int, Fraction or "p/q" string; TypeError on a
+    float or a bool."""
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; give an int, Fraction or 'p/q'")
+    if isinstance(value, bool):
+        raise TypeError(f"bool {value!r} is not a number; give an int, Fraction or 'p/q'")
     return Fraction(value)
+
+
+def _is_scalar(value: object) -> bool:
+    """Whether value is an int or Fraction operand; a bool is neither."""
+    return isinstance(value, (int, Fraction)) and type(value) is not bool
 
 
 def _width_for(top: int) -> int:
@@ -213,6 +221,8 @@ class Poly:
     @staticmethod
     def x(i: int, nx: int, ny: int = 0) -> "Poly":
         """The variable x_i (1-indexed)."""
+        if type(i) is not int:
+            raise TypeError(f"x-index {i!r} must be an int")
         if not 1 <= i <= nx:
             raise ValueError(f"x-index {i} out of range for {nx} x-variables")
         exp = [0] * (nx + ny)
@@ -264,7 +274,7 @@ class Poly:
     def _combine(self, other: Union["Poly", Scalar], sign: int) -> "Poly":
         """self + sign * other."""
         if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
+            if not _is_scalar(other):
                 return NotImplemented
             other = Poly.const(other, self.nx, self.ny)
         self._check_ring(other)
@@ -294,7 +304,7 @@ class Poly:
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, Poly):
             return sum_of_products(((self, other),), self.nx, self.ny)
-        if not isinstance(other, (int, Fraction)):
+        if not _is_scalar(other):
             return NotImplemented
         if not other:
             return Poly._trusted(self.nx, self.ny, {}, 1, self._bits, self._top)
@@ -317,7 +327,7 @@ class Poly:
         if other is self:
             return True
         if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
+            if not _is_scalar(other):
                 return NotImplemented
             other = Poly.const(other, self.nx, self.ny)
         if (self.nx, self.ny, self._den, len(self._num)) != (
@@ -482,6 +492,8 @@ def divided_difference(j: int, f: Poly) -> Poly:
     grows, so the fields keep their width.  A zero f, once the index is
     checked, is its own image.
     """
+    if type(j) is not int:
+        raise TypeError(f"operator index {j!r} must be an int")
     if not 1 <= j <= f.nx - 1:
         raise ValueError(f"operator index {j} out of range for {f.nx} x-variables")
     if not f._num:

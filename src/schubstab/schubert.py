@@ -184,13 +184,14 @@ def _integer_terms(f: Poly, bits: int) -> tuple[tuple[int, int], ...]:
 
 
 # The three caches below serve expand_in_schubert_basis.  Its caller in the
-# package, bimodule's product table under the filtration certificates, stays
-# within rank MAX_SOERGEL_RANK and degree length(w0) + 1, but nothing bounds
-# the degree of a direct call, so the two caches keyed by exponents are
-# bounded by size, each well above what the certificates of every admitted
-# rank fill.  Here w has rank at most perms.MAX_ENUMERATED_RANK, as
-# symmetric_group raises above it, and `bits` is one of the few field widths
-# that the expanded polynomials' degrees call for, so it needs no size bound.
+# package is bimodule's product table under right_multiply, which only the
+# benchmark's closure round and the tests call; no certificate or command
+# expands.  Nothing bounds the degree of a call, so the two caches keyed by
+# exponents are bounded by size, each well above what right_multiply fills
+# on every S_w * x_k at ranks 1..5.  Here w has rank at most
+# perms.MAX_ENUMERATED_RANK, as symmetric_group raises above it, and `bits`
+# is one of the few field widths that the expanded polynomials' degrees
+# call for, so it needs no size bound.
 @lru_cache(maxsize=None)
 def _dual_terms(w: Permutation, bits: int) -> tuple[tuple[int, int], ...]:
     """Terms of the element dual to schubert_poly(w) under the d_{w0} pairing.
@@ -205,8 +206,9 @@ def _dual_terms(w: Permutation, bits: int) -> tuple[tuple[int, int], ...]:
 
 # Keys: the strictly decreasing exponents that the expanded monomials sort
 # to; their length is a rank, but their entries grow with the degree, which
-# no rank limit bounds.  The closure certificates at ranks 1..5 reach 19 of
-# them; the size bound drops the least recently used key beyond 64.
+# no rank limit bounds.  right_multiply on every S_w * x_k at ranks 1..5
+# reaches 19 of them; the size bound drops the least recently used key
+# beyond 64.
 @lru_cache(maxsize=64)
 def _top_divided_difference(lam: Exponent, bits: int) -> tuple[tuple[int, int], ...]:
     """d_{w0}(x^lam) for strictly decreasing lam: a Schur polynomial."""
@@ -218,8 +220,8 @@ def _top_divided_difference(lam: Exponent, bits: int) -> tuple[tuple[int, int], 
 
 
 # Keys: every packed monomial of every expanded polynomial; no rank limit
-# bounds them.  The closure certificates at ranks 1..5 reach 487 of them; the
-# size bound drops the least recently used key beyond 1024.
+# bounds them.  right_multiply on every S_w * x_k at ranks 1..5 reaches 487
+# of them; the size bound drops the least recently used key beyond 1024.
 @lru_cache(maxsize=1024)
 def _expand_monomial(alpha: int, n: int, bits: int) -> tuple[tuple[Permutation, dict[Exponent, int]], ...]:
     """The coefficients c_w of x^alpha (packed `bits` wide in n fields), each

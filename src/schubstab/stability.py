@@ -350,7 +350,7 @@ def bayer_shadow_scan(p: ChargeParams, bound: int) -> dict:
                     if _phase_below(x1, y1, x2, y2):
                         vec = _from_masks(n, cells, (*prefix, v))
                         before, after = _exact_phases(p, vec)
-                        if not after > before:
+                        if not before < after:
                             raise RuntimeError(f"integer phase order disagrees at {vec}")
                         violations.append(
                             {

@@ -129,16 +129,17 @@ def test_criterion_04_demazure_algebra():
 
 def test_criterion_05_soergel_structure():
     """Unitriangularity, right closure, and triangular injectivity."""
-    for n in (2, 3, 4):
-        cert = verify_unitriangular(n)
-        assert cert["violations"] == [], (n, cert["violations"][:3])
     closure_products = 0
-    for cert in verify_bimodule_closure(3):
-        assert cert["violations"] == [], (cert["j"], cert["violations"][:3])
-        closure_products += cert["products"]
-    cert = verify_triangular_injectivity(verify_filtration_identity(3))
-    assert cert["violations"] == []
-    assert cert["determinant_nonzero"] is True
+    for n in (2, 3, 4):
+        unitriangular = verify_unitriangular(n)
+        assert unitriangular["violations"] == [], (n, unitriangular["violations"][:3])
+        injectivity = verify_triangular_injectivity(verify_filtration_identity(n))
+        assert injectivity["violations"] == []
+        assert injectivity["determinant_nonzero"] is True
+        for cert in verify_bimodule_closure(unitriangular, injectivity):
+            assert cert["violations"] == [], (n, cert["j"], cert["violations"][:3])
+            closure_products += cert["products"]
+    assert closure_products == 6 + 45 + 384
     print(
         f"PASS Soergel structure: unitriangular n<=4, "
         f"{closure_products} closure products, determinant nonzero"

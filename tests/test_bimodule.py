@@ -366,9 +366,15 @@ def test_membership_frozen():
     assert ok
 
 
+def derived_closure(n):
+    """The closure certificates of rank n, derived as verify soergel derives them."""
+    injectivity = verify_triangular_injectivity(verify_filtration_identity(n))
+    return verify_bimodule_closure(verify_unitriangular(n), injectivity)
+
+
 def test_bimodule_closure_certificates():
-    assert verify_bimodule_closure(2)[1]["violations"] == []
-    certs = verify_bimodule_closure(3)
+    assert derived_closure(2)[1]["violations"] == []
+    certs = derived_closure(3)
     assert [cert["j"] for cert in certs] == [0, 1, 2, 3, 4]
     assert certs[2]["violations"] == []
     assert certs[2]["products"] == 3 * 3  # three generators of length >= 2
@@ -376,7 +382,7 @@ def test_bimodule_closure_certificates():
 
 
 def test_bimodule_closure_certificates_rank4():
-    certs = verify_bimodule_closure(4)
+    certs = derived_closure(4)
     assert [cert["j"] for cert in certs] == list(range(8))
     for cert in certs:
         assert cert["violations"] == [], (cert["j"], cert["violations"][:3])
@@ -384,25 +390,33 @@ def test_bimodule_closure_certificates_rank4():
     assert sum(cert["products"] for cert in certs) == 384
 
 
-def test_closure_forms_each_product_once(monkeypatch):
-    real_multiply, real_coordinates = right_multiply, s_basis_coordinates
-    products, expansions = [], []
+def test_closure_rejects_certificates_of_different_ranks():
+    injectivity = verify_triangular_injectivity(verify_filtration_identity(3))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        verify_bimodule_closure(verify_unitriangular(2), injectivity)
 
-    def multiply(elem, g):
-        products.append((elem, g))
-        return real_multiply(elem, g)
 
-    def coordinates(elem):
-        expansions.append(elem)
-        return real_coordinates(elem)
+def test_no_certificate_forms_a_product(monkeypatch, capsys):
+    """verify soergel at the top admitted rank reaches none of the product
+    route: right_multiply, the S-basis coordinates, membership_in_gamma and
+    the Schubert-basis expansion all raise here."""
+    import schubstab.schubert as schubert_module
+    from schubstab import cli
 
-    monkeypatch.setattr(bimodule_module, "right_multiply", multiply)
-    monkeypatch.setattr(bimodule_module, "s_basis_coordinates", coordinates)
-    verify_bimodule_closure(4)
-    # One product per (w, k): 24 permutations times 4 variables.
-    assert len(products) == len(expansions) == 96
-    wanted = [(s_element(w), x(k, 4)) for w in symmetric_group(4) for k in range(1, 5)]
-    assert all(pair in products for pair in wanted)
+    def boom(*args):
+        raise AssertionError("a certificate formed a product")
+
+    for module, name in (
+        (bimodule_module, "right_multiply"),
+        (bimodule_module, "s_basis_coordinates"),
+        (bimodule_module, "membership_in_gamma"),
+        (bimodule_module, "expand_in_schubert_basis"),
+        (schubert_module, "expand_in_schubert_basis"),
+    ):
+        monkeypatch.setattr(module, name, boom)
+    assert cli.main(["verify", "soergel", "--n", str(MAX_SOERGEL_RANK), "--json"]) == 0
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert sum(cert["check"] == "filtration_right_closure" for cert in certs) == 12
 
 
 def _closure_oracle(n):
@@ -432,33 +446,91 @@ def _closure_oracle(n):
     return certs
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_derived_closure_equals_the_computed_oracle(n):
+    assert derived_closure(n) == _closure_oracle(n)
+
+
+def _plant_diagonal(monkeypatch):
+    bad = perm(2, 3, 1)
+    _plant_in_column(monkeypatch, bad, bad, lambda got: got + 1)
+
+
+def _plant_long_coordinate(monkeypatch):
+    real = s_element
+
+    def planted(w):
+        elem = real(w)
+        if w != perm(2, 3, 1):
+            return elem
+        return BimoduleElement(3, {**elem.coords, perm(3, 1, 2): x(1, 3)})
+
+    monkeypatch.setattr(bimodule_module, "s_element", planted)
+
+
 @pytest.mark.parametrize(
-    "w, k, levels",
+    "plant, cited",
     [
-        # S_{w0} x_2 gains the S-coordinate of s_2, of length 1: named at
-        # levels 2 and 3, the levels above 1 where S_{w0} is a generator.
-        ((3, 2, 1), 2, [2, 3]),
-        ((2, 3, 1), 3, [2]),
+        # A wrong diagonal entry fails the identity, which injectivity carries.
+        (_plant_diagonal, {"f_matrix_triangular_injectivity": 1}),
+        # An extra long coordinate of S_{(2,3,1)} fails unitriangularity, and
+        # the descent step that divides S_{(2,3,1)} out of S_{w0}.
+        (_plant_long_coordinate, {"s_basis_unitriangular": 1, "f_matrix_triangular_injectivity": 1}),
     ],
+    ids=["identity", "unitriangularity"],
 )
-def test_closure_names_a_planted_product_at_the_oracle_levels(monkeypatch, w, k, levels):
-    """S_w x_k gains a short S-coordinate; S_{w0} x_1 is planted as zero,
-    which lies in every Gamma_j and must never be named."""
-    w, w0 = Permutation(w), Permutation.longest(3)
-    real = right_multiply
+def test_a_cited_fault_leaves_every_closure_level_unproven(monkeypatch, capsys, plant, cited):
+    from schubstab import cli
 
-    def faulty(elem, g):
-        if elem == s_element(w0) and g == x(1, 3):
-            return BimoduleElement(3, {})
-        out = real(elem, g)
-        return add(out, s_element(perm(1, 3, 2))) if elem == s_element(w) and g == x(k, 3) else out
+    plant(monkeypatch)
+    assert cli.main(["verify", "soergel", "--n", "3", "--json"]) == 1
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    closure = [cert for cert in certs if cert["check"] == "filtration_right_closure"]
+    assert [cert["j"] for cert in closure] == [0, 1, 2, 3, 4]
+    unproven = [
+        {"kind": "unproven", "cites": check, "violations": count}
+        for check, count in cited.items()
+    ]
+    for cert in closure:
+        assert sorted(cert["violations"], key=str) == sorted(unproven, key=str)
+    for cert in certs:
+        if cert["check"] in cited:
+            assert len(cert["violations"]) == cited[cert["check"]]
 
-    monkeypatch.setattr(bimodule_module, "right_multiply", faulty)
-    certs = verify_bimodule_closure(3)
-    assert certs == _closure_oracle(3)
-    assert [cert["j"] for cert in certs if cert["violations"]] == levels
-    for j in levels:
-        assert certs[j]["violations"] == [{"w": list(w.word), "variable": k}]
+
+# -------------------------------------------- the lemma closure rests on
+
+
+def _random_element(rng, n, j0):
+    """A seeded random combination, in left coordinates, of one S_w of
+    length j0 and some longer ones: an element of Gamma_{j0} and not of
+    Gamma_{j0 + 1}."""
+    at_j0 = [w for w in symmetric_group(n) if w.length() == j0]
+    longer = [w for w in symmetric_group(n) if w.length() > j0 and rng.random() < 0.5]
+    total = BimoduleElement(n, {})
+    for w in [rng.choice(at_j0), *longer]:
+        c = random_poly(rng, n, max_degree=2, n_terms=2) + 1
+        total = add(total, left_multiply(s_element(w), c))
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gamma_is_the_common_kernel_and_f_twists_the_right_action(n):
+    """Checked on the product route: membership_in_gamma(m, j) holds exactly
+    when F_w(m) = 0 for every length(w) < j, and F_w(m x_k) = x_{w(k)} F_w(m)."""
+    rng = random.Random(100 + n)
+    perms = symmetric_group(n)
+    top = perms[-1].length()
+    for trial in range(4):
+        m = _random_element(rng, n, rng.randrange(top + 1))
+        images = {w: f_map(w, m) for w in perms}
+        for j in range(top + 2):
+            in_kernel = all(images[w].is_zero for w in perms if w.length() < j)
+            assert membership_in_gamma(m, j)[0] == in_kernel, (trial, j)
+        for k in range(1, n + 1):
+            product = right_multiply(m, x(k, n))
+            for w in perms:
+                assert f_map(w, product) == x(w.word[k - 1], n) * images[w], (trial, k, w)
 
 
 def test_triangular_injectivity_certificates():
@@ -473,9 +545,9 @@ def test_ranks_beyond_budget_are_refused_before_any_work(monkeypatch):
     def boom(*args):
         raise AssertionError("work started")
 
-    for name in ("symmetric_group", "s_element", "right_multiply", "delta_w"):
+    for name in ("symmetric_group", "s_element", "delta_w"):
         monkeypatch.setattr(bimodule_module, name, boom)
-    for check in (verify_filtration_identity, verify_unitriangular, verify_bimodule_closure):
+    for check in (verify_filtration_identity, verify_unitriangular):
         for n in (0, MAX_SOERGEL_RANK + 1):
             with pytest.raises(ValueError, match=f"rank {n} is outside 1..5 for filtration"):
                 check(n)

@@ -111,6 +111,7 @@ class TestVerifyCommands:
         assert code == 0
         assert calls == [3]
         assert err.count("closure") == 1
+        assert "deriving triangular injectivity and right closure at every level" in err
 
     @pytest.mark.parametrize(
         "argv, work, message",

@@ -4,9 +4,10 @@ Each entry is a command line (without --json), the exit code it gives and
 the SHA-256 of its --json stdout.  The list holds every command the README
 shows, the stability round of bench/rounds.py at seeds 5 and 13, the
 round's `verify soergel` and `verify demazure` operations, `verify
-demazure` at ranks 6 and 7, the n = 3 box scan, the n = 2 box scan at
-bound 8 (17^4 = 83521 classes, the largest n = 2 box the class limit
-admits, with 3701 findings), the commands refused with exit 2 before any
+soergel` at rank 5, the top rank it admits, `verify demazure` at ranks 6
+and 7, the n = 3 box scan, the n = 2 box scan at bound 8 (17^4 = 83521
+classes, the largest n = 2 box the class limit admits, with 3701
+findings), the commands refused with exit 2 before any
 work (their stdout is empty), and the large documents: the 12 rank-5
 `schubert --double` operations of the demazure round, two rank-6 double
 Schubert polynomials (the longest permutation, which is the seed itself,
@@ -107,7 +108,9 @@ GOLDEN = [
     ("verify soergel --n 2", 0,
      "35cb70c40652c47f66a4d1bb73b132f7b6af07534ac8f93cf5f1d5b788f6fd1e"),
     ("verify soergel --n 4", 0,
-     "9cd5bfd4cd384d39d0df5ba8ec287b89390a81e5412dfc2ea5467a8ddae74bff"),
+     "c8053224e2775126508e73cb811d2914123d73a42aa83b65fb74f789d884916f"),
+    ("verify soergel --n 5", 0,
+     "5e45a51ce34c3ed716b1479506ce6b774a9728a3d03625b53db3a1c4786139df"),
     ("verify demazure --n 5 --trials 1 --seed 7", 0,
      "5ca2439dde35133ef1bbe7d45d50d640a11a8c012cb62a2797c8d7459c269975"),
     ("verify demazure --n 4 --trials 20 --seed 5", 0,

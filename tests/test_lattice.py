@@ -37,7 +37,7 @@ from schubstab.lattice import (
     vector_from_rank_deg,
     verify_charge_transforms,
 )
-from schubstab.poly import Poly
+from schubstab.poly import Poly, as_fraction, divided_difference
 from schubstab.stability import scan_class_count
 
 F = Fraction
@@ -64,6 +64,22 @@ def test_entry_points_refuse_floats_and_keep_exact_input(name):
         build(0.1)
     assert build("1/2") == build(F(1, 2))
     assert build(3) == build(F(3))
+
+
+BOOL_ENTRY_POINTS = {
+    **FLOAT_ENTRY_POINTS,
+    "as_fraction": as_fraction,
+    "Poly.x": lambda v: Poly.x(v, 2),
+    "divided_difference": lambda v: divided_difference(v, Poly.x(1, 2)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", sorted(BOOL_ENTRY_POINTS))
+def test_entry_points_refuse_bools(name, value):
+    # A bool is an int to Python, so without a check True reads as 1.
+    with pytest.raises(TypeError, match=repr(value)):
+        BOOL_ENTRY_POINTS[name](value)
 
 
 def all_subsets(n):

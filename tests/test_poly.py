@@ -156,6 +156,7 @@ def test_scalar_coercion_and_equality():
         (Poly.one(2), Poly.one(2, 1), False),
         (Poly.one(2), "1", False),
         (Poly.one(2), None, False),
+        (Poly.one(2), True, False),
     ],
 )
 def test_equality_against_each_kind_of_operand(left, right, equal):
@@ -171,8 +172,12 @@ def test_a_poly_equals_itself_and_refuses_other_operands():
     assert f.__eq__("1") is NotImplemented
     for op in ("__add__", "__sub__", "__mul__"):
         assert getattr(f, op)("x1") is NotImplemented
+        assert getattr(f, op)(True) is NotImplemented
+    assert f.__eq__(True) is NotImplemented
     with pytest.raises(TypeError):
         f * "x1"
+    with pytest.raises(TypeError):
+        f * True
 
 
 def test_degrees():

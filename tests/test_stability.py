@@ -363,6 +363,24 @@ class TestBayerShadow:
         assert cert["scanned"] == 25 * 51 + 25
         assert calls == []
 
+    def test_surface_findings_are_cross_checked_without_rays(self, monkeypatch, capsys):
+        # Each finding's exact cross-check is one phase comparison, never the
+        # equality test that builds primitive rays; the bytes are the golden
+        # pin of this 83 521-class scan.
+        from hashlib import sha256
+
+        from schubstab import cli
+
+        def no_ray(self):
+            raise AssertionError("PhasePoint._ray called")
+
+        monkeypatch.setattr(stability_module.PhasePoint, "_ray", no_ray)
+        argv = ["scan", "bayer", "--n", "2", "--a", "1/2", "--b", "-1", "--bound", "8", "--json"]
+        assert cli.main(argv) == 1
+        assert sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "08c5395c92d5fddfa3dd071c14e3ae195fd296c8381e51e08d9a84991a4a3bd0"
+        )
+
     def test_curve_scan_steps_the_scaled_exact_charges(self, monkeypatch):
         # Every curve class passes, so its certificate cannot show a wrong
         # start or stride of the stepping.  The parts handed to the phase
