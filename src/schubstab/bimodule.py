@@ -45,11 +45,18 @@ u s_i < u, and
     F_w((1 (x) d_i) m) = (F_w(m) - F_{w s_i}(m)) / (x_{w(i)} - x_{w(i+1)}).
 
 So the column of S_v follows from the column of its parent u = v s_i at
-the first ascent i of v, the walk that builds the Schubert polynomials,
-and only the top column S_{w0} is evaluated by f_map, the definition.  The
-certificate assumes nothing it checks: every step's
-(1 (x) d_i) S_u = S_v is compared on the stored coordinates, and every
-division is exact or raises.
+the first ascent i of v, the walk that builds the Schubert polynomials.
+The walk starts from the top column, of S_{w0}, certified by the Cauchy
+identity: S_{w0}(x; y) is the product of (x_i - y_j) over i + j <= n
+(Macdonald, Notes on Schubert Polynomials, 1991), and the stored
+coordinates of S_{w0}, moved to the y-alphabet beside the schubert_u(x),
+are checked to sum to it.  F_w is a ring map on that two-alphabet
+polynomial, x_i -> x_{w(i)} and y_j -> x_j, so F_w(S_{w0}) is the product
+of x_{w(i)} - x_j over i + j <= n, zero unless w = w0.  No certificate
+evaluates f_map, the definition; it stays as the tests' oracle.  The
+certificate assumes nothing it checks: the Cauchy identity and every
+step's (1 (x) d_i) S_u = S_v are compared on the stored coordinates, and
+every division is exact or raises.
 """
 
 from __future__ import annotations
@@ -65,8 +72,17 @@ from .perms import (
     sort_key,
     symmetric_group,
 )
-from .poly import Exponent, Poly, divide_exact, negate_x, permute_x, sum_of_products
-from .schubert import delta_w, expand_in_schubert_basis, schubert_poly
+from .poly import (
+    Exponent,
+    Poly,
+    divide_exact,
+    negate_x,
+    permute_x,
+    sum_of_products,
+    widen_with_y,
+    x_to_y,
+)
+from .schubert import delta_w, double_delta, expand_in_schubert_basis, schubert_poly
 
 
 class BimoduleElement:
@@ -218,14 +234,35 @@ def membership_in_gamma(elem: BimoduleElement, j: int) -> tuple[bool, dict[Permu
 
 # ------------------------------------------------------------ certificates
 
-# `verify soergel --n 5 --json`, which emits all four kinds of certificate
-# (8 165 F-matrix pairs; closure is derived, not computed), takes 0.36 to
-# 0.51 s at 19 MiB peak RSS for the whole process on a 2-core Xeon
-# container under Python 3.11.7.  Rank 6 (720 S_w), run with this limit
-# lifted on the same host, took 23.3 s at 70 MiB for 286 006 pairs, with no
-# violation.
-MAX_SOERGEL_RANK = 5
+# `verify soergel --n 6 --json`, which emits all four kinds of certificate
+# (286 006 F-matrix pairs over 720 S_w; closure is derived, not computed),
+# takes 7.4 to 7.9 s at 72 MiB peak RSS for the whole process on a 2-core
+# Xeon container under Python 3.11.7.  Rank 7 (5 040 S_w, 13 755 080
+# pairs) was not run.
+MAX_SOERGEL_RANK = 6
 check_soergel_rank = partial(check_rank, limit=MAX_SOERGEL_RANK, what="filtration certificates")
+
+
+def _cauchy_holds(n: int) -> bool:
+    """The stored coordinates of S_{w0} are the Cauchy product: moved from x
+    to y, each beside schubert_u(x) at its u, they sum to double_delta(n)."""
+    elem = s_element(Permutation.longest(n))
+    return sum_of_products(
+        ((x_to_y(c, n), widen_with_y(schubert_poly(u), n)) for u, c in elem.coords.items()), n, n
+    ) == double_delta(n)
+
+
+def _top_entry(w: Permutation) -> Poly:
+    """F_w(S_{w0}), the product of x_{w(i)} - x_j over i + j <= n: zero as
+    soon as some w(i) <= n - i, which leaves only w = w0."""
+    n = w.n
+    if any(w.word[i - 1] <= n - i for i in range(1, n)):
+        return Poly.zero(n)
+    out = Poly.one(n)
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            out = out * (Poly.x(w.word[i - 1], n) - Poly.x(j, n))
+    return out
 
 
 def f_matrix_columns(n: int) -> Iterator[tuple[Permutation, int | None, dict[Permutation, Poly]]]:
@@ -233,17 +270,18 @@ def f_matrix_columns(n: int) -> Iterator[tuple[Permutation, int | None, dict[Per
     per v, longest v first, by the descent recursion (module docstring).
 
     Yields (v, i, column), where column maps each w with length(w) <=
-    length(v) to F_w(S_v).  At w0, i is None and f_map evaluates the column
-    over all of S_n.  Every other column is divided out of its parent
-    u = v s_i at the first ascent i of v, which is longer and so already
-    built: F_w(S_u) and F_{w s_i}(S_u) both lie in u's column, and an entry
-    whose two parent entries are zero is zero.  The column of S_v holds
-    only if (1 (x) d_i) S_u = S_v, which the caller checks by
-    _descent_step_holds(v, i).
+    length(v) to F_w(S_v).  At w0, i is None and each entry is read off the
+    Cauchy product by _top_entry; the column holds only if S_{w0} is that
+    product, which the caller checks by _cauchy_holds(n).  Every other
+    column is divided out of its parent u = v s_i at the first ascent i of
+    v, which is longer and so already built: F_w(S_u) and F_{w s_i}(S_u)
+    both lie in u's column, and an entry whose two parent entries are zero
+    is zero.  The column of S_v holds only if (1 (x) d_i) S_u = S_v, which
+    the caller checks by _descent_step_holds(v, i).
     """
     perms = symmetric_group(n)
     w0 = perms[-1]
-    columns = {w0: {w: f_map(w, s_element(w0)) for w in perms}}
+    columns = {w0: {w: _top_entry(w) for w in perms}}
     yield w0, None, columns[w0]
     for v in reversed(perms[:-1]):
         i = next(i for i in range(1, n) if v.word[i - 1] < v.word[i])
@@ -277,15 +315,19 @@ def verify_filtration_identity(n: int) -> dict:
     """Check F_w(S_{w'}) over all pairs with length(w') >= length(w).
 
     Expected value: (-1)^{length(w)} * delta_w(w.inverse()) on the diagonal,
-    zero off it.  The entries come from f_matrix_columns; a column whose
-    descent step fails _descent_step_holds is named by w' alone, and its
-    entries are still checked.
+    zero off it.  The entries come from f_matrix_columns.  A column whose
+    derivation fails is named by w' alone, and its entries are still
+    checked: {"w_prime": w', "descent": i} when _descent_step_holds(w', i)
+    fails, and {"w_prime": w0, "cauchy": False} when _cauchy_holds(n) does.
     """
     check_soergel_rank(n)
     pairs = 0
     violations: list[dict] = []
     for w_prime, i, column in f_matrix_columns(n):
-        if i is not None and not _descent_step_holds(w_prime, i):
+        if i is None:
+            if not _cauchy_holds(n):
+                violations.append({"w_prime": w_prime.to_json(), "cauchy": False})
+        elif not _descent_step_holds(w_prime, i):
             violations.append({"w_prime": w_prime.to_json(), "descent": i})
         pairs += len(column)
         sign = -1 if w_prime.length() % 2 else 1

@@ -570,13 +570,17 @@ def widen_with_y(f: Poly, ny: int) -> Poly:
     return Poly._trusted(f.nx, ny, out, f._den, f._bits, f._top)
 
 
-def x_to_neg_y(f: Poly, nx: int) -> Poly:
-    """Send a pure-x polynomial f(x_1..x_k) to f(-y_1..-y_k) in Q[x_1..x_nx, y].
+def x_to_y(f: Poly, nx: int) -> Poly:
+    """Send a pure-x polynomial f(x_1..x_k) to f(y_1..y_k) in Q[x_1..x_nx, y].
 
-    The y-block is the least significant one, so every key stays as it is
-    and the signs are those of negate_x(f)."""
+    The y-block is the least significant one, so every key stays as it is."""
     _require_pure_x(f)
-    return Poly._trusted(nx, f.nx, negate_x(f)._num, f._den, f._bits, f._top)
+    return Poly._trusted(nx, f.nx, f._num, f._den, f._bits, f._top)
+
+
+def x_to_neg_y(f: Poly, nx: int) -> Poly:
+    """Send a pure-x polynomial f(x_1..x_k) to f(-y_1..-y_k) in Q[x_1..x_nx, y]."""
+    return x_to_y(negate_x(f), nx)
 
 
 def specialize_y_to_x(f: Poly) -> Poly:

@@ -416,7 +416,25 @@ def test_no_certificate_forms_a_product(monkeypatch, capsys):
         monkeypatch.setattr(module, name, boom)
     assert cli.main(["verify", "soergel", "--n", str(MAX_SOERGEL_RANK), "--json"]) == 0
     certs = json.loads(capsys.readouterr().out)["certificates"]
-    assert sum(cert["check"] == "filtration_right_closure" for cert in certs) == 12
+    levels = Permutation.longest(MAX_SOERGEL_RANK).length() + 2
+    assert sum(cert["check"] == "filtration_right_closure" for cert in certs) == levels
+
+
+def test_no_certificate_evaluates_f_map(monkeypatch, capsys):
+    """The F-matrix is built without the definition of F_w: f_map, which the
+    tests keep as the oracle, raises here."""
+    from schubstab import cli
+
+    def boom(*args):
+        raise AssertionError("a certificate evaluated f_map")
+
+    monkeypatch.setattr(bimodule_module, "f_map", boom)
+    for n in range(1, 6):
+        cert = verify_filtration_identity(n)
+        assert (cert["pairs"], cert["violations"]) == (oracle_qualifying_pairs(n), []), n
+    assert cli.main(["verify", "soergel", "--n", "4", "--json"]) == 0
+    for cert in json.loads(capsys.readouterr().out)["certificates"]:
+        assert cert["violations"] == [], cert["check"]
 
 
 def _closure_oracle(n):
@@ -468,6 +486,22 @@ def _plant_long_coordinate(monkeypatch):
     monkeypatch.setattr(bimodule_module, "s_element", planted)
 
 
+def _plant_top_coordinate(monkeypatch):
+    """x1 added to the coordinate of S_{w0} at e, at rank 3.  No descent step
+    reads that coordinate, as e has no descent, and unitriangularity checks
+    no coordinate shorter than its element."""
+    w0, e = Permutation.longest(3), Permutation.identity(3)
+    real = s_element
+
+    def planted(w):
+        elem = real(w)
+        if w != w0:
+            return elem
+        return BimoduleElement(3, {**elem.coords, e: elem.coords[e] + x(1, 3)})
+
+    monkeypatch.setattr(bimodule_module, "s_element", planted)
+
+
 @pytest.mark.parametrize(
     "plant, cited",
     [
@@ -476,8 +510,10 @@ def _plant_long_coordinate(monkeypatch):
         # An extra long coordinate of S_{(2,3,1)} fails unitriangularity, and
         # the descent step that divides S_{(2,3,1)} out of S_{w0}.
         (_plant_long_coordinate, {"s_basis_unitriangular": 1, "f_matrix_triangular_injectivity": 1}),
+        # A wrong short coordinate of S_{w0} fails only the Cauchy comparison.
+        (_plant_top_coordinate, {"f_matrix_triangular_injectivity": 1}),
     ],
-    ids=["identity", "unitriangularity"],
+    ids=["identity", "unitriangularity", "cauchy"],
 )
 def test_a_cited_fault_leaves_every_closure_level_unproven(monkeypatch, capsys, plant, cited):
     from schubstab import cli
@@ -545,11 +581,12 @@ def test_ranks_beyond_budget_are_refused_before_any_work(monkeypatch):
     def boom(*args):
         raise AssertionError("work started")
 
-    for name in ("symmetric_group", "s_element", "delta_w"):
+    for name in ("symmetric_group", "s_element", "delta_w", "double_delta"):
         monkeypatch.setattr(bimodule_module, name, boom)
+    admitted = f"1..{MAX_SOERGEL_RANK}"
     for check in (verify_filtration_identity, verify_unitriangular):
         for n in (0, MAX_SOERGEL_RANK + 1):
-            with pytest.raises(ValueError, match=f"rank {n} is outside 1..5 for filtration"):
+            with pytest.raises(ValueError, match=f"rank {n} is outside {admitted} for filtration"):
                 check(n)
     for n in (0, MAX_GRAPH_TWIST_RANK + 1):
         with pytest.raises(ValueError, match=f"rank {n} is outside 1..6 for graph-twist"):
@@ -626,6 +663,41 @@ def test_descent_step_names_a_planted_coordinate(monkeypatch):
     assert identity["violations"] == [{"w_prime": [2, 3, 1], "descent": 1}]
     assert identity["pairs"] == oracle_qualifying_pairs(3)
     assert verify_triangular_injectivity(identity)["determinant_nonzero"] is False
+
+
+def test_cauchy_check_names_a_planted_top_coordinate(monkeypatch):
+    # The recursion's entries stay right, since they are read off the
+    # Cauchy product; only the comparison with it sees the plant.
+    _plant_top_coordinate(monkeypatch)
+    identity = verify_filtration_identity(3)
+    assert identity["violations"] == [{"w_prime": [3, 2, 1], "cauchy": False}]
+    assert identity["pairs"] == oracle_qualifying_pairs(3)
+    # The f_map oracle, over every qualifying pair of the planted elements,
+    # finds wrong entries in the column of w0 and nowhere else.
+    perms = symmetric_group(3)
+    wrong_columns = set()
+    for v in perms:
+        sign = -1 if v.length() % 2 else 1
+        for w in perms:
+            if w.length() > v.length():
+                continue
+            expected = sign * delta_w(v.inverse()) if w == v else Poly.zero(3)
+            if f_map(w, bimodule_module.s_element(v)) != expected:
+                wrong_columns.add(v.word)
+    assert wrong_columns == {(3, 2, 1)}
+    injectivity = verify_triangular_injectivity(identity)
+    assert injectivity["determinant_nonzero"] is False
+    assert injectivity["violations"] == identity["violations"]
+
+
+def test_cauchy_check_names_a_wrong_reference_product(monkeypatch):
+    # The elements are intact, so every entry is right; only the comparison
+    # with the product fails.
+    real = bimodule_module.double_delta
+    monkeypatch.setattr(bimodule_module, "double_delta", lambda n: real(n) + 1)
+    identity = verify_filtration_identity(3)
+    assert identity["violations"] == [{"w_prime": [3, 2, 1], "cauchy": False}]
+    assert identity["pairs"] == oracle_qualifying_pairs(3)
 
 
 def test_division_by_a_linear_form_is_exact_or_raises(monkeypatch):

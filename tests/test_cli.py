@@ -116,10 +116,10 @@ class TestVerifyCommands:
     @pytest.mark.parametrize(
         "argv, work, message",
         [
-            (["verify", "soergel", "--n", "6"],
+            (["verify", "soergel", "--n", "7"],
              ["cli.verify_filtration_identity", "cli.verify_unitriangular",
               "cli.verify_bimodule_closure", "cli.verify_triangular_injectivity"],
-             "rank 6 is outside 1..5 for filtration certificates"),
+             "rank 7 is outside 1..6 for filtration certificates"),
             (["table", "graph-twists", "--n", "7"],
              ["bimodule.symmetric_group", "bimodule.delta_w"],
              "rank 7 is outside 1..6 for graph-twist tables"),

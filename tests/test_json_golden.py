@@ -4,8 +4,8 @@ Each entry is a command line (without --json), the exit code it gives and
 the SHA-256 of its --json stdout.  The list holds every command the README
 shows, the stability round of bench/rounds.py at seeds 5 and 13, the
 round's `verify soergel` and `verify demazure` operations, `verify
-soergel` at rank 5, the top rank it admits, `verify demazure` at ranks 6
-and 7, the n = 3 box scan, the n = 2 box scan at bound 8 (17^4 = 83521
+soergel` at rank 5 and at rank 6, the top rank it admits, `verify
+demazure` at ranks 6 and 7, the n = 3 box scan, the n = 2 box scan at bound 8 (17^4 = 83521
 classes, the largest n = 2 box the class limit admits, with 3701
 findings), the commands refused with exit 2 before any
 work (their stdout is empty), and the large documents: the 12 rank-5
@@ -111,13 +111,15 @@ GOLDEN = [
      "c8053224e2775126508e73cb811d2914123d73a42aa83b65fb74f789d884916f"),
     ("verify soergel --n 5", 0,
      "5e45a51ce34c3ed716b1479506ce6b774a9728a3d03625b53db3a1c4786139df"),
+    ("verify soergel --n 6", 0,
+     "1efa751dbed31ac2a23c85f2cc462abf47838e7f27968f12f97912ed72342c3b"),
     ("verify demazure --n 5 --trials 1 --seed 7", 0,
      "5ca2439dde35133ef1bbe7d45d50d640a11a8c012cb62a2797c8d7459c269975"),
     ("verify demazure --n 4 --trials 20 --seed 5", 0,
      "a792364b0c71c5bc5ce97b185901fc86bf996046f1201ea8f1d4914ff93edcb8"),
     ("verify demazure --n 4 --trials 20 --seed 13", 0,
      "259403c40a9f6a173c3f1daaec05a2837dc9e84498888cafa1b1e5dfba89b6c8"),
-    ("verify soergel --n 6", 2,
+    ("verify soergel --n 7", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("table graph-twists --n 7", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -33,6 +33,7 @@ from schubstab.poly import (
     verify_demazure_relations,
     widen_with_y,
     x_to_neg_y,
+    x_to_y,
 )
 from test_perms import reduced_words
 
@@ -567,7 +568,7 @@ def test_unvalidated_results_are_clean(data):
     if ny:
         results.append(specialize_y_to_x(f))
     else:
-        results += [widen_with_y(f, nx), x_to_neg_y(f, nx)]
+        results += [widen_with_y(f, nx), x_to_y(f, nx), x_to_neg_y(f, nx)]
     for p in results:
         _assert_clean(p)
     assert f - f == Poly.zero(nx, ny) and f * 0 == Poly.zero(nx, ny)
@@ -821,6 +822,10 @@ def test_widen_and_neg_y_embeddings():
     wide = widen_with_y(f, 2)
     assert wide.nx == 2 and wide.ny == 2
     assert wide.terms[(1, 0, 0, 0)] == 1
+    assert x_to_y(f, 2) == y(1, 2, 2) + 2 * y(2, 2, 2)
+    assert x_to_y(x(1, 1) ** 2, 3) == y(1, 3, 1) ** 2
+    with pytest.raises(ValueError):
+        x_to_y(Poly.x(1, 2, 2), 2)
     neg = x_to_neg_y(f, 2)
     assert neg == -y(1, 2, 2) - 2 * y(2, 2, 2)
     # Signs alternate with degree.
