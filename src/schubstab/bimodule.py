@@ -65,24 +65,16 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, Mapping
 
-from .perms import (
-    Permutation,
-    check_rank,
-    length_additive_factorizations,
-    sort_key,
-    symmetric_group,
+from .perms import Permutation, check_rank, sort_key, symmetric_group
+from .poly import Exponent, Poly, divide_exact, permute_x, sum_of_products
+from .schubert import (
+    cauchy_coefficients,
+    cauchy_sum,
+    delta_w,
+    double_delta,
+    expand_in_schubert_basis,
+    schubert_poly,
 )
-from .poly import (
-    Exponent,
-    Poly,
-    divide_exact,
-    negate_x,
-    permute_x,
-    sum_of_products,
-    widen_with_y,
-    x_to_y,
-)
-from .schubert import delta_w, double_delta, expand_in_schubert_basis, schubert_poly
 
 
 class BimoduleElement:
@@ -135,15 +127,10 @@ class BimoduleElement:
 # which symmetric_group checks before building anything.
 @lru_cache(maxsize=None)
 def s_element(w: Permutation) -> BimoduleElement:
-    """The basis element S_w in left coordinates.
-
-    coordinate[u] = schubert_v(-x) for each additive factorization
-    w = v^{-1} u; v = e gives coordinate[w] = 1.
-    """
-    return BimoduleElement(
-        w.n,
-        {u: negate_x(schubert_poly(v)) for v, u in length_additive_factorizations(w)},
-    )
+    """The basis element S_w in left coordinates: the Cauchy coefficients of
+    w, coordinate[u] = schubert_v(-x) for each additive factorization
+    w = v^{-1} u; v = e gives coordinate[w] = 1."""
+    return BimoduleElement(w.n, cauchy_coefficients(w))
 
 
 def f_map(w: Permutation, elem: BimoduleElement) -> Poly:
@@ -236,20 +223,18 @@ def membership_in_gamma(elem: BimoduleElement, j: int) -> tuple[bool, dict[Permu
 
 # `verify soergel --n 6 --json`, which emits all four kinds of certificate
 # (286 006 F-matrix pairs over 720 S_w; closure is derived, not computed),
-# takes 7.4 to 7.9 s at 72 MiB peak RSS for the whole process on a 2-core
-# Xeon container under Python 3.11.7.  Rank 7 (5 040 S_w, 13 755 080
-# pairs) was not run.
+# takes 2.9 to 4.8 s at 64 MiB peak RSS for the whole process on a 2-core
+# Xeon container under Python 3.11.7, whose speed drifts; most of it is
+# the Permutation products of the descent recursion.  Rank 7 (5 040 S_w,
+# 13 755 080 pairs) was not run.
 MAX_SOERGEL_RANK = 6
 check_soergel_rank = partial(check_rank, limit=MAX_SOERGEL_RANK, what="filtration certificates")
 
 
 def _cauchy_holds(n: int) -> bool:
-    """The stored coordinates of S_{w0} are the Cauchy product: moved from x
-    to y, each beside schubert_u(x) at its u, they sum to double_delta(n)."""
-    elem = s_element(Permutation.longest(n))
-    return sum_of_products(
-        ((x_to_y(c, n), widen_with_y(schubert_poly(u), n)) for u, c in elem.coords.items()), n, n
-    ) == double_delta(n)
+    """The stored coordinates of S_{w0} are the Cauchy product: their Cauchy
+    sum is double_delta(n)."""
+    return cauchy_sum(s_element(Permutation.longest(n)).coords, n) == double_delta(n)
 
 
 def _top_entry(w: Permutation) -> Poly:

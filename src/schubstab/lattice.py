@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Sequence, Union
 
-from .perms import check_rank
+from .perms import check_count, check_rank
 from .poly import as_fraction
 
 Scalar = Union[int, Fraction]
@@ -378,13 +378,6 @@ def twist(vec: LatticeVector, c: Sequence[Scalar]) -> LatticeVector:
     return LatticeVector._reduced(vec.n, out, den)
 
 
-def _check_isogeny_degree(m: int) -> None:
-    if type(m) is not int:
-        raise TypeError(f"isogeny degree must be an int, not {m!r}")
-    if m < 1:
-        raise ValueError("isogeny degree must be positive")
-
-
 def _scale_levels(vec: LatticeVector, factors: Sequence[int]) -> LatticeVector:
     """vec with the component at each mask times the int factors[level]."""
     nums = [x * factors[level] for x, level in zip(vec.nums, _levels(vec.n))]
@@ -393,14 +386,14 @@ def _scale_levels(vec: LatticeVector, factors: Sequence[int]) -> LatticeVector:
 
 def isogeny_pullback(m: int, vec: LatticeVector) -> LatticeVector:
     """Multiplication-by-m pullback: scale component at S by m^{2(n-|S|)}."""
-    _check_isogeny_degree(m)
+    check_count(m, "isogeny degree")
     n = vec.n
     return _scale_levels(vec, [m ** (2 * (n - s)) for s in range(n + 1)])
 
 
 def isogeny_pushforward(m: int, vec: LatticeVector) -> LatticeVector:
     """Multiplication-by-m pushforward: scale component at S by m^{2|S|}."""
-    _check_isogeny_degree(m)
+    check_count(m, "isogeny degree")
     return _scale_levels(vec, [m ** (2 * s) for s in range(vec.n + 1)])
 
 
@@ -423,12 +416,12 @@ def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) ->
       Z^{a,b}(pushforward_m v) = Z^{m^2 a, m^2 b}(v)
       Z^{a,b}(twist(v, -1))    = Z^{a, b+1}(v)
     Both sides are compared as cross-multiplied integer numerators; only a
-    violation's two charges are made into Fractions.  A non-int m raises
-    TypeError, and m < 1 or trials < 1 ValueError, before any trial.
+    violation's two charges are made into Fractions.  An m or trials that
+    is not an int (a bool included) raises TypeError, and m < 1 or
+    trials < 1 ValueError, before any trial.
     """
-    _check_isogeny_degree(m)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_count(m, "isogeny degree")
+    check_count(trials, "trials")
     rng = random.Random(seed)
     n = p.n
     msq = m * m

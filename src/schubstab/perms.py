@@ -44,6 +44,8 @@ class Permutation:
     @staticmethod
     def simple(j: int, n: int) -> "Permutation":
         """The adjacent transposition s_j swapping j and j+1, for 1 <= j < n."""
+        if type(j) is not int:
+            raise TypeError(f"simple reflection index {j!r} must be an int")
         if not 1 <= j <= n - 1:
             raise ValueError(f"simple reflection index {j} out of range for rank {n}")
         word = list(range(1, n + 1))
@@ -127,6 +129,15 @@ def check_rank(n: int, limit: int, what: str) -> None:
         raise ValueError(f"rank {n} is outside 1..{limit} for {what}")
 
 
+def check_count(value: int, what: str, least: int = 1) -> None:
+    """The gate of a count such as trials, a bound or a power: TypeError
+    unless value is an int (not a bool), ValueError below least."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}")
+
+
 def sort_key(w: Permutation) -> tuple[int, tuple[int, ...]]:
     """Canonical ordering key: length first, then one-line word."""
     return (w.length(), w.word)
@@ -149,22 +160,3 @@ def symmetric_group(n: int) -> tuple[Permutation, ...]:
     perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
     perms.sort(key=sort_key)
     return tuple(perms)
-
-
-def length_additive_factorizations(w: Permutation) -> tuple[tuple[Permutation, Permutation], ...]:
-    """All pairs (v, u) with w = v^{-1} u and length(v) + length(u) = length(w).
-
-    These index the terms of the Cauchy formula
-    schubert(w)(x; y) = sum schubert(u)(x) schubert(v)(-y) (Macdonald, Notes
-    on Schubert Polynomials, 1991).  Pairs come in enumeration order of v.
-    """
-    lw = w.length()
-    out = []
-    for v in symmetric_group(w.n):
-        lv = v.length()
-        if lv > lw:
-            break
-        u = v * w
-        if lv + u.length() == lw:
-            out.append((v, u))
-    return tuple(out)

@@ -55,7 +55,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Union
 
-from .perms import MAX_ENUMERATED_RANK, Permutation, check_rank, symmetric_group
+from .perms import MAX_ENUMERATED_RANK, Permutation, check_count, check_rank, symmetric_group
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -316,8 +316,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
+        check_count(k, "power", least=0)
         out = Poly.one(self.nx, self.ny)
         for _ in range(k):
             out = out * self
@@ -578,11 +577,6 @@ def x_to_y(f: Poly, nx: int) -> Poly:
     return Poly._trusted(nx, f.nx, f._num, f._den, f._bits, f._top)
 
 
-def x_to_neg_y(f: Poly, nx: int) -> Poly:
-    """Send a pure-x polynomial f(x_1..x_k) to f(-y_1..-y_k) in Q[x_1..x_nx, y]."""
-    return x_to_y(negate_x(f), nx)
-
-
 def specialize_y_to_x(f: Poly) -> Poly:
     """Ring map y_i -> x_i; requires equal numbers of x- and y-variables.
 
@@ -720,9 +714,11 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     under test.  No reduced word is listed, so the cost per trial is those
     n!(n-1)/2 + 2(n-1) divided differences, and the rank is bounded by the
     group the certificate walks: check_demazure_rank refuses n < 2 and
-    n > MAX_ENUMERATED_RANK with ValueError before any work.
+    n > MAX_ENUMERATED_RANK with ValueError before any work, as check_count
+    refuses trials below 1 (ValueError) or not an int (TypeError).
     """
     check_demazure_rank(n)
+    check_count(trials, "trials")
     rng = random.Random(seed)
     tables = [_SuffixTable(random_poly(rng, n)) for _ in range(trials)]
     violations: list[dict] = []

@@ -22,11 +22,12 @@ polynomials, which avoids any linear algebra and any Monk-rule bookkeeping.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Mapping
 
-from .perms import Permutation, check_rank, length_additive_factorizations, symmetric_group
+from .perms import Permutation, check_rank, symmetric_group
 from .poly import (
     Exponent,
     Poly,
@@ -40,7 +41,7 @@ from .poly import (
     specialize_y_to_x,
     sum_of_products,
     widen_with_y,
-    x_to_neg_y,
+    x_to_y,
 )
 
 
@@ -139,21 +140,42 @@ def double_schubert(w: Permutation) -> Poly:
     return _walk(w, double_delta, double_schubert)
 
 
-def double_schubert_expansion(w: Permutation) -> Poly:
-    """Rebuild the two-alphabet polynomial from single ones.
+def cauchy_coefficients(w: Permutation) -> dict[Permutation, Poly]:
+    """The coefficients of the Cauchy formula
+    double_schubert(w)(x; y) = sum of schubert_u(x) schubert_v(-y) over the
+    factorizations w = v^{-1} u with length(v) + length(u) = length(w)
+    (Macdonald, Notes on Schubert Polynomials, 1991), as {u: schubert_v(-x)}
+    in enumeration order of v; v = e gives coefficient 1 at u = w.
 
-    Sums schubert(u)(x) * schubert(v)(-y) over the factorizations w = v^{-1} u
-    with length(w) = length(v) + length(u).
-    """
-    n = w.n
+    Both factors are at most as long as w, so u = v w is looked up by its
+    one-line word among the elements of symmetric_group(n), listed by
+    length, that are no longer than w; they keep their lengths, and no
+    permutation is built."""
+    group = symmetric_group(w.n)
+    lw = w.length()
+    shorter = group[: bisect_right(group, lw, key=Permutation.length)]
+    by_word = {p.word: p for p in shorter}
+    out = {}
+    for v in shorter:
+        u = by_word.get(tuple(v.word[i - 1] for i in w.word))
+        if u is not None and v.length() + u.length() == lw:
+            out[u] = negate_x(schubert_poly(v))
+    return out
+
+
+def cauchy_sum(coefficients: Mapping[Permutation, Poly], n: int) -> Poly:
+    """The sum of schubert_u(x) * c_u(y) over {u: c_u} with every c_u in
+    Q[x_1..x_n], moved verbatim to the y-alphabet: on cauchy_coefficients(w)
+    it is double_schubert(w)."""
     return sum_of_products(
-        (
-            (widen_with_y(schubert_poly(u), n), x_to_neg_y(schubert_poly(v), n))
-            for v, u in length_additive_factorizations(w)
-        ),
-        n,
-        n,
+        ((widen_with_y(schubert_poly(u), n), x_to_y(c, n)) for u, c in coefficients.items()), n, n
     )
+
+
+def double_schubert_expansion(w: Permutation) -> Poly:
+    """Rebuild the two-alphabet polynomial from single ones: the Cauchy sum
+    of w's coefficients."""
+    return cauchy_sum(cauchy_coefficients(w), w.n)
 
 
 def specialization_check(w: Permutation, w_prime: Permutation) -> Poly:

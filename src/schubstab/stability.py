@@ -46,6 +46,7 @@ from .lattice import (
     twist,
     vector_from_rank_deg,
 )
+from .perms import check_count
 
 
 def _strip(x: Scalar, y: Scalar) -> bool:
@@ -206,12 +207,12 @@ def scan_class_count(n: int, bound: int) -> int:
     """Number of classes bayer_shadow_scan tries at rank n and this bound.
 
     Raises ValueError for a rank outside 1..MAX_LATTICE_RANK, a bound
-    below 1 and a count beyond MAX_SCAN_CLASSES, so a caller can refuse a
-    scan before starting it.
+    below 1 and a count beyond MAX_SCAN_CLASSES, and TypeError for a bound
+    that is not an int (a bool included), so a caller can refuse a scan
+    before starting it.
     """
     check_lattice_rank(n)
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    check_count(bound, "bound")
     side = 2 * bound + 1
     classes = bound * side + bound if n == 1 else side ** (2**n)
     if classes > MAX_SCAN_CLASSES:

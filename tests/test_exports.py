@@ -24,6 +24,8 @@ def test_test_only_helpers_are_not_in_the_package():
         (schubstab.perms, "reduced_words"),
         (schubstab.perms, "longest_reduced_word_count"),
         (schubstab.perms, "MAX_REDUCED_WORDS_RANK"),
+        (schubstab.perms, "length_additive_factorizations"),
+        (schubstab.poly, "x_to_neg_y"),
         (schubstab.poly, "demazure_word_count"),
         (schubstab.poly, "MAX_LONGEST_WORDS"),
         (schubstab.poly, "_Terms"),

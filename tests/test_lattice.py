@@ -523,7 +523,7 @@ class TestChargeTransforms:
     @pytest.mark.parametrize(
         "m, trials, error",
         [(F(3, 2), 10, TypeError), (F(2), 10, TypeError), (0, 10, ValueError),
-         (2, 0, ValueError), (2, -4, ValueError)],
+         (2, 0, ValueError), (2, -4, ValueError), (2, True, TypeError), (True, 10, TypeError)],
     )
     def test_bad_degree_or_trials_refused_before_any_trial(self, monkeypatch, m, trials, error):
         def started(*args):

@@ -7,18 +7,17 @@ Oracles used to freeze expected values:
     right length, against the descent recursion `reduced_words` below,
     which test_poly uses to list every word the certificate's induction
     stands in for,
-  - length distribution via the q-factorial, built by polynomial convolution.
+  - length distribution via the q-factorial, built by polynomial convolution,
+  - the Cauchy coefficients by a scan of every pair in S_n x S_n.
 """
 
 import itertools
 
 import pytest
 
-from schubstab.perms import (
-    Permutation,
-    length_additive_factorizations,
-    symmetric_group,
-)
+from schubstab.perms import Permutation, symmetric_group
+from schubstab.poly import negate_x
+from schubstab.schubert import cauchy_coefficients, schubert_poly
 
 
 # ---------------------------------------------------------------- oracles
@@ -110,6 +109,9 @@ def test_simple_reflections():
         Permutation.simple(3, 3)
     with pytest.raises(ValueError):
         Permutation.simple(0, 3)
+    for j in (True, 1.0):
+        with pytest.raises(TypeError, match="must be an int"):
+            Permutation.simple(j, 3)
 
 
 def test_compose_examples():
@@ -262,20 +264,41 @@ def test_json_one_line_form():
     assert str(Permutation((2, 3, 1))) == "[2,3,1]"
 
 
-def test_length_additive_factorizations_match_brute_force():
-    # Oracle: every pair (v, u) in S_n x S_n, kept when v^{-1} u = w and the
-    # lengths add up.
-    for n in (1, 2, 3, 4):
+def test_cauchy_coefficients_match_brute_force():
+    # Oracle: every pair (v, u) in S_n x S_n whose lengths add up to that of
+    # w = v^{-1} u, filed under w.  The coefficient at u is schubert_v(-x),
+    # and the keys come in enumeration order of v.
+    for n in (1, 2, 3, 4, 5):
         group = symmetric_group(n)
+        want = {w: {} for w in group}
+        for v in group:
+            for u in group:
+                w = v.inverse() * u
+                if v.length() + u.length() == w.length():
+                    want[w][u] = v
         for w in group:
-            want = {
-                (v, u)
-                for v in group
-                for u in group
-                if v.inverse() * u == w and v.length() + u.length() == w.length()
-            }
-            got = length_additive_factorizations(w)
-            assert len(got) == len(set(got))
-            assert set(got) == want
-            assert (Permutation.identity(n), w) in want
-            assert (w.inverse(), Permutation.identity(n)) in want
+            got = cauchy_coefficients(w)
+            assert list(got) == list(want[w]), str(w)
+            for u, v in want[w].items():
+                assert got[u] == negate_x(schubert_poly(v)), (str(w), str(u))
+            assert want[w][w] == Permutation.identity(n)
+            assert want[w][Permutation.identity(n)] == w.inverse()
+
+
+def test_cauchy_coefficients_build_no_permutation(monkeypatch):
+    # Each u = v w is looked up among the group's own elements, so with the
+    # group and the Schubert polynomials of S4 built, no Permutation is made.
+    group = symmetric_group(4)
+    for v in group:
+        schubert_poly(v)
+    built = []
+    real = Permutation.__post_init__
+
+    def counting(self):
+        built.append(self.word)
+        real(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    for w in group:
+        cauchy_coefficients(w)
+    assert built == []

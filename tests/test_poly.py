@@ -32,7 +32,6 @@ from schubstab.poly import (
     specialize_y_to_x,
     verify_demazure_relations,
     widen_with_y,
-    x_to_neg_y,
     x_to_y,
 )
 from test_perms import reduced_words
@@ -179,6 +178,16 @@ def test_a_poly_equals_itself_and_refuses_other_operands():
         f * "x1"
     with pytest.raises(TypeError):
         f * True
+
+
+def test_power_takes_a_nonnegative_int():
+    f = x(1, 2) + 1
+    assert f ** 0 == Poly.one(2) and f ** 2 == f * f
+    for k in (True, False, 2.0, Fraction(2)):
+        with pytest.raises(TypeError, match="power must be an int"):
+            f ** k
+    with pytest.raises(ValueError, match="power must be at least 0"):
+        f ** -1
 
 
 def test_degrees():
@@ -526,6 +535,21 @@ def test_demazure_budget_refuses_before_any_work(monkeypatch):
             verify_demazure_relations(n, 1, 0)
 
 
+def test_demazure_trials_must_be_a_positive_int(monkeypatch):
+    """No trial makes a clean certificate that checked nothing."""
+
+    def boom(*args):
+        raise AssertionError("check started")
+
+    monkeypatch.setattr(poly_module, "random_poly", boom)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify_demazure_relations(3, trials, 0)
+    for trials in (True, 2.0, Fraction(2)):
+        with pytest.raises(TypeError, match="trials must be an int"):
+            verify_demazure_relations(3, trials, 0)
+
+
 # ------------------------------------------- the unvalidated constructor
 
 
@@ -568,7 +592,7 @@ def test_unvalidated_results_are_clean(data):
     if ny:
         results.append(specialize_y_to_x(f))
     else:
-        results += [widen_with_y(f, nx), x_to_y(f, nx), x_to_neg_y(f, nx)]
+        results += [widen_with_y(f, nx), x_to_y(f, nx)]
     for p in results:
         _assert_clean(p)
     assert f - f == Poly.zero(nx, ny) and f * 0 == Poly.zero(nx, ny)
@@ -817,7 +841,7 @@ def test_terms_view():
 # ------------------------------------------------------- two-alphabet ops
 
 
-def test_widen_and_neg_y_embeddings():
+def test_widen_and_y_embeddings():
     f = x(1, 2) + 2 * x(2, 2)
     wide = widen_with_y(f, 2)
     assert wide.nx == 2 and wide.ny == 2
@@ -826,10 +850,6 @@ def test_widen_and_neg_y_embeddings():
     assert x_to_y(x(1, 1) ** 2, 3) == y(1, 3, 1) ** 2
     with pytest.raises(ValueError):
         x_to_y(Poly.x(1, 2, 2), 2)
-    neg = x_to_neg_y(f, 2)
-    assert neg == -y(1, 2, 2) - 2 * y(2, 2, 2)
-    # Signs alternate with degree.
-    assert x_to_neg_y(x(1, 1) ** 2, 1) == y(1, 1, 1) ** 2
 
 
 def test_specialize_y_to_x():

@@ -307,6 +307,11 @@ class TestBayerShadow:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             bayer_shadow_scan(ChargeParams(F(1), F(0), 1), 0)
+        # A bool bound would scan at bound 1 and report "bound": true.
+        for n in (1, 2):
+            for bound in (True, 2.0, F(2)):
+                with pytest.raises(TypeError, match="bound must be an int"):
+                    bayer_shadow_scan(ChargeParams(F(1), F(0), n), bound)
 
     def test_class_limit_is_checked_before_scanning(self, monkeypatch):
         class ScanStarted(Exception):
