@@ -46,6 +46,11 @@ u s_i < u, and
 
 So the column of S_v follows from the column of its parent u = v s_i at
 the first ascent i of v, the walk that builds the Schubert polynomials.
+Columns are sparse: each keeps only its nonzero entries, and an entry is
+divided only where one of its two parent entries is stored.  Both lie in
+the parent's cut, as length(w s_i) <= length(u), so an entry with neither
+stored is zero.  Within the cut only the diagonal is nonzero, so each
+column below the top costs one division.
 The walk starts from the top column, of S_{w0}, certified by the Cauchy
 identity: S_{w0}(x; y) is the product of (x_i - y_j) over i + j <= n
 (Macdonald, Notes on Schubert Polynomials, 1991), and the stored
@@ -223,10 +228,10 @@ def membership_in_gamma(elem: BimoduleElement, j: int) -> tuple[bool, dict[Permu
 
 # `verify soergel --n 6 --json`, which emits all four kinds of certificate
 # (286 006 F-matrix pairs over 720 S_w; closure is derived, not computed),
-# takes 2.9 to 4.8 s at 64 MiB peak RSS for the whole process on a 2-core
-# Xeon container under Python 3.11.7, whose speed drifts; most of it is
-# the Permutation products of the descent recursion.  Rank 7 (5 040 S_w,
-# 13 755 080 pairs) was not run.
+# takes 1.7 to 2.6 s at 54 MiB peak RSS for the whole process on a 2-core
+# Xeon container under Python 3.11.7, whose speed drifts; about half of it
+# builds the S_w by cauchy_coefficients.  Rank 7 (5 040 S_w, 13 755 080
+# pairs) was not run.
 MAX_SOERGEL_RANK = 6
 check_soergel_rank = partial(check_rank, limit=MAX_SOERGEL_RANK, what="filtration certificates")
 
@@ -251,22 +256,27 @@ def _top_entry(w: Permutation) -> Poly:
 
 
 def f_matrix_columns(n: int) -> Iterator[tuple[Permutation, int | None, dict[Permutation, Poly]]]:
-    """The F-matrix entries F_w(S_v) with length(w) <= length(v), one column
-    per v, longest v first, by the descent recursion (module docstring).
+    """The nonzero F-matrix entries F_w(S_v) with length(w) <= length(v),
+    one column per v, longest v first, by the descent recursion (module
+    docstring).
 
-    Yields (v, i, column), where column maps each w with length(w) <=
-    length(v) to F_w(S_v).  At w0, i is None and each entry is read off the
-    Cauchy product by _top_entry; the column holds only if S_{w0} is that
-    product, which the caller checks by _cauchy_holds(n).  Every other
-    column is divided out of its parent u = v s_i at the first ascent i of
-    v, which is longer and so already built: F_w(S_u) and F_{w s_i}(S_u)
-    both lie in u's column, and an entry whose two parent entries are zero
-    is zero.  The column of S_v holds only if (1 (x) d_i) S_u = S_v, which
-    the caller checks by _descent_step_holds(v, i).
+    Yields (v, i, column), where column maps w to F_w(S_v) for the w with
+    length(w) <= length(v) at which that entry is nonzero; every absent w
+    of the cut is a proven zero.  At w0, i is None and the entries are the
+    nonzero values of _top_entry, which is only w0's; the column holds only
+    if S_{w0} is the Cauchy product, which the caller checks by
+    _cauchy_holds(n).  Every other column is divided out of its parent
+    u = v s_i at the first ascent i of v, which is longer and so already
+    built.  An entry at w needs F_w(S_u) and F_{w s_i}(S_u), and both lie
+    in u's cut, as length(w s_i) <= length(v) + 1 = length(u); so it is
+    divided only when w or w s_i is stored in u's column, and otherwise
+    both parent entries are zero, and so is it.  The column of S_v holds
+    only if (1 (x) d_i) S_u = S_v, which the caller checks by
+    _descent_step_holds(v, i).
     """
     perms = symmetric_group(n)
-    w0 = perms[-1]
-    columns = {w0: {w: _top_entry(w) for w in perms}}
+    w0, zero = perms[-1], Poly.zero(n)
+    columns = {w0: {w: f for w in perms if not (f := _top_entry(w)).is_zero}}
     yield w0, None, columns[w0]
     for v in reversed(perms[:-1]):
         i = next(i for i in range(1, n) if v.word[i - 1] < v.word[i])
@@ -274,14 +284,13 @@ def f_matrix_columns(n: int) -> Iterator[tuple[Permutation, int | None, dict[Per
         parent = columns[v * s]
         lv = v.length()
         column = columns[v] = {}
-        for w in perms:
-            if w.length() > lv:
-                break
-            a, b = parent[w], parent[w * s]
-            if a.is_zero and b.is_zero:
-                column[w] = a
-            else:
-                column[w] = divide_exact(a - b, w.word[i - 1], w.word[i])
+        for u in parent:
+            us = u * s
+            for w, ws in ((u, us), (us, u)):
+                if w.length() <= lv:
+                    f = parent.get(w, zero) - parent.get(ws, zero)
+                    if not (f := divide_exact(f, w.word[i - 1], w.word[i])).is_zero:
+                        column[w] = f
         yield v, i, column
 
 
@@ -300,13 +309,21 @@ def verify_filtration_identity(n: int) -> dict:
     """Check F_w(S_{w'}) over all pairs with length(w') >= length(w).
 
     Expected value: (-1)^{length(w)} * delta_w(w.inverse()) on the diagonal,
-    zero off it.  The entries come from f_matrix_columns.  A column whose
-    derivation fails is named by w' alone, and its entries are still
-    checked: {"w_prime": w', "descent": i} when _descent_step_holds(w', i)
-    fails, and {"w_prime": w0, "cauchy": False} when _cauchy_holds(n) does.
+    zero off it.  The entries come from f_matrix_columns, whose columns
+    store only nonzero entries and prove every absent one zero; so `pairs`
+    counts the whole cut from the lengths, and each column's stored entries
+    and its diagonal, "0" when absent, are checked in group order.  A
+    column whose derivation fails is named by w' alone, and its entries
+    are still checked: {"w_prime": w', "descent": i} when
+    _descent_step_holds(w', i) fails, and {"w_prime": w0, "cauchy": False}
+    when _cauchy_holds(n) does.
     """
     check_soergel_rank(n)
-    pairs = 0
+    lengths = [w.length() for w in symmetric_group(n)]
+    # The group is in length order, so the last index of a length counts
+    # every w no longer than it.
+    within = {length: k for k, length in enumerate(lengths, 1)}
+    zero = Poly.zero(n)
     violations: list[dict] = []
     for w_prime, i, column in f_matrix_columns(n):
         if i is None:
@@ -314,39 +331,39 @@ def verify_filtration_identity(n: int) -> dict:
                 violations.append({"w_prime": w_prime.to_json(), "cauchy": False})
         elif not _descent_step_holds(w_prime, i):
             violations.append({"w_prime": w_prime.to_json(), "descent": i})
-        pairs += len(column)
         sign = -1 if w_prime.length() % 2 else 1
         expected_diag = sign * delta_w(w_prime.inverse())
-        for w, got in column.items():
-            diagonal = w == w_prime
-            if (got == expected_diag) if diagonal else got.is_zero:
-                continue
-            expected = expected_diag if diagonal else Poly.zero(n)
-            violations.append(
-                {
-                    "w": w.to_json(),
-                    "w_prime": w_prime.to_json(),
-                    "got": str(got),
-                    "expected": str(expected),
-                }
-            )
+        for w in sorted(column.keys() | {w_prime}, key=sort_key):
+            got = column.get(w, zero)
+            expected = expected_diag if w == w_prime else zero
+            if got != expected:
+                violations.append(
+                    {
+                        "w": w.to_json(),
+                        "w_prime": w_prime.to_json(),
+                        "got": str(got),
+                        "expected": str(expected),
+                    }
+                )
     return {
         "check": "filtration_identity",
         "n": n,
-        "pairs": pairs,
+        "pairs": sum(within[length] for length in lengths),
         "violations": violations,
     }
 
 
 def verify_unitriangular(n: int) -> dict:
     """S_w over the left basis, read from s_element(w).coords: coordinate 1 at
-    u = w, none at other u with length(u) >= length(w); "0" marks an absent one."""
+    u = w, none at other u with length(u) >= length(w); "0" marks an absent
+    one.  Only the stored coordinates and w itself can break that, so those
+    are checked, in group order, though `entries` counts the whole matrix."""
     check_soergel_rank(n)
     perms = symmetric_group(n)
     violations: list[dict] = []
     for w in perms:
         coords = s_element(w).coords
-        for u in perms:
+        for u in sorted(coords.keys() | {w}, key=sort_key):
             val = coords.get(u, 0)
             if u.length() >= w.length() and val != (1 if u == w else 0):
                 violations.append({"w": w.to_json(), "u": u.to_json(), "got": str(val)})

@@ -67,10 +67,12 @@ def rational(text: str) -> Fraction:
 
 
 def int_list(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated list of integers."""
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
+    """Parse a comma-separated list of integers; a blank text is the empty
+    list, and an empty item between or after commas is refused."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(piece) for piece in items)
+        return tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list")
 
@@ -252,6 +254,8 @@ def _cmd_hn_p1(args) -> int:
 
 
 def _cmd_derive_chain(args) -> int:
+    if not args.adegrees:
+        raise ValueError("give at least one a-degree")
     certs = derive_twist_chain(args.adegrees, args.N)
     payload = {"certificates": certs}
     lines = []

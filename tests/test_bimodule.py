@@ -595,14 +595,15 @@ def test_ranks_beyond_budget_are_refused_before_any_work(monkeypatch):
 
 def _plant_in_column(monkeypatch, w_prime, w, fault):
     """Replace F_w(S_{w'}) by fault(F_w(S_{w'})) where the recursion hands its
-    column to the certificate; the columns the recursion divides on are
-    left as they are."""
+    column to the certificate, reading an absent entry as the zero the
+    recursion proved it; the columns the recursion divides on are left as
+    they are."""
     real = bimodule_module.f_matrix_columns
 
     def planted(n):
         for v, i, column in real(n):
             if v == w_prime:
-                column = {**column, w: fault(column[w])}
+                column = {**column, w: fault(column.get(w, Poly.zero(n)))}
             yield v, i, column
 
     monkeypatch.setattr(bimodule_module, "f_matrix_columns", planted)
@@ -619,6 +620,8 @@ def test_certificates_name_a_wrong_diagonal_entry(monkeypatch):
 
 
 def test_certificates_name_a_nonzero_off_diagonal_entry(monkeypatch):
+    # The recursion stores no entry at (2,1,3) in the column of (2,3,1): it
+    # proved that slot zero, and the plant puts x1 there.
     w, w_prime = perm(2, 1, 3), perm(2, 3, 1)
     _plant_in_column(monkeypatch, w_prime, w, lambda got: got + x(1, 3))
     identity = verify_filtration_identity(3)
@@ -629,18 +632,96 @@ def test_certificates_name_a_nonzero_off_diagonal_entry(monkeypatch):
     assert verify_triangular_injectivity(identity)["determinant_nonzero"] is False
 
 
+def test_certificates_name_a_missing_diagonal_entry(monkeypatch):
+    bad = perm(2, 3, 1)
+    real = bimodule_module.f_matrix_columns
+
+    def planted(n):
+        for v, i, column in real(n):
+            if v == bad:
+                column = {w: f for w, f in column.items() if w != bad}
+            yield v, i, column
+
+    monkeypatch.setattr(bimodule_module, "f_matrix_columns", planted)
+    identity = verify_filtration_identity(3)
+    assert identity["pairs"] == oracle_qualifying_pairs(3)
+    assert identity["violations"] == [
+        {"w": [2, 3, 1], "w_prime": [2, 3, 1], "got": "0", "expected": str(delta_w(bad.inverse()))}
+    ]
+    cert = verify_triangular_injectivity(identity)
+    assert cert["violations"] == identity["violations"]
+    assert cert["determinant_nonzero"] is False
+
+
 # --------------------------------------------------- the descent recursion
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_recursion_equals_f_map_on_every_qualifying_pair(n):
+    """Every qualifying pair, stored or not, against the f_map oracle: a
+    stored entry is nonzero and inside its column's cut, and an absent one
+    is zero."""
+    perms = symmetric_group(n)
     pairs = 0
     for v, i, column in f_matrix_columns(n):
-        assert list(column) == [w for w in symmetric_group(n) if w.length() <= v.length()]
+        elem = s_element(v)
         for w, got in column.items():
+            assert w.length() <= v.length() and not got.is_zero, (w, v)
+        for w in perms:
+            if w.length() > v.length():
+                break
             pairs += 1
-            assert got == f_map(w, s_element(v)), (w, v)
+            assert column.get(w, Poly.zero(n)) == f_map(w, elem), (w, v)
     assert pairs == oracle_qualifying_pairs(n)
+
+
+def test_sparse_columns_are_the_nonzero_part_of_the_dense_recursion(monkeypatch):
+    """The skipping rule holds for any top column, not only the true one,
+    whose columns are diagonal.  With the division replaced by the bare
+    difference, so that any top column is admissible, a seeded sparse top
+    column is walked down both ways: every sparse column is the nonzero part
+    of the dense recursion over its whole cut."""
+    n = 4
+    perms = symmetric_group(n)
+    zero = Poly.zero(n)
+    rng = random.Random(4)
+    top = {w: Poly.const(rng.randrange(1, 4), n) for w in rng.sample(perms, 6)}
+    monkeypatch.setattr(bimodule_module, "_top_entry", lambda w: top.get(w, zero))
+    monkeypatch.setattr(bimodule_module, "divide_exact", lambda f, a, b: f)
+    dense = {perms[-1]: {w: top.get(w, zero) for w in perms}}
+    stored = 0
+    for v, i, column in f_matrix_columns(n):
+        if i is not None:
+            s = Permutation.simple(i, n)
+            parent = dense[v * s]
+            dense[v] = {w: parent[w] - parent[w * s] for w in perms if w.length() <= v.length()}
+        assert column == {w: f for w, f in dense[v].items() if not f.is_zero}, v
+        stored += len(column) - (v in column)
+    assert stored > 0
+
+
+def test_recursion_visits_no_zero_entry(monkeypatch):
+    """At the top admitted rank the recursion divides once per column below
+    w0 and forms at most three products per column: a dense walk over the
+    cut would do hundreds of thousands of each."""
+    n = MAX_SOERGEL_RANK
+    counts = {"divide": 0, "mul": 0}
+    real_divide, real_mul = bimodule_module.divide_exact, Permutation.__mul__
+
+    def divide(*args):
+        counts["divide"] += 1
+        return real_divide(*args)
+
+    def mul(p, q):
+        counts["mul"] += 1
+        return real_mul(p, q)
+
+    monkeypatch.setattr(bimodule_module, "divide_exact", divide)
+    monkeypatch.setattr(Permutation, "__mul__", mul)
+    columns = sum(1 for _ in f_matrix_columns(n))
+    assert columns == math.factorial(n)
+    assert counts["divide"] == math.factorial(n) - 1
+    assert counts["mul"] <= 3 * math.factorial(n)
 
 
 def test_descent_step_names_a_planted_coordinate(monkeypatch):

@@ -51,6 +51,9 @@ class TestArgumentTypes:
         assert int_list("") == ()
         with pytest.raises(argparse.ArgumentTypeError):
             int_list("a,b")
+        for text in ("2,,3,1", "2,3,"):
+            with pytest.raises(argparse.ArgumentTypeError, match="comma-separated"):
+                int_list(text)
 
 
 class TestSchubertCommand:
@@ -276,6 +279,13 @@ class TestDeriveCommand:
         assert code == 0
         blob = json.loads(out)
         assert [c["achievable"] for c in blob["certificates"]] == [True, True]
+
+    def test_empty_chain_is_usage_error(self, capsys):
+        for extra in ([], ["--json"]):
+            code, out, err = run(["derive", "chain", "--adegrees", "", "--N", "3"] + extra, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == ["error: give at least one a-degree"]
 
     def test_oversized_chain_is_refused(self, capsys, monkeypatch):
         def boom(*args):
