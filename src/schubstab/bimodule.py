@@ -11,9 +11,10 @@ distinguished elements
 
 are unitriangular over that basis in length order, so they form a free
 basis too; Gamma_j is the span of the S_w with length(w) >= j.  The right
-action multiplies the right factor: right_multiply re-expands each
-schubert_u * x^m over the Schubert basis, once per process for each
-(u, m), and slides the symmetric coefficients across the tensor.  No
+action multiplies the right factor: right_multiply reads each
+(1 (x) schubert_u) * x^m over the left basis from one cached table, filled
+by the equivariant Monk rule for S_u * x_k and the unitriangular change of
+basis, so no polynomial is expanded over the Schubert basis.  No
 certificate forms a product: Gamma_j is the common kernel of the F_w with
 length(w) < j, and that kernel is closed under the right action, so the
 closure certificates are derived from the unitriangularity and
@@ -77,7 +78,6 @@ from .schubert import (
     cauchy_sum,
     delta_w,
     double_delta,
-    expand_in_schubert_basis,
     schubert_poly,
 )
 
@@ -148,6 +148,24 @@ def f_map(w: Permutation, elem: BimoduleElement) -> Poly:
     )
 
 
+def _monk_covers(u: Permutation, k: int) -> list[tuple[int, Permutation]]:
+    """The terms of the Monk rule at x_k: (sign, u t_ab) over the covers
+    length(u t_ab) = length(u) + 1 with k in {a, b}, a < b, in order of the
+    other index, signed + when it is greater than k.  Swapping positions
+    a < b adds one inversion exactly when u(a) < u(b) and no position
+    between them holds a value between the two."""
+    word = u.word
+    out = []
+    for other in range(1, u.n + 1):
+        a, b = min(other, k), max(other, k)
+        lo, hi = word[a - 1], word[b - 1]
+        if lo < hi and not any(lo < word[m] < hi for m in range(a, b - 1)):
+            swapped = list(word)
+            swapped[a - 1], swapped[b - 1] = hi, lo
+            out.append((1 if other > k else -1, Permutation(tuple(swapped))))
+    return out
+
+
 # Keys: a permutation and the exponents of one term of a right factor, whose
 # degree nothing bounds.  right_multiply, whose callers are the benchmark's
 # closure round and the tests, reaches n! * n of them on every S_w * x_k at
@@ -155,8 +173,48 @@ def f_map(w: Permutation, elem: BimoduleElement) -> Poly:
 # key beyond 1024.
 @lru_cache(maxsize=1024)
 def _schubert_times_monomial(u: Permutation, exp: Exponent) -> tuple[tuple[Permutation, Poly], ...]:
-    """schubert_u * x^exp over the Schubert basis: (t, symmetric coefficient) pairs."""
-    return tuple(expand_in_schubert_basis(schubert_poly(u) * Poly.monomial(exp, 1, u.n)).items())
+    """(1 (x) schubert_u) * x^exp over the left basis: (t, c_t) pairs in
+    group order, with schubert_u * x^exp = sum of c_t * schubert_t and every
+    c_t symmetric.
+
+    exp = 0 gives u alone.  exp = e_k follows from the equivariant Monk rule
+    (Kostant and Kumar, Adv. Math. 1986; Monk, Proc. London Math. Soc. 1959,
+    for one alphabet): S_u * x_k = x_{u(k)} S_u plus the signed S_{u t} of
+    _monk_covers(u, k).  Both sides have the same F_v for every v, as F_v is
+    left-linear with F_v(m * x_k) = x_{v(k)} F_v(m) and the localisations
+    F_v(S_w) satisfy the equivariant Chevalley formula; the F_v are jointly
+    injective (verify_triangular_injectivity), so the sides are equal.  S_u
+    is 1 (x) schubert_u plus c_{u'} (x) schubert_{u'} over shorter u', so the
+    entry is S_u * x_k minus each c_{u'} times the entry (u', e_k), and the
+    recursion ends at the identity.  Any other exp peels off its first
+    variable x_k: the sum of c_t times the entry (t, e_k) over the entry
+    (u, exp - e_k).
+    """
+    n = u.n
+    k = next((i for i, e in enumerate(exp, 1) if e), None)
+    if k is None:
+        return ((u, Poly.one(n)),)
+    e_k = tuple(int(i == k) for i in range(1, n + 1))
+    pairs: dict[Permutation, list[tuple[Poly, Poly]]] = {}
+
+    def add(scale: Poly, entries) -> None:
+        for v, c in entries:
+            pairs.setdefault(v, []).append((scale, c))
+
+    if exp != e_k:
+        rest = tuple(e - (i == k) for i, e in enumerate(exp, 1))
+        for t, c in _schubert_times_monomial(u, rest):
+            add(c, _schubert_times_monomial(t, e_k))
+    else:
+        coords = s_element(u).coords
+        add(Poly.x(u.word[k - 1], n), coords.items())
+        for sign, t in _monk_covers(u, k):
+            add(Poly.const(sign, n), s_element(t).coords.items())
+        for shorter, c in coords.items():
+            if shorter != u:
+                add(-c, _schubert_times_monomial(shorter, e_k))
+    sums = {v: sum_of_products(p, n) for v, p in pairs.items()}
+    return tuple((v, sums[v]) for v in sorted(sums, key=sort_key) if not sums[v].is_zero)
 
 
 def right_multiply(elem: BimoduleElement, g: Poly) -> BimoduleElement:

@@ -465,22 +465,6 @@ def _adjacent_fields(j: int, f: Poly) -> tuple[int, int]:
     return hi, hi - f._bits
 
 
-def is_symmetric(f: Poly) -> bool:
-    """True when f is invariant under every permutation of the x-variables,
-    i.e. under each adjacent swap s_j: swapping the fields of x_j and
-    x_{j+1} adds (b - a) * (2^hi - 2^lo) to a key with exponents a, b there."""
-    mask = (1 << f._bits) - 1
-    num = f._num
-    for j in range(1, f.nx):
-        hi, lo = _adjacent_fields(j, f)
-        step = (1 << hi) - (1 << lo)
-        for key, c in num.items():
-            a, b = (key >> hi) & mask, (key >> lo) & mask
-            if a != b and num.get(key + (b - a) * step) != c:
-                return False
-    return True
-
-
 def divided_difference(j: int, f: Poly) -> Poly:
     """(f - s_j f) / (x_j - x_{j+1}), by the monomial formula.
 

@@ -1,5 +1,5 @@
-"""Schubert and double Schubert polynomials, inversion products, and
-expansion over the Schubert basis.
+"""Schubert and double Schubert polynomials, inversion products, and the
+Cauchy formula that joins them.
 
 Each family is built by one walk up the weak order (Macdonald, Notes on
 Schubert Polynomials, 1991).  The rank-n seed sits at the longest element
@@ -13,11 +13,9 @@ keying generation by permutation is fine, as generation is not the claim
 under test.  delta_w walks down to the identity the same way.
 
 The single polynomials form a free basis of Q[x_1..x_n] over the symmetric
-polynomials; expand_in_schubert_basis computes the (unique) symmetric
-coefficients through the d_{w0} pairing, under which the Schubert basis has
-an explicit dual basis, so each coefficient is one top divided difference
-of a product.  Those are evaluated by straightening monomials into Schur
-polynomials, which avoids any linear algebra and any Monk-rule bookkeeping.
+polynomials.  Products are read over that basis in the bimodule layer, by
+the equivariant Monk rule (bimodule.right_multiply); this module expands
+nothing.
 """
 
 from __future__ import annotations
@@ -29,13 +27,8 @@ from typing import Callable, Mapping
 
 from .perms import Permutation, check_rank, symmetric_group
 from .poly import (
-    Exponent,
     Poly,
-    _accumulate,
-    _unpack,
-    _width_for,
     divided_difference,
-    is_symmetric,
     negate_x,
     permute_x,
     specialize_y_to_x,
@@ -193,130 +186,3 @@ def specialization_check(w: Permutation, w_prime: Permutation) -> Poly:
     if w_prime.length() > w.length():
         raise ValueError("identity regime needs length(w') <= length(w)")
     return specialize_y_to_x(permute_x(w_prime, double_schubert(w)))
-
-
-# ----------------------------------------------------------- free basis
-
-
-def _integer_terms(f: Poly, bits: int) -> tuple[tuple[int, int], ...]:
-    """f's terms as (exponent packed `bits` wide, integer coefficient) pairs."""
-    if f._den != 1:
-        raise RuntimeError("expected integer coefficients; this is a bug")
-    return tuple(f._at(bits).items())
-
-
-# The three caches below serve expand_in_schubert_basis.  Its caller in the
-# package is bimodule's product table under right_multiply, which only the
-# benchmark's closure round and the tests call; no certificate or command
-# expands.  Nothing bounds the degree of a call, so the two caches keyed by
-# exponents are bounded by size, each well above what right_multiply fills
-# on every S_w * x_k at ranks 1..5.  Here w has rank at most
-# perms.MAX_ENUMERATED_RANK, as symmetric_group raises above it, and `bits`
-# is one of the few field widths that the expanded polynomials' degrees
-# call for, so it needs no size bound.
-@lru_cache(maxsize=None)
-def _dual_terms(w: Permutation, bits: int) -> tuple[tuple[int, int], ...]:
-    """Terms of the element dual to schubert_poly(w) under the d_{w0} pairing.
-
-    That element is schubert(w w0)(-x_n, ..., -x_1); its coefficients are
-    integers, as every Schubert polynomial's are, and its exponent of x_i
-    is at most n - 1.
-    """
-    w0 = Permutation.longest(w.n)
-    return _integer_terms(negate_x(permute_x(w0, schubert_poly(w * w0))), bits)
-
-
-# Keys: the strictly decreasing exponents that the expanded monomials sort
-# to; their length is a rank, but their entries grow with the degree, which
-# no rank limit bounds.  right_multiply on every S_w * x_k at ranks 1..5
-# reaches 19 of them; the size bound drops the least recently used key
-# beyond 64.
-@lru_cache(maxsize=64)
-def _top_divided_difference(lam: Exponent, bits: int) -> tuple[tuple[int, int], ...]:
-    """d_{w0}(x^lam) for strictly decreasing lam: a Schur polynomial."""
-    out = Poly.monomial(lam, 1, len(lam))
-    for k in range(1, len(lam)):  # the letters of (1)(2,1)...(n-1,...,1), a reduced word of w0
-        for j in range(k, 0, -1):
-            out = divided_difference(j, out)
-    return _integer_terms(out, bits)
-
-
-# Keys: every packed monomial of every expanded polynomial; no rank limit
-# bounds them.  right_multiply on every S_w * x_k at ranks 1..5 reaches 487
-# of them; the size bound drops the least recently used key beyond 1024.
-@lru_cache(maxsize=1024)
-def _expand_monomial(alpha: int, n: int, bits: int) -> tuple[tuple[Permutation, dict[Exponent, int]], ...]:
-    """The coefficients c_w of x^alpha (packed `bits` wide in n fields), each
-    as {lam: k} meaning the sum of k * d_{w0}(x^lam) over strictly
-    decreasing lam.
-
-    c_w = d_{w0}(x^alpha * dual_w), taken one monomial at a time:
-    d_{w0}(s h) = sgn(s) d_{w0}(h) for every permutation s of the
-    variables, so a monomial with a repeated exponent maps to zero and any
-    other one to the sign of its sort times its decreasing rearrangement.
-    The key of x^alpha * x^beta is alpha + beta; the caller makes the fields
-    wide enough for it.  Permutations with length(w) > deg x^alpha end the
-    scan: their product has degree below length(w0), which d_{w0} sends to
-    zero, and the group is listed by length.
-    """
-    degree = sum(_unpack(alpha, n, bits))
-    out = []
-    for w in symmetric_group(n):
-        if w.length() > degree:
-            break
-        coeff: dict[Exponent, int] = {}
-        for beta, c in _dual_terms(w, bits):
-            fields = _unpack(alpha + beta, n, bits)
-            if len(set(fields)) < n:
-                continue
-            inversions = sum(1 for a, b in combinations(fields, 2) if a < b)
-            lam = tuple(sorted(fields, reverse=True))
-            coeff[lam] = coeff.get(lam, 0) + (-c if inversions % 2 else c)
-        coeff = {lam: k for lam, k in coeff.items() if k}
-        if coeff:
-            out.append((w, coeff))
-    return tuple(out)
-
-
-def expand_in_schubert_basis(f: Poly) -> dict[Permutation, Poly]:
-    """Write f as a sum of symmetric coefficients times Schubert polynomials.
-
-    Returns {w: c_w} with every c_w symmetric and nonzero, satisfying
-    f = sum c_w * schubert_poly(w).  The coefficients come from the
-    d_{w0} pairing (Macdonald, Notes on Schubert Polynomials, 1991): the
-    Schubert polynomials and their duals schubert(w w0)(-x_n, ..., -x_1)
-    pair to the identity matrix, and the pairing is linear over the
-    symmetric polynomials, so c_w = d_{w0}(f * dual_w).  The work is done
-    per packed monomial of f and cached; the numerators stay over f's
-    denominator until the end.  The fields are first widened, if needed,
-    to hold f's exponent bound plus the duals' n - 1.  Only the
-    coefficients of permutations left with a nonzero Schur term are built
-    and checked for symmetry; the d_{w0}(x^lam) are Schur polynomials of
-    distinct shapes, so every other coefficient is zero.
-    """
-    if f.ny != 0:
-        raise ValueError("expansion is defined for x-variable polynomials only")
-    n = f.nx
-    top = f._top + n - 1
-    bits = max(f._bits, _width_for(top))
-    by_lam: dict[Permutation, dict[Exponent, int]] = {}
-    for alpha, c in f._at(bits).items():
-        for w, coeff in _expand_monomial(alpha, n, bits):
-            slot = by_lam.setdefault(w, {})
-            for lam, k in coeff.items():
-                slot[lam] = slot.get(lam, 0) + c * k
-    out: dict[Permutation, Poly] = {}
-    for w in symmetric_group(n):
-        slot = [(lam, k) for lam, k in by_lam.get(w, {}).items() if k]
-        if not slot:
-            continue
-        terms: dict[int, int] = {}
-        for lam, k in slot:
-            _accumulate(terms, ((exp, k * v) for exp, v in _top_divided_difference(lam, bits)))
-        c_w = Poly._reduced(n, 0, terms, f._den, bits, top)
-        if c_w.is_zero:
-            continue
-        if not is_symmetric(c_w):
-            raise RuntimeError("expansion produced a non-symmetric coefficient; this is a bug")
-        out[w] = c_w
-    return out

@@ -30,10 +30,18 @@ def test_test_only_helpers_are_not_in_the_package():
         (schubstab.poly, "MAX_LONGEST_WORDS"),
         (schubstab.poly, "_Terms"),
         (schubstab.poly, "_integral"),
+        (schubstab.poly, "is_symmetric"),
+        (schubstab.schubert, "expand_in_schubert_basis"),
+        (schubstab.schubert, "_dual_terms"),
+        (schubstab.schubert, "_top_divided_difference"),
+        (schubstab.schubert, "_expand_monomial"),
+        (schubstab.schubert, "_integer_terms"),
         (Poly, "coefficient"),
         (Poly, "_key"),
         (Poly, "y"),
         (schubstab, "reduced_words"),
+        (schubstab, "is_symmetric"),
+        (schubstab, "expand_in_schubert_basis"),
         (ExactComplex, "of"),
         (ExactComplex, "is_zero"),
         (ExactComplex, "__add__"),

@@ -241,16 +241,16 @@ def test_symmetric_group_enumeration(n):
 def test_enumerating_callers_refuse_rank_11_before_building_the_group():
     # Rank 11 would build 39 916 800 permutations.  Each caller below reaches
     # symmetric_group before any rank check of its own.
-    from schubstab.bimodule import BimoduleElement, s_basis_coordinates, s_element
+    from schubstab.bimodule import BimoduleElement, right_multiply, s_basis_coordinates, s_element
     from schubstab.poly import Poly
-    from schubstab.schubert import double_schubert_expansion, expand_in_schubert_basis
+    from schubstab.schubert import double_schubert_expansion
 
     e = Permutation.identity(11)
     calls = [
         lambda: s_element(e),
         lambda: s_basis_coordinates(BimoduleElement(11, {e: Poly.one(11)})),
         lambda: double_schubert_expansion(e),
-        lambda: expand_in_schubert_basis(Poly.x(1, 11)),
+        lambda: right_multiply(BimoduleElement(11, {e: Poly.one(11)}), Poly.x(1, 11)),
     ]
     for call in calls:
         cached = symmetric_group.cache_info().currsize

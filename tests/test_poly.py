@@ -25,7 +25,6 @@ from schubstab.poly import (
     check_demazure_rank,
     divide_exact,
     divided_difference,
-    is_symmetric,
     negate_x,
     permute_x,
     random_poly,
@@ -228,14 +227,6 @@ def test_permute_x_is_ring_automorphism_and_group_action():
         assert permute_x(p, f * g) == permute_x(p, f) * permute_x(p, g)
         assert permute_x(p, f + g) == permute_x(p, f) + permute_x(p, g)
         assert permute_x(p, permute_x(q, f)) == permute_x(p * q, f)
-
-
-def test_is_symmetric():
-    e1 = x(1, 3) + x(2, 3) + x(3, 3)
-    assert is_symmetric(e1)
-    assert is_symmetric(e1 * e1 - 4)
-    assert not is_symmetric(x(1, 3))
-    assert is_symmetric(Poly.zero(3))
 
 
 def test_y_block_is_fixed_by_the_action():

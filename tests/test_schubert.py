@@ -11,11 +11,9 @@ import pytest
 
 import schubstab.bimodule as bimodule_module
 import schubstab.schubert as schubert_module
-from schubstab.bimodule import BimoduleElement
 from schubstab.perms import Permutation, symmetric_group
 from schubstab.poly import (
     Poly,
-    is_symmetric,
     random_poly,
     specialize_y_to_x,
     sum_of_products,
@@ -26,12 +24,12 @@ from schubstab.schubert import (
     double_delta,
     double_schubert,
     double_schubert_expansion,
-    expand_in_schubert_basis,
     schubert_poly,
     specialization_check,
     staircase,
 )
 from test_poly import demazure, set_y_to_zero, total_degree, y
+from test_schubert_oracle import expand, fixed_by_every_swap
 
 
 def x(i, n):
@@ -223,12 +221,12 @@ def test_specialization_diagonal_needs_the_inverse():
 def test_expand_frozen_rank2():
     e = Permutation.identity(2)
     s1 = perm(2, 1)
-    assert expand_in_schubert_basis(Poly.one(2)) == {e: Poly.one(2)}
-    assert expand_in_schubert_basis(x(2, 2)) == {
+    assert expand(Poly.one(2)) == {e: Poly.one(2)}
+    assert expand(x(2, 2)) == {
         e: x(1, 2) + x(2, 2),
         s1: Poly.const(-1, 2),
     }
-    assert expand_in_schubert_basis(x(1, 2) ** 2) == {
+    assert expand(x(1, 2) ** 2) == {
         s1: x(1, 2) + x(2, 2),
         e: -(x(1, 2) * x(2, 2)),
     }
@@ -236,7 +234,7 @@ def test_expand_frozen_rank2():
 
 def test_expand_schubert_basis_is_dual_to_itself():
     for w in symmetric_group(3):
-        assert expand_in_schubert_basis(schubert_poly(w)) == {w: Poly.one(3)}
+        assert expand(schubert_poly(w)) == {w: Poly.one(3)}
 
 
 def test_expand_round_trip_random():
@@ -244,62 +242,31 @@ def test_expand_round_trip_random():
     for n, deg in ((2, 6), (3, 4)):
         for _ in range(6):
             f = random_poly(rng, n, max_degree=deg, n_terms=5)
-            coeffs = expand_in_schubert_basis(f)
+            coeffs = expand(f)
             rebuilt = Poly.zero(n)
             for w, c in coeffs.items():
-                assert is_symmetric(c)
+                assert fixed_by_every_swap(c)
                 assert not c.is_zero
                 rebuilt = rebuilt + c * schubert_poly(w)
             assert rebuilt == f
 
 
-@pytest.mark.parametrize("u, k", [((2, 1, 3, 4, 5), 3), ((1, 3, 2, 5, 4), 1), ((3, 1, 5, 2, 4), 5)])
-def test_expansion_builds_only_the_coefficients_it_returns(monkeypatch, u, k):
-    f = schubert_poly(Permutation(u)) * Poly.x(k, 5)
-    expected = expand_in_schubert_basis(f)  # also warms the caches
-    built = []
-    real = Poly._reduced.__func__
-
-    def counting(cls, *args):
-        built.append(args)
-        return real(cls, *args)
-
-    monkeypatch.setattr(Poly, "_reduced", classmethod(counting))
-    got = expand_in_schubert_basis(f)
-    assert len(built) <= len(got)
-    assert got == expected
-    assert list(got) == [w for w in symmetric_group(5) if w in got]
-    assert sum_of_products(((c, schubert_poly(w)) for w, c in got.items()), 5) == f
-
-
 def test_expansion_caches_stay_within_their_bounds():
     """x1^d at rank 3 adds exponent keys at every degree d, which no rank
-    limit bounds: the caches keyed by exponents keep at most their size
-    bound, and the one keyed by permutations at most the rank-3 group per
-    field width (one width here, as every exponent stays below 64)."""
-    by_size = (
-        schubert_module._expand_monomial,
-        schubert_module._top_divided_difference,
-        bimodule_module._schubert_times_monomial,
-    )
-    duals = schubert_module._dual_terms
-    duals_before = duals.cache_info().currsize
-    one = BimoduleElement(3, {Permutation.identity(3): Poly.one(3)})
+    limit bounds: the product table keeps at most its size bound, and each
+    expansion still sums back to x1^d."""
+    table = bimodule_module._schubert_times_monomial
     for d in range(1, 41):
         g = x(1, 3) ** d
-        assert bimodule_module.right_multiply(one, g).coords == expand_in_schubert_basis(g)
-        for cache in by_size:
-            info = cache.cache_info()
-            assert info.maxsize is not None and info.currsize <= info.maxsize, cache
-    assert duals.cache_info().currsize - duals_before <= len(symmetric_group(3))
-    # The 40 expansions meet more Schur shapes than that bound holds.
-    info = schubert_module._top_divided_difference.cache_info()
-    assert info.currsize == info.maxsize
+        coeffs = expand(g)
+        assert sum_of_products(((c, schubert_poly(w)) for w, c in coeffs.items()), 3) == g
+        info = table.cache_info()
+        assert info.maxsize == 1024 and info.currsize <= info.maxsize
 
 
 def test_expand_rejects_y_variables():
-    with pytest.raises(ValueError):
-        expand_in_schubert_basis(double_delta(2))
+    with pytest.raises(ValueError, match="right factor must be an x-polynomial"):
+        expand(double_delta(2))
 
 
 def test_ranks_beyond_budget_are_refused_before_any_work(monkeypatch):

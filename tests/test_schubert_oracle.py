@@ -1,11 +1,14 @@
 """An independent route to the Schubert-basis expansion, used as an oracle.
 
-The package expands by the d_{w0} pairing.  This module keeps a second,
-unrelated route: within one degree d, the products m_lam * schubert(w)
-(monomial symmetric times Schubert, length(w) + |lam| = d) form a basis of
-the degree-d polynomials, so the symmetric coefficients are the unique
-solution of a square linear system over Q, solved here by Gaussian
-elimination on Fraction.  It is slow and lives only in the tests.
+The package reads an expansion off the right action: the coordinates of
+right_multiply(1 (x) schubert_e, f) are f's symmetric coefficients, and
+its product table fills them by the equivariant Monk rule.  This module
+keeps a second, unrelated route: within one degree d, the products
+m_lam * schubert(w) (monomial symmetric times Schubert,
+length(w) + |lam| = d) form a basis of the degree-d polynomials, so the
+symmetric coefficients are the unique solution of a square linear system
+over Q, solved here by Gaussian elimination on Fraction.  It is slow and
+lives only in the tests.
 """
 
 import itertools
@@ -16,10 +19,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schubstab.bimodule import BimoduleElement, right_multiply
 from schubstab.perms import Permutation, symmetric_group
-from schubstab.poly import Exponent, Poly, is_symmetric, random_poly
-from schubstab.schubert import expand_in_schubert_basis, schubert_poly
+from schubstab.poly import Exponent, Poly, permute_x, random_poly
+from schubstab.schubert import schubert_poly
 from test_poly import total_degree
+
+
+def expand(f: Poly) -> dict[Permutation, Poly]:
+    """f over the Schubert basis, read off the right action: the
+    coordinates of right_multiply(1 (x) schubert_e, f)."""
+    one = BimoduleElement(f.nx, {Permutation.identity(f.nx): Poly.one(f.nx)})
+    return right_multiply(one, f).coords
+
+
+def fixed_by_every_swap(f: Poly) -> bool:
+    """f is symmetric: every adjacent swap s_j of the x-variables fixes it."""
+    return all(permute_x(Permutation.simple(j, f.nx), f) == f for j in range(1, f.nx))
 
 
 # ----------------------------------------------------------------- oracle
@@ -146,7 +162,7 @@ def test_monomial_symmetric():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_duality_matches_solver_on_schubert_times_variable(n):
-    """Every schubert(u) * x_k at rank n: the inputs right_multiply expands."""
+    """Every schubert(u) * x_k at rank n, as one right factor of 1 (x) schubert_e."""
     inputs = [
         (u, k, schubert_poly(u) * x(k, n))
         for u in symmetric_group(n)
@@ -155,7 +171,7 @@ def test_duality_matches_solver_on_schubert_times_variable(n):
     assert len(inputs) == len(symmetric_group(n)) * n
     expected = expand_by_linear_solve([f for _, _, f in inputs])
     for (u, k, f), want in zip(inputs, expected):
-        assert expand_in_schubert_basis(f) == want, (u, k)
+        assert expand(f) == want, (u, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -165,15 +181,15 @@ def test_duality_matches_solver_on_random_polys(n):
     inputs = [random_poly(rng, n, max_degree=5, n_terms=5) for _ in range(8)]
     assert any(c.denominator != 1 for f in inputs for c in f.terms.values())
     for f, want in zip(inputs, expand_by_linear_solve(inputs)):
-        assert expand_in_schubert_basis(f) == want, f
+        assert expand(f) == want, f
 
 
 def test_duality_matches_solver_on_zero_and_constants():
     for n in (1, 2, 3, 4):
         zero, third = Poly.zero(n), Poly.const(Fraction(1, 3), n)
         assert expand_by_linear_solve([zero, third]) == [{}, {Permutation.identity(n): third}]
-        assert expand_in_schubert_basis(zero) == {}
-        assert expand_in_schubert_basis(third) == {Permutation.identity(n): third}
+        assert expand(zero) == {}
+        assert expand(third) == {Permutation.identity(n): third}
 
 
 _coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -190,12 +206,12 @@ def _polys(draw):
 @settings(max_examples=60, deadline=None)
 @given(_polys())
 def test_expansion_properties(f):
-    coeffs = expand_in_schubert_basis(f)
+    coeffs = expand(f)
     degree = total_degree(f)
     rebuilt = Poly.zero(f.nx)
     for w, c in coeffs.items():
         assert not c.is_zero
-        assert is_symmetric(c)
+        assert fixed_by_every_swap(c)
         assert w.length() <= degree
         rebuilt = rebuilt + c * schubert_poly(w)
     assert rebuilt == f
