@@ -162,7 +162,7 @@ def _monk_covers(u: Permutation, k: int) -> list[tuple[int, Permutation]]:
         if lo < hi and not any(lo < word[m] < hi for m in range(a, b - 1)):
             swapped = list(word)
             swapped[a - 1], swapped[b - 1] = hi, lo
-            out.append((1 if other > k else -1, Permutation(tuple(swapped))))
+            out.append((1 if other > k else -1, Permutation._trusted(tuple(swapped))))
     return out
 
 
@@ -286,10 +286,10 @@ def membership_in_gamma(elem: BimoduleElement, j: int) -> tuple[bool, dict[Permu
 
 # `verify soergel --n 6 --json`, which emits all four kinds of certificate
 # (286 006 F-matrix pairs over 720 S_w; closure is derived, not computed),
-# takes 1.7 to 2.6 s at 54 MiB peak RSS for the whole process on a 2-core
-# Xeon container under Python 3.11.7, whose speed drifts; about half of it
-# builds the S_w by cauchy_coefficients.  Rank 7 (5 040 S_w, 13 755 080
-# pairs) was not run.
+# takes 0.8 to 1.2 s at 39 MiB peak RSS for the whole process on a 2-core
+# Xeon container under Python 3.11.7, whose speed drifts; building the S_w
+# by cauchy_coefficients is 0.10 to 0.16 s of it.  Rank 7 (5 040 S_w,
+# 13 755 080 pairs) was not run; its S_w alone take 4.6 s at 61 MiB.
 MAX_SOERGEL_RANK = 6
 check_soergel_rank = partial(check_rank, limit=MAX_SOERGEL_RANK, what="filtration certificates")
 

@@ -7,6 +7,13 @@ number of inversions, i.e. pairs (i, j) with i < j and w(i) > w(j), which
 equals the length of any reduced word for w in the adjacent transpositions
 s_1, ..., s_{n-1}.
 
+A word from outside the package is checked once, by Permutation(word).
+Every permutation the package forms from valid ones (a product, an
+inverse, a simple reflection, the identity, the longest element, an
+element of the group) is wrapped by Permutation._trusted unchecked, so a
+product costs one tuple and one hash; and group_by_word(n) maps one-line
+words to the group's own elements, so a walk on words builds none.
+
 Enumeration order used throughout the package (and in certificate output):
 length ascending, then one-line notation lexicographically.
 """
@@ -14,19 +21,22 @@ length ascending, then one-line notation lexicographically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """Permutation of {1..n} in one-line notation (a tuple of ints)."""
+    """Permutation of {1..n} in one-line notation (a tuple of ints).
 
-    word: tuple[int, ...]
+    Permutation(word) validates word; Permutation._trusted(word) wraps a
+    word this package built from valid ones and checks nothing.  Both end
+    in _trusted, the one construction point, which keeps the word and its
+    hash, hash((word,)).  Immutable; the length is counted on the first
+    call of length() and kept."""
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    __slots__ = ("word", "_hash", "_length")
+
+    def __new__(cls, word) -> "Permutation":
+        word = tuple(word)
         n = len(word)
         if n == 0:
             raise ValueError("rank must be at least 1")
@@ -34,12 +44,42 @@ class Permutation:
             raise TypeError(f"permutation entries must be ints: {word!r}")
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {word!r}")
+        return cls._trusted(word)
+
+    @classmethod
+    def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple holding 1..len(word) once each.  Nothing is checked."""
+        p = object.__new__(cls)
+        _set_word(p, word)
+        _set_hash(p, hash((word,)))
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Permutation is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Permutation(word={self.word!r})"
+
+    # A pickle or a copy is rebuilt through the validating constructor.
+    def __reduce__(self):
+        return (Permutation, (self.word,))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
         if n < 1:
             raise ValueError("rank must be at least 1")
-        return Permutation(tuple(range(1, n + 1)))
+        return Permutation._trusted(tuple(range(1, n + 1)))
 
     @staticmethod
     def simple(j: int, n: int) -> "Permutation":
@@ -50,14 +90,14 @@ class Permutation:
             raise ValueError(f"simple reflection index {j} out of range for rank {n}")
         word = list(range(1, n + 1))
         word[j - 1], word[j] = word[j], word[j - 1]
-        return Permutation(tuple(word))
+        return Permutation._trusted(tuple(word))
 
     @staticmethod
     def longest(n: int) -> "Permutation":
         """The order-reversing permutation (n, n-1, ..., 1)."""
         if n < 1:
             raise ValueError("rank must be at least 1")
-        return Permutation(tuple(range(n, 0, -1)))
+        return Permutation._trusted(tuple(range(n, 0, -1)))
 
     @property
     def n(self) -> int:
@@ -73,15 +113,16 @@ class Permutation:
         """Functional composition: (p * q)(i) = p(q(i))."""
         if not isinstance(other, Permutation):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        return Permutation(tuple(self.word[v - 1] for v in other.word))
+        p, q = self.word, other.word
+        if len(p) != len(q):
+            raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
+        return Permutation._trusted(tuple([p[v - 1] for v in q]))
 
     def inverse(self) -> "Permutation":
         out = [0] * self.n
         for i, v in enumerate(self.word):
             out[v - 1] = i + 1
-        return Permutation(tuple(out))
+        return Permutation._trusted(tuple(out))
 
     def inversions(self) -> frozenset[tuple[int, int]]:
         """All pairs (i, j) with i < j and w(i) > w(j)."""
@@ -94,16 +135,15 @@ class Permutation:
         )
 
     def length(self) -> int:
-        """Number of inversions, counted on the first call and kept on the
-        instance (outside the dataclass fields, so ==, hash and repr ignore it)."""
+        """Number of inversions, counted on the first call and kept."""
         try:
-            return self.__dict__["_length"]
-        except KeyError:
+            return self._length
+        except AttributeError:
             pass
         w = self.word
         n = len(w)
         count = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-        object.__setattr__(self, "_length", count)
+        _set_length(self, count)
         return count
 
     def left_descents(self) -> list[int]:
@@ -120,6 +160,12 @@ class Permutation:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.word) + "]"
+
+
+# The slots are written through their descriptors, past __setattr__.
+_set_word = Permutation.word.__set__
+_set_hash = Permutation._hash.__set__
+_set_length = Permutation._length.__set__
 
 
 def check_rank(n: int, limit: int, what: str) -> None:
@@ -157,6 +203,15 @@ def symmetric_group(n: int) -> tuple[Permutation, ...]:
     """All n! permutations of {1..n}, length ascending then lexicographic.
     Ranks beyond MAX_ENUMERATED_RANK are refused before any is built."""
     check_rank(n, MAX_ENUMERATED_RANK, "enumerating the symmetric group")
-    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    perms = [Permutation._trusted(p) for p in itertools.permutations(range(1, n + 1))]
     perms.sort(key=sort_key)
     return tuple(perms)
+
+
+# One entry per rank, at most MAX_ENUMERATED_RANK: symmetric_group raises
+# above it.
+@lru_cache(maxsize=None)
+def group_by_word(n: int) -> dict[tuple[int, ...], Permutation]:
+    """The elements of symmetric_group(n) keyed by their one-line words, so
+    a word the caller built is looked up instead of wrapped."""
+    return {w.word: w for w in symmetric_group(n)}

@@ -20,12 +20,12 @@ nothing.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Mapping
 
-from .perms import Permutation, check_rank, symmetric_group
+from .perms import Permutation, check_rank, group_by_word
 from .poly import (
     Poly,
     divided_difference,
@@ -133,6 +133,15 @@ def double_schubert(w: Permutation) -> Poly:
     return _walk(w, double_delta, double_schubert)
 
 
+# Keys: permutations of rank at most MAX_ENUMERATED_RANK, the v of the
+# Cauchy tables, which enumerate the group first: at most 5 040 polynomials,
+# each held once however many S_w carry it.
+@lru_cache(maxsize=None)
+def _negated_schubert(v: Permutation) -> Poly:
+    """schubert_v(-x), the one copy every S_w with a coordinate S_v(-x) holds."""
+    return negate_x(schubert_poly(v))
+
+
 def cauchy_coefficients(w: Permutation) -> dict[Permutation, Poly]:
     """The coefficients of the Cauchy formula
     double_schubert(w)(x; y) = sum of schubert_u(x) schubert_v(-y) over the
@@ -140,20 +149,35 @@ def cauchy_coefficients(w: Permutation) -> dict[Permutation, Poly]:
     (Macdonald, Notes on Schubert Polynomials, 1991), as {u: schubert_v(-x)}
     in enumeration order of v; v = e gives coefficient 1 at u = w.
 
-    Both factors are at most as long as w, so u = v w is looked up by its
-    one-line word among the elements of symmetric_group(n), listed by
-    length, that are no longer than w; they keep their lengths, and no
-    permutation is built."""
-    group = symmetric_group(w.n)
-    lw = w.length()
-    shorter = group[: bisect_right(group, lw, key=Permutation.length)]
-    by_word = {p.word: p for p in shorter}
+    Those u are the lower interval of w in the left weak order (Bjorner and
+    Brenti, Combinatorics of Coxeter Groups, 2005, ch. 3), walked level by
+    level from u = w, v = e on one-line words: a left descent a of u is a
+    value a that sits right of a + 1, and s_a u, s_a v swap the values a
+    and a + 1 in both words, keeping u = v w and adding one to length(v).
+    Level k holds the v of length k, listed by word.  Each word is looked
+    up in group_by_word(n), so no permutation is built, and each coefficient
+    is the shared _negated_schubert(v)."""
+    n = w.n
+    by_word = group_by_word(n)
     out = {}
-    for v in shorter:
-        u = by_word.get(tuple(v.word[i - 1] for i in w.word))
-        if u is not None and v.length() + u.length() == lw:
-            out[u] = negate_x(schubert_poly(v))
+    level = {w.word: tuple(range(1, n + 1))}
+    while level:
+        below = {}
+        for u, v in sorted(level.items(), key=itemgetter(1)):
+            out[by_word[u]] = _negated_schubert(by_word[v])
+            for a in range(1, n):
+                i, j = u.index(a), u.index(a + 1)
+                if i > j and (su := _swapped(u, i, j)) not in below:
+                    below[su] = _swapped(v, v.index(a), v.index(a + 1))
+        level = below
     return out
+
+
+def _swapped(word: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """word with the entries at positions i and j exchanged."""
+    out = list(word)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
 
 
 def cauchy_sum(coefficients: Mapping[Permutation, Poly], n: int) -> Poly:

@@ -8,10 +8,15 @@ Oracles used to freeze expected values:
     which test_poly uses to list every word the certificate's induction
     stands in for,
   - length distribution via the q-factorial, built by polynomial convolution,
-  - the Cauchy coefficients by a scan of every pair in S_n x S_n.
+  - the Cauchy coefficients by a scan of every pair in S_n x S_n, and at
+    rank 6 by the one-pass scan over shorter elements that the interval
+    walk replaced,
+  - unchecked permutations by their validated twins.
 """
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -87,19 +92,25 @@ def oracle_length_distribution(n):
 def test_identity_and_validation():
     assert Permutation.identity(3).word == (1, 2, 3)
     assert Permutation((2, 1, 3)).n == 3
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 2))
-    with pytest.raises(ValueError):
-        Permutation((0, 1))
-    with pytest.raises(ValueError):
-        Permutation(())
+    assert Permutation([2, 1, 3]).word == (2, 1, 3)
+    refused = [
+        ((1, 1, 2), ValueError, "not a permutation of 1..3: (1, 1, 2)"),
+        ((0, 1), ValueError, "not a permutation of 1..2: (0, 1)"),
+        ((1, 3), ValueError, "not a permutation of 1..2: (1, 3)"),
+        ((), ValueError, "rank must be at least 1"),
+        ([], ValueError, "rank must be at least 1"),
+        ((2.0, 1.0), TypeError, "permutation entries must be ints: (2.0, 1.0)"),
+        ((True,), TypeError, "permutation entries must be ints: (True,)"),
+        ((2, False), TypeError, "permutation entries must be ints: (2, False)"),
+    ]
+    for word, error, message in refused:
+        with pytest.raises(error) as caught:
+            Permutation(word)
+        assert str(caught.value) == message
     with pytest.raises(ValueError):
         Permutation.identity(0)
     with pytest.raises(ValueError):
         Permutation.longest(0)
-    for word in ((2.0, 1.0), (True,)):
-        with pytest.raises(TypeError, match="must be ints"):
-            Permutation(word)
 
 
 def test_simple_reflections():
@@ -262,6 +273,7 @@ def test_enumerating_callers_refuse_rank_11_before_building_the_group():
 def test_json_one_line_form():
     assert Permutation((2, 3, 1)).to_json() == [2, 3, 1]
     assert str(Permutation((2, 3, 1))) == "[2,3,1]"
+    assert repr(Permutation((2, 1, 3))) == "Permutation(word=(2, 1, 3))"
 
 
 def test_cauchy_coefficients_match_brute_force():
@@ -285,20 +297,142 @@ def test_cauchy_coefficients_match_brute_force():
             assert want[w][Permutation.identity(n)] == w.inverse()
 
 
+def count_constructions(monkeypatch):
+    """Words passed to Permutation._trusted, the one construction point, which
+    the validating constructor ends in too."""
+    built = []
+    real = Permutation._trusted
+
+    def counting(word):
+        built.append(word)
+        return real(word)
+
+    monkeypatch.setattr(Permutation, "_trusted", staticmethod(counting))
+    return built
+
+
+def count_validations(monkeypatch):
+    """Words passed to the validating constructor."""
+    checked = []
+    real = Permutation.__new__
+
+    def counting(cls, word):
+        checked.append(word)
+        return real(cls, word)
+
+    monkeypatch.setattr(Permutation, "__new__", counting)
+    return checked
+
+
+def test_construction_hooks_count_both_paths(monkeypatch):
+    built, checked = count_constructions(monkeypatch), count_validations(monkeypatch)
+    Permutation((2, 1, 3))
+    Permutation.simple(1, 3) * Permutation.longest(3)
+    assert checked == [(2, 1, 3)]
+    assert built == [(2, 1, 3), (2, 1, 3), (3, 2, 1), (3, 1, 2)]
+
+
 def test_cauchy_coefficients_build_no_permutation(monkeypatch):
-    # Each u = v w is looked up among the group's own elements, so with the
-    # group and the Schubert polynomials of S4 built, no Permutation is made.
+    # Each u and v of the walk is looked up among the group's own elements,
+    # so with the group and the Schubert polynomials of S4 built, no
+    # Permutation is made, trusted or validated.
     group = symmetric_group(4)
     for v in group:
         schubert_poly(v)
-    built = []
-    real = Permutation.__post_init__
-
-    def counting(self):
-        built.append(self.word)
-        real(self)
-
-    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    built = count_constructions(monkeypatch)
     for w in group:
         cauchy_coefficients(w)
     assert built == []
+
+
+def test_verify_soergel_rank6_validates_no_permutation(monkeypatch, capsys):
+    # Every permutation of the certificate is built by the package from
+    # valid ones, so none goes through the validating constructor.
+    from schubstab import cli
+
+    checked = count_validations(monkeypatch)
+    assert cli.main(["verify", "soergel", "--n", "6", "--json"]) == 0
+    capsys.readouterr()
+    assert checked == []
+
+
+# ------------------------------------------------------------ trusted words
+
+
+def validated_twin(p):
+    """The same word through the validating constructor."""
+    return Permutation(list(p.word))
+
+
+def assert_twins(p):
+    q = validated_twin(p)
+    assert q is not p
+    assert q.word == p.word and type(p.word) is tuple
+    assert q == p and not q != p
+    assert hash(q) == hash(p) == hash((p.word,))
+    assert q.length() == p.length() == len(oracle_inversions(p.word))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_trusted_permutations_equal_validated_ones(n):
+    group = symmetric_group(n)
+    for p in group:
+        assert_twins(p)
+        assert_twins(p.inverse())
+    for maker in (Permutation.identity, Permutation.longest):
+        assert_twins(maker(n))
+    for j in range(1, n):
+        assert_twins(Permutation.simple(j, n))
+    for p in group:
+        for q in group:
+            assert_twins(p * q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_permutation_value_semantics(n):
+    for p in symmetric_group(n):
+        assert not p == p.word and p != p.word
+        assert not p == list(p.word) and p != list(p.word)
+        assert repr(p) == f"Permutation(word={p.word!r})"
+        for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert copied == p and hash(copied) == hash(p)
+            assert copied.length() == p.length()
+        for name, value in (("word", (1,) * n), ("_length", 0), ("_hash", 0), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        with pytest.raises(AttributeError):
+            del p.word
+        assert_twins(p)
+
+
+# ------------------------------------------------------------ Cauchy walk
+
+
+def scan_cauchy_factors(w):
+    """{u: v} over the factorizations w = v^{-1} u with lengths adding up,
+    in enumeration order of v: each v no longer than w, with u = v w looked
+    up among the elements no longer than w.  The one-pass scan the interval
+    walk replaced."""
+    lw = w.length()
+    shorter = [p for p in symmetric_group(w.n) if p.length() <= lw]
+    by_word = {p.word: p for p in shorter}
+    out = {}
+    for v in shorter:
+        u = by_word.get(tuple(v.word[i - 1] for i in w.word))
+        if u is not None and v.length() + u.length() == lw:
+            out[u] = v
+    return out
+
+
+def test_interval_walk_matches_the_scan_on_s6():
+    group = symmetric_group(6)
+    negated = {v: negate_x(schubert_poly(v)) for v in group}
+    shared = {}
+    for w in group:
+        got = cauchy_coefficients(w)
+        want = scan_cauchy_factors(w)
+        assert list(got) == list(want), str(w)
+        for u, v in want.items():
+            assert got[u] == negated[v], (str(w), str(u))
+            assert shared.setdefault(v, got[u]) is got[u], (str(w), str(v))
+    assert len(shared) == len(group)
