@@ -13,9 +13,12 @@ consume, with a > 0 and b exact rationals.  Z is a linear functional.
 ChargeParams computes the level coefficients -(-1)^s (b + ia)^s once, as
 integer real and imaginary numerators over one positive common
 denominator.  Each level sum of a class is an int over the class's
-denominator, so a charge is two integer dot products with those
-numerators (_charge_numerators); central_charge makes the two Fractions
-of the result and nothing else, and ExactComplex only carries them.  The
+denominator: the sum of the numerators that one gather, built once per
+rank and level, picks out (_level_sums).  So a charge is two integer dot
+products of the n + 1 level sums with those numerators
+(_charge_numerators), and no loop in Python runs over the 2^n
+components; central_charge makes the two Fractions of the result and
+nothing else, and ExactComplex only carries them.  The
 shadow scans in stability.py order integer-scaled charges by the same
 strip test and ray order that PhasePoint applies to those Fractions.
 Everything here is Fraction or int arithmetic; there is no floating point
@@ -53,15 +56,16 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Sequence, Union
 
-from .perms import check_count, check_rank
+from .perms import check_count, check_rank, check_seed
 from .poly import as_fraction
 
 Scalar = Union[int, Fraction]
 
 # A class has 2^n components and a twist costs n * 2^(n-1) integer
 # products, so `verify charges` grows about 2.1x per rank: at rank 12 its
-# default 100 trials (a = 1, b = 0, m = 2) take 1.0 to 1.4 s on a 2-core Xeon
-# container under Python 3.11.7, and rank 40 would not fit in memory.  The
+# default 100 trials (a = 1, b = 0, m = 2) take 0.8 to 1.2 s as a whole
+# process on a 2-core Xeon container under Python 3.11.7, and rank 40
+# would not fit in memory.  The
 # limit stays at 12 so that the ranks the commands accept, and their
 # refusal of rank 13, do not change.
 MAX_LATTICE_RANK = 12
@@ -154,6 +158,33 @@ def _mask(n: int, key: Iterable[int]) -> int:
 def _levels(n: int) -> tuple[int, ...]:
     """The level (bit count) of each of the 2^n masks; one entry per rank."""
     return tuple(mask.bit_count() for mask in range(1 << n))
+
+
+@lru_cache(maxsize=None)
+def _level_getters(n: int) -> tuple[operator.itemgetter, ...]:
+    """For s = 0..n, a getter of the tuple of numerators at the level-s
+    masks.  Levels 0 and n hold one mask each, so theirs take a one-item
+    slice, which is still a tuple.  One entry per rank."""
+    by_level: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask, level in enumerate(_levels(n)):
+        by_level[level].append(mask)
+    return tuple(
+        operator.itemgetter(*masks)
+        if len(masks) > 1
+        else operator.itemgetter(slice(masks[0], masks[0] + 1))
+        for masks in by_level
+    )
+
+
+@lru_cache(maxsize=None)
+def _from_display(n: int) -> operator.itemgetter:
+    """The getter that puts 2^n values listed in display order at their
+    masks: item mask of its result is the value at mask.  One entry per
+    rank."""
+    position = [0] * (1 << n)
+    for k, mask in enumerate(_display_order(n)):
+        position[mask] = k
+    return operator.itemgetter(*position)
 
 
 class LatticeVector:
@@ -316,6 +347,23 @@ def rank_deg(vec: LatticeVector) -> tuple[Fraction, Fraction]:
 # ------------------------------------------------------------- the charge
 
 
+def _level_sums(vec: LatticeVector) -> list[int]:
+    """The int sum of vec.nums over each level s = 0..n."""
+    nums = vec.nums
+    return [sum(get(nums)) for get in _level_getters(vec.n)]
+
+
+def _level_charge(p: ChargeParams, sums: Sequence[int], den: int) -> tuple[int, int, int]:
+    """Z of the class whose level sums are sums / den, as (re, im, den) in
+    the form _charge_numerators gives."""
+    re_nums, im_nums, coefficient_den = p.coefficients
+    return (
+        sum(map(operator.mul, sums, re_nums)),
+        sum(map(operator.mul, sums, im_nums)),
+        den * coefficient_den,
+    )
+
+
 def _charge_numerators(p: ChargeParams, vec: LatticeVector) -> tuple[int, int, int]:
     """Z(vec) as (re, im, den) with Z = (re + i im) / den and den > 0, not
     reduced: den is vec.den times the denominator of p.coefficients.
@@ -325,15 +373,7 @@ def _charge_numerators(p: ChargeParams, vec: LatticeVector) -> tuple[int, int, i
     """
     if p.n != vec.n:
         raise ValueError(f"rank mismatch: params {p.n}, vector {vec.n}")
-    levels = [0] * (vec.n + 1)
-    for x, level in zip(vec.nums, _levels(vec.n)):
-        levels[level] += x
-    re_nums, im_nums, coefficient_den = p.coefficients
-    return (
-        sum(map(operator.mul, levels, re_nums)),
-        sum(map(operator.mul, levels, im_nums)),
-        vec.den * coefficient_den,
-    )
+    return _level_charge(p, _level_sums(vec), vec.den)
 
 
 def _exact(re: int, im: int, den: int) -> ExactComplex:
@@ -380,7 +420,7 @@ def twist(vec: LatticeVector, c: Sequence[Scalar]) -> LatticeVector:
 
 def _scale_levels(vec: LatticeVector, factors: Sequence[int]) -> LatticeVector:
     """vec with the component at each mask times the int factors[level]."""
-    nums = [x * factors[level] for x, level in zip(vec.nums, _levels(vec.n))]
+    nums = tuple(map(operator.mul, vec.nums, map(factors.__getitem__, _levels(vec.n))))
     return LatticeVector._reduced(vec.n, nums, vec.den)
 
 
@@ -402,10 +442,23 @@ def isogeny_pushforward(m: int, vec: LatticeVector) -> LatticeVector:
 
 def random_lattice_vector(rng: random.Random, n: int) -> LatticeVector:
     """Integer components uniform in [-10, 10] over all 2^n subsets, drawn
-    in display order."""
+    in display order.
+
+    Each component is the rejection step rng.randint(-10, 10) takes: draw
+    r = rng.getrandbits(5) until r < 21, and give r - 10.  So every seed
+    gives the vectors, and leaves rng in the state, that a randint per
+    mask in display order would.  One per-rank gather puts the draws at
+    their masks.
+    """
     check_lattice_rank(n)
-    masks = _display_order(n)
-    return _from_masks(n, masks, [rng.randint(-10, 10) for _ in masks])
+    getrandbits = rng.getrandbits
+    draws = []
+    for _ in range(1 << n):
+        r = getrandbits(5)
+        while r >= 21:
+            r = getrandbits(5)
+        draws.append(r - 10)
+    return LatticeVector._trusted(n, _from_display(n)(draws), 1)
 
 
 def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) -> dict:
@@ -415,13 +468,17 @@ def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) ->
       Z^{a,b}(pullback_m v)    = m^{2n} * Z^{a/m^2, b/m^2}(v)
       Z^{a,b}(pushforward_m v) = Z^{m^2 a, m^2 b}(v)
       Z^{a,b}(twist(v, -1))    = Z^{a, b+1}(v)
-    Both sides are compared as cross-multiplied integer numerators; only a
-    violation's two charges are made into Fractions.  An m or trials that
-    is not an int (a bool included) raises TypeError, and m < 1 or
+    The right sides share v's level sums, taken once per trial.  Each left
+    side applies the transform, by its module-level name, and takes the
+    charge of the class it returns, so a broken transform is named.  Both
+    sides are compared as cross-multiplied integer numerators; only a
+    violation's two charges are made into Fractions.  An m, trials or seed
+    that is not an int (a bool included) raises TypeError, and m < 1 or
     trials < 1 ValueError, before any trial.
     """
     check_count(m, "isogeny degree")
     check_count(trials, "trials")
+    check_seed(seed)
     rng = random.Random(seed)
     n = p.n
     msq = m * m
@@ -433,7 +490,8 @@ def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) ->
     violations: list[dict] = []
     for t in range(trials):
         v = random_lattice_vector(rng, n)
-        down_re, down_im, down_den = _charge_numerators(scaled_down, v)
+        sums = _level_sums(v)
+        down_re, down_im, down_den = _level_charge(scaled_down, sums, v.den)
         checks = [
             (
                 "isogeny_pullback",
@@ -443,12 +501,12 @@ def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) ->
             (
                 "isogeny_pushforward",
                 _charge_numerators(p, isogeny_pushforward(m, v)),
-                _charge_numerators(scaled_up, v),
+                _level_charge(scaled_up, sums, v.den),
             ),
             (
                 "twist_shift",
                 _charge_numerators(p, twist(v, minus_one)),
-                _charge_numerators(shifted, v),
+                _level_charge(shifted, sums, v.den),
             ),
         ]
         for name, (re, im, den), (re_expected, im_expected, den_expected) in checks:

@@ -184,6 +184,13 @@ def check_count(value: int, what: str, least: int = 1) -> None:
         raise ValueError(f"{what} must be at least {least}")
 
 
+def check_seed(seed: int) -> None:
+    """The gate of a certificate's seed: TypeError unless seed is an int
+    (not a bool), so that the seed a certificate echoes replays it."""
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an int, not {seed!r}")
+
+
 def sort_key(w: Permutation) -> tuple[int, tuple[int, ...]]:
     """Canonical ordering key: length first, then one-line word."""
     return (w.length(), w.word)

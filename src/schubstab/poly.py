@@ -55,7 +55,14 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Union
 
-from .perms import MAX_ENUMERATED_RANK, Permutation, check_count, check_rank, symmetric_group
+from .perms import (
+    MAX_ENUMERATED_RANK,
+    Permutation,
+    check_count,
+    check_rank,
+    check_seed,
+    symmetric_group,
+)
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -699,10 +706,12 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     n!(n-1)/2 + 2(n-1) divided differences, and the rank is bounded by the
     group the certificate walks: check_demazure_rank refuses n < 2 and
     n > MAX_ENUMERATED_RANK with ValueError before any work, as check_count
-    refuses trials below 1 (ValueError) or not an int (TypeError).
+    refuses trials below 1 (ValueError) or not an int (TypeError) and
+    check_seed a seed that is not an int (TypeError).
     """
     check_demazure_rank(n)
     check_count(trials, "trials")
+    check_seed(seed)
     rng = random.Random(seed)
     tables = [_SuffixTable(random_poly(rng, n)) for _ in range(trials)]
     violations: list[dict] = []

@@ -172,6 +172,28 @@ def assert_normal_form(vec):
     assert math.gcd(vec.den, *vec.nums) == 1
 
 
+def assert_kernels_match_oracles(p, m, vec):
+    """The integer charge and both isogenies agree with the Fraction
+    oracles on vec."""
+    n, x = vec.n, vec.values
+    re, im, den = lattice._charge_numerators(p, vec)
+    assert ExactComplex(F(re, den), F(im, den)) == oracle_charge(p.a, p.b, x)
+    pulled, pushed = isogeny_pullback(m, vec), isogeny_pushforward(m, vec)
+    assert pulled.values == oracle_isogeny(x, lambda s: m ** (2 * (n - s)))
+    assert pushed.values == oracle_isogeny(x, lambda s: m ** (2 * s))
+    assert_normal_form(pulled)
+    assert_normal_form(pushed)
+
+
+def randint_draws(rng, n):
+    """The numerators random_lattice_vector must give: rng.randint(-10, 10)
+    per subset, in display order (by size, then elements)."""
+    nums = [0] * 2**n
+    for subset in all_subsets(n):
+        nums[sum(1 << (i - 1) for i in subset)] = rng.randint(-10, 10)
+    return tuple(nums)
+
+
 class TestExactComplex:
     def test_parts_are_fractions(self):
         z = ExactComplex(2, F(1, 3))
@@ -337,6 +359,43 @@ class TestIntegerRepresentation:
         assert central_charge(ChargeParams(a, b, n), u) == oracle_charge(a, b, x)
 
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kernels_match_oracles_on_basis_vectors(self, n):
+        p = ChargeParams(F(3, 2), F(-1, 3), n)
+        for subset in all_subsets(n):
+            assert_kernels_match_oracles(p, 3, LatticeVector(n, {subset: 1}))
+
+    def test_kernels_match_oracles_at_rank_12(self):
+        n = MAX_LATTICE_RANK
+        rng = random.Random(29)
+        for p, m in ((ChargeParams(F(3, 2), F(-1, 3), n), 2), (ChargeParams(F(5), F(7, 4), n), 3)):
+            vec = random_lattice_vector(rng, n).scale(F(1, 7)) + random_lattice_vector(
+                rng, n
+            ).scale(F(2, 3))
+            assert vec.den != 1
+            assert_kernels_match_oracles(p, m, vec)
+
+
+class TestDraws:
+    """random_lattice_vector draws by getrandbits the values, and leaves the
+    generator in the state, that randint per subset would."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_draws_equal_randint(self, n):
+        for seed in range(100):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                v = random_lattice_vector(fast, n)
+                assert (v.nums, v.den) == (randint_draws(slow, n), 1)
+            assert fast.getstate() == slow.getstate()
+
+    def test_draws_equal_randint_at_rank_12(self):
+        for seed in (0, 1, 2):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert random_lattice_vector(fast, 12).nums == randint_draws(slow, 12)
+            assert fast.getstate() == slow.getstate()
+
+
 class TestCentralCharge:
     def test_rank1_formula(self):
         p = ChargeParams(F(1), F(0), 1)
@@ -483,19 +542,30 @@ class TestChargeTransforms:
 
     @pytest.mark.parametrize(
         "target, identity, subset",
-        [("isogeny_pushforward", "isogeny_pushforward", (1, 2)), ("twist", "twist_shift", (1, 3))],
+        [
+            ("isogeny_pushforward", "isogeny_pushforward", (1, 2)),
+            ("twist", "twist_shift", (1, 3)),
+            ("isogeny_pullback", "isogeny_pullback", (2,)),
+        ],
     )
     def test_certificate_names_a_broken_transform(self, monkeypatch, target, identity, subset):
         """A transform that halves its result at one subset is named at
         exactly the trials where that entry is nonzero, with the two
-        charges the defining sum gives, and the other identities stay clean."""
+        charges the defining sum gives, and the other identities stay clean.
+        The expected charge is factor * Z^{a', b'}(v), the reference side
+        the certificate reads from v's shared level sums."""
         n, m, trials, seed = 3, 3, 40, 2
         p = ChargeParams(F(1, 2), F(-1), n)
         real = getattr(lattice, target)
-        args = {"isogeny_pushforward": lambda v: (m, v), "twist": lambda v: (v, [-1] * n)}[target]
-        reference = {
-            "isogeny_pushforward": (p.a * m**2, p.b * m**2),
-            "twist": (p.a, p.b + 1),
+        args = {
+            "isogeny_pullback": lambda v: (m, v),
+            "isogeny_pushforward": lambda v: (m, v),
+            "twist": lambda v: (v, [-1] * n),
+        }[target]
+        a, b, factor = {
+            "isogeny_pullback": (p.a / m**2, p.b / m**2, m ** (2 * n)),
+            "isogeny_pushforward": (p.a * m**2, p.b * m**2, 1),
+            "twist": (p.a, p.b + 1, 1),
         }[target]
 
         def broken(*call):
@@ -518,7 +588,8 @@ class TestChargeTransforms:
             vec = vectors[v["trial"]]
             assert v["vector"] == vec.to_json()
             assert v["got"] == charge_by_defining_sum(p.a, p.b, broken(*args(vec))).to_json()
-            assert v["expected"] == charge_by_defining_sum(*reference, vec).to_json()
+            reference = charge_by_defining_sum(a, b, vec)
+            assert v["expected"] == ExactComplex(reference.re * factor, reference.im * factor).to_json()
 
     @pytest.mark.parametrize(
         "m, trials, error",
@@ -532,6 +603,18 @@ class TestChargeTransforms:
         monkeypatch.setattr(lattice, "random_lattice_vector", started)
         with pytest.raises(error):
             verify_charge_transforms(ChargeParams(F(1), F(0), 2), m, trials, seed=0)
+
+    @pytest.mark.parametrize("seed", [None, True, 2.5, "x", F(2)])
+    def test_seed_must_be_an_int(self, monkeypatch, seed):
+        """A seed that is not an int would give a certificate that its
+        echoed seed cannot replay, so it is refused before any trial."""
+
+        def started(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(lattice, "random_lattice_vector", started)
+        with pytest.raises(TypeError, match="seed must be an int"):
+            verify_charge_transforms(ChargeParams(F(1), F(0), 2), 2, 10, seed)
 
     def test_twist_shift_identity_explicit(self):
         p = ChargeParams(F(1), F(0), 1)

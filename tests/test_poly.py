@@ -541,6 +541,19 @@ def test_demazure_trials_must_be_a_positive_int(monkeypatch):
             verify_demazure_relations(3, trials, 0)
 
 
+@pytest.mark.parametrize("seed", [None, True, 2.5, "x", Fraction(2)])
+def test_demazure_seed_must_be_an_int(monkeypatch, seed):
+    """A seed that is not an int would give a certificate that its echoed
+    seed cannot replay, so it is refused before any trial."""
+
+    def boom(*args):
+        raise AssertionError("check started")
+
+    monkeypatch.setattr(poly_module, "random_poly", boom)
+    with pytest.raises(TypeError, match="seed must be an int"):
+        verify_demazure_relations(3, 1, seed)
+
+
 # ------------------------------------------- the unvalidated constructor
 
 
