@@ -24,8 +24,9 @@ tuples to Fractions unpacked afresh on each read, which the package reads
 only for the few terms of a right factor in `bimodule.right_multiply`.
 
 Most of the package works in the pure-x ring (ny = 0); the y-block exists
-for two-alphabet polynomials and is inert under the group action and the
-operators.
+for two-alphabet polynomials, and to tag the trials that
+verify_demazure_relations stacks into one polynomial, and is inert under
+the group action and the operators.
 
 The divided-difference operator of index j sends f to
 (f - s_j f) / (x_j - x_{j+1}), where s_j swaps x_j and x_{j+1}.  It is
@@ -633,6 +634,10 @@ class _SuffixTable(dict):
     divided_difference(a, self[tail]): rightmost letter first, so a word
     (a,) + first(v) of w = s_a v costs one divided difference once the
     first word of v is in the table.  Entries are computed on first lookup.
+    When f stacks many polynomials, each tagged by a power of an inert
+    y-variable (see verify_demazure_relations), each entry stacks their
+    composites along its word, at the cost of one divided difference of
+    the stack.
     """
 
     def __init__(self, f: Poly):
@@ -670,6 +675,55 @@ def _descent_words(n: int) -> Iterator[tuple[Permutation, list[tuple[int, ...]],
         yield w, words, several[w.word]
 
 
+def _stack(polys: list[Poly], top: int) -> Poly:
+    """sum_t y_1^t polys[t] in Q[x_1..x_n, y_1], the pure-x polys of rank n
+    over the lcm of their denominators, with exponent bound top."""
+    bits = _width_for(top)
+    den = lcm(*(f._den for f in polys))
+    num = {}
+    for t, f in enumerate(polys):
+        scale = den // f._den
+        for k, c in f._at(bits).items():
+            num[(k << bits) | t] = c * scale
+    return Poly._reduced(polys[0].nx, 1, num, den, bits, top)
+
+
+def _slices(f: Poly, trials: int, plain_top: int) -> tuple[list[Poly], list[Poly]]:
+    """Per trial t of a stack f = sum_t y_1^t f_t: y_1^t f_t, and f_t with
+    exponent bound plain_top, both in f's ring."""
+    mask = (1 << f._bits) - 1
+    tagged: list[dict[int, int]] = [{} for _ in range(trials)]
+    plain: list[dict[int, int]] = [{} for _ in range(trials)]
+    for k, c in f._num.items():
+        t = k & mask
+        tagged[t][k] = c
+        plain[t][k - t] = c
+    nx, ny, den, bits = f.nx, f.ny, f._den, f._bits
+    return (
+        [Poly._reduced(nx, ny, p, den, bits, f._top) for p in tagged],
+        [Poly._reduced(nx, ny, p, den, bits, plain_top) for p in plain],
+    )
+
+
+def _tags(f: Poly) -> set[int]:
+    """The y_1-exponents of f's terms: the trials at which the stack f is
+    nonzero."""
+    mask = (1 << f._bits) - 1
+    return {k & mask for k in f._num}
+
+
+def _failing(a: Poly, b: Poly) -> set[int]:
+    """The trials at which the stacks a and b differ."""
+    return set() if a == b else _tags(a - b)
+
+
+def _by_trial(checks: list[tuple[dict, set[int]]]) -> list[dict]:
+    """The violations of checks, (record, failing trials) pairs, ordered by
+    trial and then by check, each record with its trial appended."""
+    bad = sorted((t, i) for i, (_, tags) in enumerate(checks) for t in tags)
+    return [{**checks[i][0], "trial": t} for t, i in bad]
+
+
 def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     """Certificate that the divided differences satisfy their algebra.
 
@@ -695,77 +749,89 @@ def verify_demazure_relations(n: int, trials: int, seed: int) -> dict:
     reduced_word_independence is the number of w with two or more reduced
     words, times trials.
 
-    Every composite is read from one suffix table per trial polynomial, so
-    each distinct word is applied once: d_j d_j f, both sides of the braid
-    and commuting relations, d_j f and d_j g in the Leibniz rule, and
-    n!(n-1)/2 reduced-word composites, one per (w, left descent).  Only
-    d_j(fg) is applied outside a table, with fg formed once per trial.
-    Tables are keyed by words, never by permutations: a permutation key
-    would give every reduced word of w one value, which is the claim
-    under test.  No reduced word is listed, so the cost per trial is those
-    n!(n-1)/2 + 2(n-1) divided differences, and the rank is bounded by the
-    group the certificate walks: check_demazure_rank refuses n < 2 and
-    n > MAX_ENUMERATED_RANK with ValueError before any work, as check_count
-    refuses trials below 1 (ValueError) or not an int (TypeError) and
-    check_seed a seed that is not an int (TypeError).
+    The trials are checked at once, as one stack F = sum_t y_1^t f_t in
+    Q[x_1..x_n, y_1]: y_1 is inert under the x-action and the operators,
+    so every composite of F is the stack of the trials' composites, and
+    the trials at which a relation fails are the y_1-exponents left in the
+    difference of its two sides.  Violations come in the order of a pass
+    trial by trial: the square-zero, braid and commuting checks by trial,
+    then the Leibniz checks by trial, then, per w, its words by trial;
+    within one trial, in the order of the checks.  Failing trials are
+    sorted, never read in the order of a set.  Every composite is read
+    from one suffix table of F, so each distinct word is applied once:
+    d_j d_j F, both sides of the braid and commuting relations, d_j F in
+    the Leibniz rule, and n!(n-1)/2 reduced-word composites, one per
+    (w, left descent).  The Leibniz rule d_j(f g) = d_j f g + s_j f d_j g,
+    with g_t = f_{t+1 mod trials}, applies d_j once to the stack of the
+    f_t g_t and compares it with one sum of products, each pairing the
+    tagged y_1^t f_t, y_1^t d_j f_t or s_j of y_1^t f_t with the untagged
+    g_t or d_j g_t: a tagged factor must meet an untagged one, since tags
+    add under multiplication.  The table is keyed by words, never by
+    permutations: a permutation key would give every reduced word of w one
+    value, which is the claim under test.  No reduced word is listed, so
+    the certificate makes n!(n-1)/2 + 2(n-1) divided differences whatever
+    `trials` is, and the rank is bounded by the group the certificate
+    walks: check_demazure_rank refuses n < 2 and n > MAX_ENUMERATED_RANK
+    with ValueError before any work, as check_count refuses trials below 1
+    (ValueError) or not an int (TypeError) and check_seed a seed that is
+    not an int (TypeError).
     """
     check_demazure_rank(n)
     check_count(trials, "trials")
     check_seed(seed)
     rng = random.Random(seed)
-    tables = [_SuffixTable(random_poly(rng, n)) for _ in range(trials)]
-    violations: list[dict] = []
+    polys = [random_poly(rng, n) for _ in range(trials)]
+    # Divided differences and s_j raise no exponent, so plain_top bounds
+    # the x-exponents of every entry and top the whole stack's.
+    plain_top = max(f._top for f in polys)
+    top = max(plain_top, trials - 1)
+    table = _SuffixTable(_stack(polys, top))
     counts = {
-        "square_zero": 0,
-        "braid": 0,
-        "commuting": 0,
-        "leibniz": 0,
+        "square_zero": trials * (n - 1),
+        "braid": trials * (n - 2),
+        "commuting": trials * (n - 2) * (n - 3) // 2,
+        "leibniz": trials * (n - 1),
         "reduced_word_independence": 0,
     }
 
-    for t, table in enumerate(tables):
-        for j in range(1, n):
-            counts["square_zero"] += 1
-            if not table[(j, j)].is_zero:
-                violations.append({"relation": "square_zero", "j": j, "trial": t})
-        for j in range(1, n - 1):
-            counts["braid"] += 1
-            if table[(j, j + 1, j)] != table[(j + 1, j, j + 1)]:
-                violations.append({"relation": "braid", "j": j, "trial": t})
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                counts["commuting"] += 1
-                if table[(i, j)] != table[(j, i)]:
-                    violations.append({"relation": "commuting", "pair": [i, j], "trial": t})
+    checks = [({"relation": "square_zero", "j": j}, _tags(table[(j, j)])) for j in range(1, n)]
+    checks += [
+        ({"relation": "braid", "j": j}, _failing(table[(j, j + 1, j)], table[(j + 1, j, j + 1)]))
+        for j in range(1, n - 1)
+    ]
+    checks += [
+        ({"relation": "commuting", "pair": [i, j]}, _failing(table[(i, j)], table[(j, i)]))
+        for i in range(1, n)
+        for j in range(i + 2, n)
+    ]
+    violations = _by_trial(checks)
 
-    for t, f_table in enumerate(tables):
-        g_table = tables[(t + 1) % len(tables)]
-        f, g = f_table[()], g_table[()]
-        fg = f * g
-        for j in range(1, n):
-            counts["leibniz"] += 1
-            lhs = divided_difference(j, fg)
-            sj_f = permute_x(Permutation.simple(j, n), f)
-            rhs = sum_of_products(((f_table[(j,)], g), (sj_f, g_table[(j,)])), n)
-            if lhs != rhs:
-                violations.append({"relation": "leibniz", "j": j, "trial": t})
+    following = [(t + 1) % trials for t in range(trials)]
+    f_tagged, f_plain = _slices(table[()], trials, plain_top)
+    fg = sum_of_products(zip(f_tagged, (f_plain[u] for u in following)), n, 1)
+    checks = []
+    for j in range(1, n):
+        d_tagged, d_plain = _slices(table[(j,)], trials, plain_top)
+        s_j = Permutation.simple(j, n)
+        pairs = []
+        for t, u in enumerate(following):
+            pairs += ((d_tagged[t], f_plain[u]), (permute_x(s_j, f_tagged[t]), d_plain[u]))
+        rhs = sum_of_products(pairs, n, 1)
+        checks.append(({"relation": "leibniz", "j": j}, _failing(divided_difference(j, fg), rhs)))
+    violations += _by_trial(checks)
 
     for w, words, several in _descent_words(n):
         if not several:
             continue
-        for t, table in enumerate(tables):
-            counts["reduced_word_independence"] += 1
-            base = table[words[0]]
-            for letters in words[1:]:
-                if table[letters] != base:
-                    violations.append(
-                        {
-                            "relation": "reduced_word_independence",
-                            "w": w.to_json(),
-                            "word": list(letters),
-                            "trial": t,
-                        }
-                    )
+        counts["reduced_word_independence"] += trials
+        base = table[words[0]]
+        checks = []
+        for letters in words[1:]:
+            if table[letters] != base:
+                record = {"relation": "reduced_word_independence", "w": w.to_json()}
+                checks.append(({**record, "word": list(letters)}, _tags(table[letters] - base)))
+        if checks:
+            violations += _by_trial(checks)
     return {
         "check": "demazure_relations",
         "n": n,

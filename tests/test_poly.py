@@ -21,6 +21,7 @@ import schubstab.poly as poly_module
 from schubstab.perms import Permutation, symmetric_group
 from schubstab.poly import (
     Poly,
+    _descent_words,
     _SuffixTable,
     check_demazure_rank,
     divide_exact,
@@ -29,6 +30,7 @@ from schubstab.poly import (
     permute_x,
     random_poly,
     specialize_y_to_x,
+    sum_of_products,
     verify_demazure_relations,
     widen_with_y,
     x_to_y,
@@ -336,6 +338,41 @@ def test_suffix_table_matches_word_by_word():
                 assert value == demazure_along_word(word, f)
 
 
+def _trial_slices(g):
+    """The trials of a stack g in Q[x_1..x_n, y_1], keyed by their tag, the
+    exponent of y_1, each as a pure-x polynomial."""
+    parts = {}
+    for exp, c in g.terms.items():
+        parts.setdefault(exp[-1], {})[exp[:-1]] = c
+    return {t: Poly(g.nx, 0, terms) for t, terms in parts.items()}
+
+
+def _planted(faults):
+    """divided_difference with planted faults: for each (j, bad, extra), d_j g
+    gains extra when g is the pure-x polynomial bad, and on a stack g it
+    gains y_1^t extra for every trial t whose slice of g is bad, so a
+    stacked certificate meets the fault exactly where the per-trial one
+    does."""
+    real = divided_difference
+
+    def wrong(j, g):
+        out = real(j, g)
+        for fault_j, bad, extra in faults:
+            if j != fault_j:
+                continue
+            if g.ny == 0:
+                if g == bad:
+                    out = out + extra
+                continue
+            for t, part in _trial_slices(g).items():
+                if part == bad:
+                    tagged = {exp + (t,): c for exp, c in extra.terms.items()}
+                    out = out + Poly(g.nx, 1, tagged)
+        return out
+
+    return wrong
+
+
 def _plain_word_violations(n, polys, max_length=math.inf):
     """The reduced-word-independence loop with word-by-word composites, over
     the w of length at most max_length."""
@@ -367,15 +404,10 @@ def test_certificate_names_a_wrong_divided_difference(monkeypatch, n):
     trials, seed = 2, 5
     rng = random.Random(seed)
     polys = [random_poly(rng, n) for _ in range(trials)]
-    real = divided_difference
-    bad_input = real(2, polys[0])
-
-    def wrong(j, g):
-        out = real(j, g)
-        # The word (2, 1, 2) applies d_2 next, which kills constants but
-        # sends x_3 to -1.
-        return out + Poly.x(3, n) if j == 1 and g == bad_input else out
-
+    bad_input = divided_difference(2, polys[0])
+    # The word (2, 1, 2) applies d_2 next, which kills constants but sends
+    # x_3 to -1.
+    wrong = _planted([(1, bad_input, Poly.x(3, n))])
     monkeypatch.setattr(poly_module, "divided_difference", wrong)
     cert = verify_demazure_relations(n, trials, seed)
     named = [v for v in cert["violations"] if v["relation"] == "reduced_word_independence"]
@@ -403,17 +435,11 @@ def test_certificate_names_the_shortest_failure_of_a_planted_fault(monkeypatch):
     all 1 095 266 reduced words of S6 per trial, and up to length 6 it
     applies 2 432."""
     trials, seed, max_length = 3, 5, 6
-    real = divided_difference
     for n in (4, 6):
         rng = random.Random(seed)
         polys = [random_poly(rng, n) for _ in range(trials)]
         planted = Poly.monomial((4, 2, 1) + (0,) * (n - 3), 1, n)
-        faults = ((1, polys[0]), (3, polys[2]))
-
-        def wrong(j, g):
-            out = real(j, g)
-            return out + planted if (j, g) in faults else out
-
+        wrong = _planted([(1, polys[0], planted), (3, polys[2], planted)])
         monkeypatch.setattr(poly_module, "divided_difference", wrong)
         cert = verify_demazure_relations(n, trials, seed)
         named = [
@@ -438,11 +464,13 @@ def test_certificate_names_the_shortest_failure_of_a_planted_fault(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, trials, seed, calls", [(5, 1, 7, 248), (4, 20, 5, 840), (6, 2, 7, 3620), (7, 1, 7, 15132)]
+    "n, trials, seed, calls",
+    [(5, 1, 7, 248), (4, 20, 5, 42), (6, 2, 7, 1810), (7, 1, 7, 15132), (5, 70, 3, 248)],
 )
 def test_certificate_makes_one_divided_difference_per_descent(monkeypatch, n, trials, seed, calls):
-    """Per trial: one per (w, left descent), n!(n-1)/2 in all, plus d_j d_j f
-    and d_j(fg) for each j."""
+    """Per certificate, whatever trials is: one per (w, left descent),
+    n!(n-1)/2 in all, plus d_j d_j F and d_j of the stacked products for
+    each j.  At 70 trials the tags need fields wider than the default."""
     made = []
     real = divided_difference
 
@@ -453,7 +481,7 @@ def test_certificate_makes_one_divided_difference_per_descent(monkeypatch, n, tr
     monkeypatch.setattr(poly_module, "divided_difference", counted)
     verify_demazure_relations(n, trials, seed)
     descents = math.factorial(n) * (n - 1) // 2
-    assert len(made) == calls == trials * (descents + 2 * (n - 1))
+    assert len(made) == calls == descents + 2 * (n - 1)
 
 
 def _plain_relation_violations(n, polys):
@@ -481,19 +509,107 @@ def _plain_relation_violations(n, polys):
     return out
 
 
+def _per_trial_certificate(n, trials, seed):
+    """verify_demazure_relations with one suffix table per trial polynomial,
+    each relation compared trial by trial: the oracle of the stacked
+    certificate.  It looks divided_difference up in the module, so a
+    patched operator reaches it."""
+    rng = random.Random(seed)
+    tables = [_SuffixTable(random_poly(rng, n)) for _ in range(trials)]
+    violations: list[dict] = []
+    counts = {
+        "square_zero": 0,
+        "braid": 0,
+        "commuting": 0,
+        "leibniz": 0,
+        "reduced_word_independence": 0,
+    }
+
+    for t, table in enumerate(tables):
+        for j in range(1, n):
+            counts["square_zero"] += 1
+            if not table[(j, j)].is_zero:
+                violations.append({"relation": "square_zero", "j": j, "trial": t})
+        for j in range(1, n - 1):
+            counts["braid"] += 1
+            if table[(j, j + 1, j)] != table[(j + 1, j, j + 1)]:
+                violations.append({"relation": "braid", "j": j, "trial": t})
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                counts["commuting"] += 1
+                if table[(i, j)] != table[(j, i)]:
+                    violations.append({"relation": "commuting", "pair": [i, j], "trial": t})
+
+    for t, f_table in enumerate(tables):
+        g_table = tables[(t + 1) % len(tables)]
+        f, g = f_table[()], g_table[()]
+        fg = f * g
+        for j in range(1, n):
+            counts["leibniz"] += 1
+            lhs = poly_module.divided_difference(j, fg)
+            sj_f = permute_x(Permutation.simple(j, n), f)
+            rhs = sum_of_products(((f_table[(j,)], g), (sj_f, g_table[(j,)])), n)
+            if lhs != rhs:
+                violations.append({"relation": "leibniz", "j": j, "trial": t})
+
+    for w, words, several in _descent_words(n):
+        if not several:
+            continue
+        for t, table in enumerate(tables):
+            counts["reduced_word_independence"] += 1
+            base = table[words[0]]
+            for letters in words[1:]:
+                if table[letters] != base:
+                    violations.append(
+                        {
+                            "relation": "reduced_word_independence",
+                            "w": w.to_json(),
+                            "word": list(letters),
+                            "trial": t,
+                        }
+                    )
+    return {
+        "check": "demazure_relations",
+        "n": n,
+        "trials": trials,
+        "seed": seed,
+        "relations": counts,
+        "violations": violations,
+    }
+
+
+@pytest.mark.parametrize(
+    "n, trials, seed",
+    [(2, 3, 1), (3, 60, 2), (3, 70, 4), (4, 20, 5), (5, 1, 7), (5, 200, 3), (6, 2, 7)],
+)
+def test_stacked_certificate_matches_the_per_trial_one(monkeypatch, n, trials, seed):
+    """Whole certificates agree, clean and with faults planted in the first,
+    a middle and the last trial.  From 65 trials on the tags need fields
+    wider than the default; at 60 only the Leibniz products do.  Trials
+    with different denominators share the stack's lcm."""
+    clean = verify_demazure_relations(n, trials, seed)
+    assert clean == _per_trial_certificate(n, trials, seed)
+    assert clean["violations"] == []
+    rng = random.Random(seed)
+    polys = [random_poly(rng, n) for _ in range(trials)]
+    extra = Poly.monomial((2,) + (0,) * (n - 2) + (1,), 1, n)
+    planted = {0, trials // 2, trials - 1}
+    faults = [(1 + t % (n - 1), polys[t], extra) for t in sorted(planted)]
+    monkeypatch.setattr(poly_module, "divided_difference", _planted(faults))
+    faulty = verify_demazure_relations(n, trials, seed)
+    assert faulty == _per_trial_certificate(n, trials, seed)
+    # The Leibniz rule of trial t - 1 reads d_j of trial t's polynomial.
+    named = {v["trial"] for v in faulty["violations"]}
+    assert planted <= named <= planted | {(t - 1) % trials for t in planted}
+
+
 def test_certificate_names_a_wrong_first_difference_in_every_relation(monkeypatch):
     """d_1 of trial 0's polynomial gains x1^2 x3, which d_1, d_1 d_2 and d_3
     do not kill: every relation that reads d_1 f must be named."""
     n, trials, seed = 4, 2, 5
     rng = random.Random(seed)
     polys = [random_poly(rng, n) for _ in range(trials)]
-    real = divided_difference
-    planted = Poly.monomial((2, 0, 1, 0), 1, n)
-
-    def wrong(j, g):
-        out = real(j, g)
-        return out + planted if j == 1 and g == polys[0] else out
-
+    wrong = _planted([(1, polys[0], Poly.monomial((2, 0, 1, 0), 1, n))])
     monkeypatch.setattr(poly_module, "divided_difference", wrong)
     cert = verify_demazure_relations(n, trials, seed)
     named = [v for v in cert["violations"] if v["relation"] != "reduced_word_independence"]
