@@ -43,6 +43,13 @@ Transformation laws implemented and certified exactly:
     the subset-sum transform, n * 2^(n-1) integer products,
   * multiplication-by-m isogenies, m a positive int, scale the component
     at S by m^{2(n-|S|)} under pullback and by m^{2|S|} under pushforward.
+
+verify_charge_transforms certifies each law on seeded random classes.  Z
+and every transform are linear, so it checks all its trials at once: the
+trials are stacked into one integer class, sum_t 2^(W t) v_t, whose
+components are built from a byte buffer by int.from_bytes (_stack), and
+each law is one comparison on that class.  Only a law that fails there
+is checked again trial by trial, to name the failing trials.
 """
 
 from __future__ import annotations
@@ -62,10 +69,11 @@ from .poly import as_fraction
 Scalar = Union[int, Fraction]
 
 # A class has 2^n components and a twist costs n * 2^(n-1) integer
-# products, so `verify charges` grows about 2.1x per rank: at rank 12 its
-# default 100 trials (a = 1, b = 0, m = 2) take 0.8 to 1.2 s as a whole
-# process on a 2-core Xeon container under Python 3.11.7, and rank 40
-# would not fit in memory.  The
+# operations.  `verify charges` draws 2^n components per trial and checks
+# its trials on one stacked class, whose components hold a lane of bytes
+# per trial.  At rank 12 its default 100 trials (a = 1, b = 0, m = 2) take
+# 0.21 to 0.23 s as a whole process, at 30 MiB peak RSS, on a 2-core Xeon
+# container under Python 3.11.7, and rank 40 would not fit in memory.  The
 # limit stays at 12 so that the ranks the commands accept, and their
 # refusal of rank 13, do not change.
 MAX_LATTICE_RANK = 12
@@ -439,6 +447,9 @@ def isogeny_pushforward(m: int, vec: LatticeVector) -> LatticeVector:
 
 # ----------------------------------------------------------- verification
 
+# The largest size of a component random_lattice_vector draws.
+_DRAW_BOUND = 10
+
 
 def random_lattice_vector(rng: random.Random, n: int) -> LatticeVector:
     """Integer components uniform in [-10, 10] over all 2^n subsets, drawn
@@ -461,6 +472,91 @@ def random_lattice_vector(rng: random.Random, n: int) -> LatticeVector:
     return LatticeVector._trusted(n, _from_display(n)(draws), 1)
 
 
+def _charge_laws(p: ChargeParams, m: int) -> tuple:
+    """The laws verify_charge_transforms certifies, in certificate order, as
+    (identity, transform, reference, factor): Z^p(transform(v)) equals
+    factor * Z^reference(v).  Each transform calls its module-level name,
+    so a broken one is named."""
+    n = p.n
+    msq = m * m
+    minus_one = [-1] * n
+    return (
+        ("isogeny_pullback", lambda v: isogeny_pullback(m, v),
+         ChargeParams(p.a / msq, p.b / msq, n), m ** (2 * n)),
+        ("isogeny_pushforward", lambda v: isogeny_pushforward(m, v),
+         ChargeParams(p.a * msq, p.b * msq, n), 1),
+        ("twist_shift", lambda v: twist(v, minus_one), ChargeParams(p.a, p.b + 1, n), 1),
+    )
+
+
+def _law_sides(p: ChargeParams, laws: Sequence[tuple], vec: LatticeVector) -> list[tuple]:
+    """For each law, its (got, expected) sides at vec, each (re, im, den):
+    got is _charge_numerators of the transformed class, expected is factor
+    times the reference charge from vec's level sums, taken once."""
+    sums = _level_sums(vec)
+    sides = []
+    for _, transform, reference, factor in laws:
+        re, im, den = _level_charge(reference, sums, vec.den)
+        sides.append((_charge_numerators(p, transform(vec)), (re * factor, im * factor, den)))
+    return sides
+
+
+def _holds(got: tuple[int, int, int], expected: tuple[int, int, int]) -> bool:
+    """The two charges are equal, by integer cross products."""
+    re, im, den = got
+    re_expected, im_expected, den_expected = expected
+    return re * den_expected == re_expected * den and im * den_expected == im_expected * den
+
+
+def _lane_bytes(p: ChargeParams, laws: Sequence[tuple]) -> int:
+    """Bytes per trial lane of the stacked class: the least whole number of
+    bytes, W / 8, for which 2^(W-1) exceeds every cross-multiplied side a
+    correct trial can reach.
+
+    A drawn component is at most _DRAW_BOUND in size, so the level-s sum of
+    a trial is at most _DRAW_BOUND * C(n, s).  On a correct trial both
+    cross-multiplied sides of a law equal factor * den_p * (the dot product
+    of the trial's level sums with the reference numerators), den_p being
+    the denominator of p.coefficients.  The bound takes the larger of the
+    two numerators at each level.
+    """
+    n = p.n
+    den_p = p.coefficients[2]
+    bound = 0
+    for _, _, reference, factor in laws:
+        re, im, _ = reference.coefficients
+        dot = sum(math.comb(n, s) * max(abs(x), abs(y)) for s, (x, y) in enumerate(zip(re, im)))
+        bound = max(bound, _DRAW_BOUND * factor * den_p * dot)
+    return (bound.bit_length() + 8) // 8
+
+
+def _stack(vectors: Sequence[LatticeVector], lane: int) -> LatticeVector:
+    """sum_t 2^(W t) vectors[t] for W = 8 * lane, over integer classes with
+    components in [-_DRAW_BOUND, _DRAW_BOUND].
+
+    Each component is one int.from_bytes of a little-endian buffer that
+    holds component + _DRAW_BOUND, a byte, at the start of lane t for
+    trial t, written for all components at once by a strided slice; the
+    bias, _DRAW_BOUND at the start of every lane, is then taken off.
+    """
+    n, trials = vectors[0].n, len(vectors)
+    stride = lane * trials
+    lanes = bytearray(stride << n)
+    bias = _DRAW_BOUND.__add__
+    for t, v in enumerate(vectors):
+        lanes[t * lane :: stride] = bytes(map(bias, v.nums))
+    offset = int.from_bytes((bytes([_DRAW_BOUND]) + bytes(lane - 1)) * trials, "little")
+    view = memoryview(lanes)
+    return LatticeVector._trusted(
+        n,
+        tuple(
+            int.from_bytes(view[start : start + stride], "little") - offset
+            for start in range(0, len(lanes), stride)
+        ),
+        1,
+    )
+
+
 def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) -> dict:
     """Certify the pullback, pushforward, and twist-shift identities.
 
@@ -468,63 +564,73 @@ def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) ->
       Z^{a,b}(pullback_m v)    = m^{2n} * Z^{a/m^2, b/m^2}(v)
       Z^{a,b}(pushforward_m v) = Z^{m^2 a, m^2 b}(v)
       Z^{a,b}(twist(v, -1))    = Z^{a, b+1}(v)
-    The right sides share v's level sums, taken once per trial.  Each left
-    side applies the transform, by its module-level name, and takes the
-    charge of the class it returns, so a broken transform is named.  Both
-    sides are compared as cross-multiplied integer numerators; only a
-    violation's two charges are made into Fractions.  An m, trials or seed
-    that is not an int (a bool included) raises TypeError, and m < 1 or
-    trials < 1 ValueError, before any trial.
+    Each left side applies the transform, by its module-level name, and
+    takes the charge of the class it returns; each right side dots the
+    class's level sums, taken once, with the reference parameters
+    (_law_sides).  Both sides are compared as cross-multiplied integer
+    numerators; only a violation's two charges are made into Fractions.
+
+    The trials v_0, ..., v_{T-1} are drawn one by one by
+    random_lattice_vector and checked at once, on the stacked class
+    V = sum_t 2^(W t) v_t (_stack): trial t sits in the base-2^W digit t of
+    every component, which is Kronecker substitution, and V has den 1.
+    Only a law that fails on V is checked again on each trial; its
+    violations name the failing trials, in order of trial, then law, each
+    with its own vector and two charges.
+
+    Both sides of a law are linear in v when its transform is, so the
+    law's error on V, got - expected, is sum_t 2^(W t) e_t for the trials'
+    errors e_t.  A law that fails on some trial can hold on V only if,
+    over a common denominator of the e_t, the first nonzero e_t is a
+    nonzero multiple of 2^W that the later trials cancel exactly: that is
+    the one case a failing trial goes unseen.  W is chosen so that
+    2^(W-1) exceeds every cross-multiplied side a correct trial can reach
+    (_lane_bytes), so such an error is larger than twice any correct side.
+    A law that fails on V and on no trial has a transform that is not
+    linear, and raises RuntimeError.
+
+    An m, trials or seed that is not an int (a bool included) raises
+    TypeError, and m < 1 or trials < 1 ValueError, before any trial.
     """
     check_count(m, "isogeny degree")
     check_count(trials, "trials")
     check_seed(seed)
     rng = random.Random(seed)
     n = p.n
-    msq = m * m
-    scaled_down = ChargeParams(p.a / msq, p.b / msq, n)
-    scaled_up = ChargeParams(p.a * msq, p.b * msq, n)
-    shifted = ChargeParams(p.a, p.b + 1, n)
-    minus_one = [-1] * n
-    factor = m ** (2 * n)
+    laws = _charge_laws(p, m)
+    vectors = [random_lattice_vector(rng, n) for _ in range(trials)]
+    stacked = _stack(vectors, _lane_bytes(p, laws))
+    failing = [
+        law
+        for law, (got, expected) in zip(laws, _law_sides(p, laws, stacked))
+        if not _holds(got, expected)
+    ]
     violations: list[dict] = []
-    for t in range(trials):
-        v = random_lattice_vector(rng, n)
-        sums = _level_sums(v)
-        down_re, down_im, down_den = _level_charge(scaled_down, sums, v.den)
-        checks = [
-            (
-                "isogeny_pullback",
-                _charge_numerators(p, isogeny_pullback(m, v)),
-                (down_re * factor, down_im * factor, down_den),
-            ),
-            (
-                "isogeny_pushforward",
-                _charge_numerators(p, isogeny_pushforward(m, v)),
-                _level_charge(scaled_up, sums, v.den),
-            ),
-            (
-                "twist_shift",
-                _charge_numerators(p, twist(v, minus_one)),
-                _level_charge(shifted, sums, v.den),
-            ),
-        ]
-        for name, (re, im, den), (re_expected, im_expected, den_expected) in checks:
-            if re * den_expected != re_expected * den or im * den_expected != im_expected * den:
-                violations.append(
-                    {
-                        "identity": name,
-                        "trial": t,
-                        "vector": v.to_json(),
-                        "got": _exact(re, im, den).to_json(),
-                        "expected": _exact(re_expected, im_expected, den_expected).to_json(),
-                    }
+    if failing:
+        named = set()
+        for t, v in enumerate(vectors):
+            for (name, *_), (got, expected) in zip(failing, _law_sides(p, failing, v)):
+                if not _holds(got, expected):
+                    named.add(name)
+                    violations.append(
+                        {
+                            "identity": name,
+                            "trial": t,
+                            "vector": v.to_json(),
+                            "got": _exact(*got).to_json(),
+                            "expected": _exact(*expected).to_json(),
+                        }
+                    )
+        for name, *_ in failing:
+            if name not in named:
+                raise RuntimeError(
+                    f"{name} fails on the stacked class and on no trial: its transform is not linear"
                 )
     return {
         "check": "charge_transforms",
         "params": {"n": n, "a": str(p.a), "b": str(p.b), "m": m},
         "trials": trials,
         "seed": seed,
-        "identities": ["isogeny_pullback", "isogeny_pushforward", "twist_shift"],
+        "identities": [name for name, *_ in laws],
         "violations": violations,
     }

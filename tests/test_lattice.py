@@ -525,6 +525,65 @@ class TestIsogenies:
                     isogeny(m, v)
 
 
+def _per_trial_certificate(p, m, trials, seed):
+    """verify_charge_transforms with one check per trial: each trial's three
+    laws compared as ExactComplex charges through central_charge, calling
+    the transforms by their module-level names so that a planted fault
+    reaches this oracle too."""
+    rng = random.Random(seed)
+    n, msq = p.n, m * m
+    laws = [
+        ("isogeny_pullback", lambda v: lattice.isogeny_pullback(m, v),
+         ChargeParams(p.a / msq, p.b / msq, n), m ** (2 * n)),
+        ("isogeny_pushforward", lambda v: lattice.isogeny_pushforward(m, v),
+         ChargeParams(p.a * msq, p.b * msq, n), 1),
+        ("twist_shift", lambda v: lattice.twist(v, [-1] * n), ChargeParams(p.a, p.b + 1, n), 1),
+    ]
+    violations = []
+    for t in range(trials):
+        v = lattice.random_lattice_vector(rng, n)
+        for name, transform, reference, factor in laws:
+            got = central_charge(p, transform(v))
+            z = central_charge(reference, v)
+            expected = ExactComplex(z.re * factor, z.im * factor)
+            if got != expected:
+                violations.append({
+                    "identity": name,
+                    "trial": t,
+                    "vector": v.to_json(),
+                    "got": got.to_json(),
+                    "expected": expected.to_json(),
+                })
+    return {
+        "check": "charge_transforms",
+        "params": {"n": n, "a": str(p.a), "b": str(p.b), "m": m},
+        "trials": trials,
+        "seed": seed,
+        "identities": [name for name, *_ in laws],
+        "violations": violations,
+    }
+
+
+def _planted(real, subset, change):
+    """real, with the component of its result at subset replaced by
+    change(that component): a linear fault when change is."""
+
+    def broken(*call):
+        out = real(*call)
+        value = out.component(subset)
+        return out + LatticeVector(out.n, {subset: change(value) - value})
+
+    return broken
+
+
+# (m, b, trials, seed): every m in 1..3, integer and non-integer b, and
+# 1, 7 and 100 trials, over several seeds.
+STACK_CASES = [
+    (1, F(0), 1, 0), (1, F(-5, 2), 100, 1), (2, F(1), 7, 2), (2, F(-1, 3), 100, 3),
+    (3, F(-1), 100, 4), (3, F(7, 2), 7, 5), (2, F(3), 1, 6),
+]
+
+
 class TestChargeTransforms:
     def test_certificate_clean_small_ranks(self):
         for n in (1, 2, 3):
@@ -568,13 +627,7 @@ class TestChargeTransforms:
             "twist": (p.a, p.b + 1, 1),
         }[target]
 
-        def broken(*call):
-            out = real(*call)
-            return LatticeVector(n, {
-                s: out.component(s) / 2 if s == subset else out.component(s)
-                for s in all_subsets(n)
-            })
-
+        broken = _planted(real, subset, lambda x: x / 2)
         rng = random.Random(seed)
         vectors = [random_lattice_vector(rng, n) for _ in range(trials)]
         expected_trials = [t for t, v in enumerate(vectors) if real(*args(v)).component(subset)]
@@ -590,6 +643,111 @@ class TestChargeTransforms:
             assert v["got"] == charge_by_defining_sum(p.a, p.b, broken(*args(vec))).to_json()
             reference = charge_by_defining_sum(a, b, vec)
             assert v["expected"] == ExactComplex(reference.re * factor, reference.im * factor).to_json()
+
+    @pytest.mark.parametrize(
+        "plant", [(), ("pushforward",), ("twist",), ("pushforward", "twist")],
+        ids=["clean", "pushforward", "twist", "both"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_stacked_certificate_matches_the_per_trial_one(self, monkeypatch, n, plant):
+        """The certificate checked on one stacked class equals, whole, the
+        one that checks every trial on its own: clean, with pushforward
+        halved at {1}, with twist negated at {2..n}, a mask of size n - 1,
+        and with both, so that violations interleave by trial, then law.
+        Rank 12 runs one case of 3 trials."""
+        cases = STACK_CASES if n < 12 else [(2, F(-1, 2), 3, 9)]
+        if "pushforward" in plant:
+            monkeypatch.setattr(lattice, "isogeny_pushforward", _planted(
+                isogeny_pushforward, (1,), lambda x: x / 2))
+        if "twist" in plant:
+            monkeypatch.setattr(lattice, "twist", _planted(
+                twist, tuple(range(2, n + 1)), operator.neg))
+        named = 0
+        for m, b, trials, seed in cases:
+            p = ChargeParams(F(1, 2), b, n)
+            cert = verify_charge_transforms(p, m, trials, seed)
+            assert cert == _per_trial_certificate(p, m, trials, seed)
+            named += len(cert["violations"])
+        assert (named == 0) == (not plant)
+
+    def test_one_unit_fault_in_the_last_trial_is_named_there(self, monkeypatch):
+        """A twist one unit wrong at the empty set, by the input's component
+        at {1, 3}, which is 0 in every trial but the last and -1 there.  The
+        stacked class twist sees first is sum_t 2^(W t) v_t, so its top
+        lane carries the -1 with the bias taken off, and the certificate
+        names the last trial alone."""
+        n, m, trials, seed, subset = 3, 2, 100, 11, (1, 3)
+        mask = 0b101
+        p = ChargeParams(F(1, 2), F(-1), n)
+        real_draw = lattice.random_lattice_vector
+        drawn, seen = [], []
+
+        def draw(rng, n):
+            nums = list(real_draw(rng, n).nums)
+            nums[mask] = -1 if len(drawn) == trials - 1 else 0
+            drawn.append(LatticeVector(n, {s: nums[sum(1 << (i - 1) for i in s)] for s in all_subsets(n)}))
+            return drawn[-1]
+
+        def broken(v, c):
+            seen.append(v)
+            return twist(v, c) + LatticeVector(n, {(): v.component(subset)})
+
+        monkeypatch.setattr(lattice, "random_lattice_vector", draw)
+        monkeypatch.setattr(lattice, "twist", broken)
+        cert = verify_charge_transforms(p, m, trials, seed)
+
+        width = 8 * lattice._lane_bytes(p, lattice._charge_laws(p, m))
+        assert seen[0].den == 1
+        assert seen[0].nums == tuple(
+            sum(v.nums[k] << (width * t) for t, v in enumerate(drawn)) for k in range(2**n)
+        )
+        assert seen[0].nums[mask] == -(1 << (width * (trials - 1)))
+        last = drawn[-1]
+        got = central_charge(p, broken(last, [-1] * n))
+        expected = central_charge(ChargeParams(p.a, p.b + 1, n), last)
+        # Z puts -1 on the empty set, so the -1 there moves Z by +1.
+        assert (got.re - expected.re, got.im - expected.im) == (1, 0)
+        assert cert["violations"] == [{
+            "identity": "twist_shift",
+            "trial": trials - 1,
+            "vector": last.to_json(),
+            "got": got.to_json(),
+            "expected": expected.to_json(),
+        }]
+
+    def test_a_fault_seen_only_on_the_stacked_class_raises(self, monkeypatch):
+        """A pullback that is right on every class with components in
+        [-10, 10], and one unit off on any other, fails on the stacked class
+        and on no trial: it is not linear, and the certificate raises."""
+
+        def broken(m, v):
+            out = isogeny_pullback(m, v)
+            return out if max(map(abs, v.nums)) <= 10 else out + v_of_point(v.n)
+
+        monkeypatch.setattr(lattice, "isogeny_pullback", broken)
+        with pytest.raises(RuntimeError, match="isogeny_pullback fails on the stacked class"):
+            verify_charge_transforms(ChargeParams(F(1), F(0), 3), 2, 20, seed=0)
+
+    @pytest.mark.parametrize("n, m, b", [(1, 1, F(0)), (3, 3, F(-1)), (4, 2, F(5, 3)), (12, 2, F(0))])
+    def test_lane_is_the_least_above_every_correct_side(self, n, m, b):
+        """On the trial that makes a law's reference side largest, each
+        component +-10 by the sign of its level's numerator, both
+        cross-multiplied sides are below 2^(W-1), and some law's side needs
+        the lane's last byte."""
+        p = ChargeParams(F(1, 2), b, n)
+        laws = lattice._charge_laws(p, m)
+        width = 8 * lattice._lane_bytes(p, laws)
+        largest = 0
+        for k, (_, _, reference, _) in enumerate(laws):
+            for part in reference.coefficients[:2]:
+                signs = [1 if x >= 0 else -1 for x in part]
+                v = LatticeVector(n, {s: 10 * signs[len(s)] for s in all_subsets(n)})
+                got, expected = lattice._law_sides(p, laws, v)[k]
+                for side in (got[0] * expected[2], got[1] * expected[2],
+                             expected[0] * got[2], expected[1] * got[2]):
+                    largest = max(largest, abs(side))
+        assert largest < 1 << (width - 1)
+        assert width == 8 or largest >= 1 << (width - 9)
 
     @pytest.mark.parametrize(
         "m, trials, error",
