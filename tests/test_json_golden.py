@@ -28,7 +28,11 @@ which outputs changed and why.
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +177,36 @@ def test_json_stdout_and_exit_code_unchanged(command, exit_code, digest):
         code = cli.main([*command.split(), "--json"])
     assert code == exit_code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# The rank-7 longest permutation's double Schubert polynomial, the largest
+# document the CLI admits (128 798 529 bytes), run in a child process so
+# its peak memory is the command's own.
+W0_RANK7 = "schubert --n 7 --double --w 7,6,5,4,3,2,1"
+W0_RANK7_DIGEST = "c466dfe457946561bfedcef296ce45713ee44fd10cb1836d38e330d20740139b"
+_REPORT_PEAK = (
+    "import resource, sys\n"
+    "from schubstab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_rank7_longest_double_schubert_in_a_child_process():
+    src = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _REPORT_PEAK, *W0_RANK7.split(), "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+        digest.update(chunk)
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert digest.hexdigest() == W0_RANK7_DIGEST
