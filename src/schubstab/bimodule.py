@@ -535,10 +535,10 @@ class GraphTwistEntry:
         }
 
 
-# `table graph-twists --n 6 --json` takes 0.84 to 0.86 s on the same host, at
-# 105 MiB peak RSS.  In process, building the table takes 0.2 to 0.26 s and
-# the CLI's JSON writer 0.5 to 0.7 s for the 26 MB document.  Rank 7 ran past
-# 65 s with Fraction coefficients and was not timed again.
+# `table graph-twists --n 6 --json` takes 0.49 to 0.55 s on the same host, at
+# 54 MiB peak RSS.  In process, building the table takes 0.15 s and the CLI's
+# JSON writer 0.26 s for the 26 MB document.  Rank 7 ran past 65 s with
+# Fraction coefficients and was not timed again.
 MAX_GRAPH_TWIST_RANK = 6
 
 

@@ -2,15 +2,20 @@
 
 Every subcommand prints its result to stdout and progress notes to stderr,
 so pipelines can parse the primary stream cleanly.  With --json the result
-is a single JSON document rendered by _json_text, byte for byte as the
+is a single JSON document written by _json_write, byte for byte as the
 standard library's json.dumps renders it with sort_keys=True and indent=2:
 sorted keys, a two-space indent, "," between items and ": " after keys,
 strings escaped to ASCII by json's C encoder, and each list of ints written
-in one join.  A Poly in a payload is rendered as its to_json, straight
-from its packed terms, one string template per term, without building
-to_json's dicts and lists.  It refuses floats, Fractions, sets and non-str
-keys with TypeError.  Identical invocations (including seeds) produce
-byte-identical output.
+in one join.  The writer appends the document to a list in pieces and never
+copies a child's text into its parent's; _emit hands the list to stdout
+only once the whole payload has rendered, so a payload the writer refuses
+prints nothing.  A Poly in a payload is written as its to_json, straight
+from its packed terms, without building to_json's dicts and lists: each
+distinct half of its exponent keys becomes exponent text once, and each
+term is one concatenation of two half texts, numerator and denominator.
+The writer refuses floats, Fractions, sets and non-str keys with
+TypeError.  Identical invocations (including seeds) produce byte-identical
+output.
 
 Exit codes: 0 when every emitted certificate has an empty violations list,
 1 when some check found violations or a derivation was refused, 2 for
@@ -29,6 +34,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .bimodule import (
     check_soergel_rank,
@@ -95,67 +101,115 @@ _encode_str = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
 
 
-def _json_text(obj, nl: str = "\n") -> str:
-    """obj as json.dumps renders it with sort_keys=True and indent=2, byte
-    for byte; nl is the newline and indent that close obj.  Floats,
-    Fractions, sets and non-str keys raise TypeError."""
+# Terms of a Poly joined into one piece of the JSON writer's output.
+_BLOCK = 1024
+
+
+def _json_write(obj, nl: str, put) -> None:
+    """Pass obj's text, as json.dumps renders it with sort_keys=True and
+    indent=2, byte for byte, to put in pieces; nl is the newline and indent
+    that close obj.  No piece is copied into another.  Floats, Fractions,
+    sets and non-str keys raise TypeError.
+
+    A Poly is written as its to_json.  Its form makers turn each distinct
+    half of its exponent keys, once, into a template applied to the half's
+    fields: the high half opens the "exp" list and the low half, whose
+    fields each follow a separator, closes it and opens "num".  A term is
+    one f-string of its denominator, two half texts and numerator, and each
+    block of _BLOCK terms is joined into one piece."""
     if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, (list, tuple)):
+        put(_encode_str(obj))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            put("[]")
+            return
         inner = nl + "  "
         if [item for item in obj if type(item) is not int]:
-            items = [_json_text(item, inner) for item in obj]
+            lead = "[" + inner
+            for item in obj:
+                put(lead)
+                _json_write(item, inner, put)
+                lead = "," + inner
+            put(nl + "]")
         else:
-            items = map(_int_repr, obj)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict):
+            put("[" + inner + ("," + inner).join(map(_int_repr, obj)) + nl + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            put("{}")
+            return
         inner = nl + "  "
-        items = []
+        lead = "{" + inner
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_encode_str(key) + ": " + _json_text(value, inner))
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return _int_repr(obj)
-    if isinstance(obj, Poly):
-        return _poly_text(obj, nl)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            # A str or int value, as most certificate values are, shares
+            # its key's piece, which spares a call and a piece per value.
+            if type(value) is str:
+                put(lead + _encode_str(key) + ": " + _encode_str(value))
+            elif type(value) is int:
+                put(lead + _encode_str(key) + ": " + _int_repr(value))
+            else:
+                put(lead + _encode_str(key) + ": ")
+                _json_write(value, inner, put)
+            lead = "," + inner
+        put(nl + "}")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif obj is None:
+        put("null")
+    elif isinstance(obj, int):
+        put(_int_repr(obj))
+    elif isinstance(obj, Poly):
+        slots = obj.nx + obj.ny
+        head = nl + "  "
+        put("{" + head + '"nvars": ' + _int_repr(slots) + "," + head + '"terms": ')
+        if obj.is_zero:
+            put("[]" + nl + "}")
+            return
+        term = head + "  "
+        key = term + "  "
+        field = key + "  "
+        sep = "," + field
+        opening, closing = ("[" + field, key + "]") if slots else ("[", "]")
+        before = '",' + key + '"exp": ' + opening
+        after = closing + "," + key + '"num": "'
+
+        def high(size):
+            return (before + sep.join(["%d"] * size)).__mod__
+
+        def low(size):
+            return ((sep + "%d") * size + after).__mod__
+
+        first = "{" + key + '"den": "'
+        last = '"' + term + "}"
+        terms = obj._json_terms(high, low)
+        lead = "[" + term
+        while block := [
+            f"{first}{den}{h}{l}{num}{last}" for h, l, num, den in islice(terms, _BLOCK)
+        ]:
+            put(lead)
+            put(("," + term).join(block))
+            lead = "," + term
+        put(head + "]" + nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _poly_text(p: Poly, nl: str) -> str:
-    """_json_text(p.to_json(), nl): each term is written from p's term walk
-    by one template, with a %d slot per exponent field."""
-    slots = p.nx + p.ny
-    head = nl + "  "
-    nvars = "{" + head + '"nvars": ' + _int_repr(slots) + "," + head + '"terms": '
-    if p.is_zero:
-        return nvars + "[]" + nl + "}"
-    term = head + "  "
-    key = term + "  "
-    field = key + "  "
-    exps = "[" + field + ("," + field).join(["%d"] * slots) + key + "]" if slots else "[]"
-    template = (
-        "{" + key + '"den": "%s",' + key + '"exp": ' + exps + ","
-        + key + '"num": "%s"' + term + "}"
-    )
-    terms = [template % (den, *exp, num) for exp, num, den in p._json_terms()]
-    return nvars + "[" + term + ("," + term).join(terms) + head + "]" + nl + "}"
+def _json_text(obj) -> str:
+    """The text _emit writes for obj, without its final newline."""
+    pieces = []
+    _json_write(obj, "\n", pieces.append)
+    return "".join(pieces)
 
 
 def _emit(args, payload, lines) -> None:
     if args.json:
-        print(_json_text(payload))
+        pieces = []
+        _json_write(payload, "\n", pieces.append)
+        pieces.append("\n")
+        sys.stdout.writelines(pieces)
     else:
         for line in lines:
             print(line)

@@ -18,10 +18,13 @@ adds fields, first check the bound of their result and repack into wider
 fields when it does not fit.  The width is _FIELD_BITS unless an exponent
 needs more, so no exponent is refused for its size.  The package reads
 terms only in packed form; `Fraction` and exponent tuples appear only at
-the edge: `as_fraction`, `__str__`, the term walk that `to_json` and the
-CLI's JSON writer share, and `terms`, a read-only mapping of exponent
-tuples to Fractions unpacked afresh on each read, which the package reads
-only for the few terms of a right factor in `bimodule.right_multiply`.
+the edge: `as_fraction`, `__str__` and `to_json`, which walk the terms in
+`_graded` order, and `terms`, a read-only mapping of exponent tuples to
+Fractions unpacked afresh on each read, which the package reads only for
+the few terms of a right factor in `bimodule.right_multiply`.  The CLI's
+JSON writer takes the same walk with form makers of its own, so each
+distinct half of an exponent key is rendered as JSON text once and no term
+builds an exponent tuple.
 
 Most of the package works in the pure-x ring (ny = 0); the y-block exists
 for two-alphabet polynomials, and to tag the trials that
@@ -50,7 +53,7 @@ content of numerators and denominator.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -112,15 +115,22 @@ def _low_bits(slots: int, bits: int) -> int:
     return sum(1 << (bits * s) for s in range(slots))
 
 
-def _unpack_with_degrees(
-    keys: Iterable[int], slots: int, bits: int
-) -> dict[int, tuple[int, Exponent]]:
-    """Each key of `slots` fields mapped to (its degree, its exponents)."""
-    out = {}
-    for key in keys:
-        exp = _unpack(key, slots, bits)
-        out[key] = (sum(exp), exp)
-    return out
+def _tuples(slots: int) -> Callable[[Exponent], Exponent]:
+    """The form maker of _graded that leaves each half as its exponent
+    tuple."""
+    return tuple
+
+
+def _unpack_halves(
+    keys: Iterable[int], slots: int, bits: int, form: Callable[[Exponent], object]
+) -> tuple[dict[int, int], dict[int, object]]:
+    """Each key of `slots` fields mapped to its degree, and to form of its
+    exponents; the keys are unpacked together, one field at a time."""
+    keys = list(keys)
+    mask = (1 << bits) - 1
+    fields = [[(k >> s) & mask for k in keys] for s in range(bits * (slots - 1), -1, -bits)]
+    exps = list(zip(*fields)) if slots else [()] * len(keys)
+    return dict(zip(keys, map(sum, exps))), dict(zip(keys, map(form, exps)))
 
 
 def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -247,29 +257,43 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def _graded(self, descending: bool = False) -> list[tuple[Exponent, int]]:
-        """(exponent tuple, numerator) per term, by total degree, ascending or
-        descending, then by exponents ascending.  Within one degree the
-        exponents compare as their keys do, x_1 being the top field, so each
-        term sorts by one int: its signed degree above its key.  A key is read
-        as a high and a low half, each unpacked once however many terms share
-        it."""
+    def _graded(
+        self,
+        descending: bool = False,
+        high: Callable[[int], Callable[[Exponent], object]] = _tuples,
+        low: Callable[[int], Callable[[Exponent], object]] = _tuples,
+    ) -> Iterator[tuple[object, object, int]]:
+        """(high form, low form, numerator) per term, by total degree,
+        ascending or descending, then by exponents ascending.  Within one
+        degree the exponents compare as their keys do, x_1 being the top
+        field, so each term sorts by one int: its signed degree above its
+        key.  A key is read as a high half, its first ceil((nx + ny) / 2)
+        fields, and a low half, the rest; each distinct half is unpacked
+        once however many terms share it, and its form is made by
+        high(its size) or low(its size), so no term builds its own exponent
+        tuple.  By default the forms are the halves' exponent tuples, and a
+        term's exponents are high + low."""
         slots, bits = self.nx + self.ny, self._bits
         low_slots = slots // 2
         cut = bits * low_slots
         low_mask = (1 << cut) - 1
         num = self._num
-        high = _unpack_with_degrees({k >> cut for k in num}, slots - low_slots, bits)
-        low = _unpack_with_degrees({k & low_mask for k in num}, low_slots, bits)
+        high_degree, high_form = _unpack_halves(
+            {k >> cut for k in num}, slots - low_slots, bits, high(slots - low_slots)
+        )
+        low_degree, low_form = _unpack_halves(
+            {k & low_mask for k in num}, low_slots, bits, low(low_slots)
+        )
         width = bits * slots
         sign = -1 if descending else 1
-        rows = []
-        for k, c in num.items():
-            high_degree, high_exp = high[k >> cut]
-            low_degree, low_exp = low[k & low_mask]
-            rows.append(((sign * (high_degree + low_degree)) << width | k, high_exp + low_exp, c))
-        rows.sort()
-        return [(exp, c) for _, exp, c in rows]
+        order = [
+            (sign * (high_degree[k >> cut] + low_degree[k & low_mask])) << width | k for k in num
+        ]
+        order.sort()
+        key_mask = (1 << width) - 1
+        for k in order:
+            k &= key_mask
+            yield high_form[k >> cut], low_form[k & low_mask], num[k]
 
     # ---------------------------------------------------------- arithmetic
 
@@ -357,7 +381,8 @@ class Poly:
         if not self._num:
             return "0"
         parts = []
-        for exp, c in self._graded(descending=True):
+        for high, low, c in self._graded(descending=True):
+            exp = high + low
             c = Fraction(c, self._den)
             factors = []
             for slot, e in enumerate(exp):
@@ -383,23 +408,30 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self})"
 
-    def _json_terms(self) -> Iterator[tuple[Exponent, str, str]]:
-        """(exponents, numerator, denominator) per term in _graded order,
-        the coefficient reduced by its own gcd and both parts as decimal
-        strings: the terms of to_json, and of cli._json_text, which renders a
-        Poly from them without building to_json."""
+    def _json_terms(
+        self,
+        high: Callable[[int], Callable[[Exponent], object]] = _tuples,
+        low: Callable[[int], Callable[[Exponent], object]] = _tuples,
+    ) -> Iterator[tuple[object, object, str, str]]:
+        """(high form, low form, numerator, denominator) per term, in the
+        order and with the form makers of _graded, the coefficient reduced
+        by its own gcd and both parts as decimal strings: the terms of
+        to_json, and of the CLI's JSON writer, whose forms render each half's
+        exponents as JSON text."""
         den = self._den
         if den == 1:
-            for exp, c in self._graded():
-                yield exp, str(c), "1"
+            for h, l, c in self._graded(False, high, low):
+                yield h, l, str(c), "1"
         else:
-            for exp, c in self._graded():
+            for h, l, c in self._graded(False, high, low):
                 g = gcd(c, den)
-                yield exp, str(c // g), str(den // g)
+                yield h, l, str(c // g), str(den // g)
 
     def to_json(self) -> dict:
         """Schema: {"nvars": k, "terms": [{"exp": [...], "num": "...", "den": "..."}]}."""
-        terms = [{"exp": list(exp), "num": num, "den": den} for exp, num, den in self._json_terms()]
+        terms = [
+            {"exp": list(h + l), "num": num, "den": den} for h, l, num, den in self._json_terms()
+        ]
         return {"nvars": self.nx + self.ny, "terms": terms}
 
 

@@ -43,13 +43,13 @@ from .poly import (
 # Xeon container under Python 3.11.7; w = 1,7,2,11,3,10,4,9,5,8,6 at rank 11
 # takes 10 s.
 MAX_SCHUBERT_RANK = 10
-# `schubert --double --json` at rank 7 takes 4.0 to 4.7 s on the same host at
-# 566 MiB peak RSS for w = 7,6,5,4,3,2,1: its polynomial is the 484 912-term
-# seed, computed in 0.4 to 0.7 s, and the JSON writer renders its 128.8 MB
-# document in the rest.  w = 6,7,4,5,2,3,1 takes 2.4 s at 243 MiB and
-# 1,5,2,7,3,6,4 2.0 s at 147 MiB; of that the walk's cached ancestors are up
-# to 71 MiB.  Rank 8 ran past 65 s with Fraction coefficients and was not
-# timed again.
+# `schubert --double --json` at rank 7 takes 1.8 to 2.1 s on the same host at
+# 213 MiB peak RSS for w = 7,6,5,4,3,2,1: its polynomial is the 484 912-term
+# seed, computed in 0.4 to 0.5 s, and the JSON writer writes its 128.8 MB
+# document in the rest, holding it once, in pieces.  w = 6,7,4,5,2,3,1 takes
+# 1.7 to 2.1 s at 141 MiB and 1,5,2,7,3,6,4 1.7 s at 140 MiB; the walk's
+# cached ancestors are up to 71 MiB of that.  Rank 8 ran past 65 s with
+# Fraction coefficients and was not timed again.
 MAX_DOUBLE_SCHUBERT_RANK = 7
 
 

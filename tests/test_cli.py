@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from schubstab import cli
 from schubstab.bimodule import GraphTwistEntry
 from schubstab.cli import int_list, main, rational
+from schubstab.perms import Permutation
 from schubstab.poly import Poly
+from schubstab.schubert import double_schubert
 from test_json_golden import GOLDEN
 
 
@@ -345,7 +348,7 @@ class TestTextModeBuildsNoPayload:
 
 
 class TestJsonOutput:
-    """Payloads go to cli._json_text as they are, so every subcommand's must
+    """Payloads go to cli._json_write as they are, so every subcommand's must
     be JSON-native: a stray float, Fraction or set raises TypeError."""
 
     @pytest.mark.parametrize(
@@ -430,7 +433,7 @@ def _polys(draw):
 
 
 class TestJsonWriter:
-    """cli._json_text renders what json.dumps(sort_keys=True, indent=2)
+    """cli._json_write writes what json.dumps(sort_keys=True, indent=2)
     renders, byte for byte, and refuses what the exact contract excludes."""
 
     @settings(max_examples=300, deadline=None)
@@ -469,10 +472,67 @@ class TestJsonWriter:
             main(["hn", "p1", "--degrees", "1", "--json"])
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "one-block-plus-one"])
+    def test_renders_a_poly_at_the_block_boundary(self, extra):
+        count = cli._BLOCK + extra
+        p = Poly(2, 1, {(i // 40, i % 40, i % 3): Fraction(i + 1, 1 + i % 4) for i in range(count)})
+        assert len(p.terms) == count
+        want = json.dumps(p.to_json(), sort_keys=True, indent=2)
+        assert cli._json_text(p) == want
+        nested = {"entries": [p], "n": 1}
+        assert cli._json_text(nested) == json.dumps(
+            {"entries": [p.to_json()], "n": 1}, sort_keys=True, indent=2
+        )
+
+    def test_main_prints_nothing_when_a_value_after_a_large_poly_is_refused(
+        self, capsys, monkeypatch
+    ):
+        big = Poly(2, 0, {(i, j): i - j or 1 for i in range(60) for j in range(60)})
+        assert len(big.terms) > 3 * cli._BLOCK
+        payload = {"a": big, "z": Fraction(1, 2)}
+        monkeypatch.setattr(cli, "hn_factors_to_json", lambda factors: payload)
+        with pytest.raises(TypeError):
+            main(["hn", "p1", "--degrees", "1", "--json"])
+        assert capsys.readouterr().out == ""
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def test_emit_holds_about_one_copy_of_a_large_document(monkeypatch):
+    """_emit of the rank-6 longest double Schubert polynomial (15 944 terms,
+    3.8 MB of JSON) allocates less than twice the document's length at its
+    peak: the pieces of the document, and no copy of a child in its
+    parent."""
+    w = Permutation([6, 5, 4, 3, 2, 1])
+    payload = {"w": w.to_json(), "double": True, "poly": double_schubert(w)}
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._emit(argparse.Namespace(json=True), payload, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 3_000_000
+    assert peak < 2 * sink.chars
+
 
 class TestPolyPayloads:
     """schubert and table graph-twists hand their Poly objects to
-    cli._json_text, which renders them without calling Poly.to_json."""
+    cli._json_write, which writes them without calling Poly.to_json."""
 
     @pytest.mark.parametrize(
         "command",

@@ -181,7 +181,7 @@ def test_json_stdout_and_exit_code_unchanged(command, exit_code, digest):
 
 # The rank-7 longest permutation's double Schubert polynomial, the largest
 # document the CLI admits (128 798 529 bytes), run in a child process so
-# its peak memory is the command's own.
+# its peak memory is the command's own; it must stay under 300 MiB.
 W0_RANK7 = "schubert --n 7 --double --w 7,6,5,4,3,2,1"
 W0_RANK7_DIGEST = "c466dfe457946561bfedcef296ce45713ee44fd10cb1836d38e330d20740139b"
 _REPORT_PEAK = (
@@ -210,3 +210,5 @@ def test_rank7_longest_double_schubert_in_a_child_process():
     err = proc.stderr.read()
     assert proc.wait() == 0
     assert digest.hexdigest() == W0_RANK7_DIGEST
+    peak_mib = int(err.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mib < 300
