@@ -275,11 +275,12 @@ class Poly:
         term's exponents are high + low."""
         slots, bits = self.nx + self.ny, self._bits
         low_slots = slots // 2
+        high_slots = slots - low_slots
         cut = bits * low_slots
         low_mask = (1 << cut) - 1
         num = self._num
         high_degree, high_form = _unpack_halves(
-            {k >> cut for k in num}, slots - low_slots, bits, high(slots - low_slots)
+            {k >> cut for k in num}, high_slots, bits, high(high_slots)
         )
         low_degree, low_form = _unpack_halves(
             {k & low_mask for k in num}, low_slots, bits, low(low_slots)
