@@ -7,7 +7,6 @@ appears outside test oracles.
 from .bimodule import (
     BimoduleElement,
     GraphTwistEntry,
-    f_map,
     graph_twist_table,
     membership_in_gamma,
     right_multiply,
@@ -25,10 +24,8 @@ from .lattice import (
     central_charge,
     isogeny_pullback,
     isogeny_pushforward,
-    rank_deg,
     twist,
     v_of_line_bundle,
-    v_of_point,
     vector_from_rank_deg,
     verify_charge_transforms,
 )
@@ -38,7 +35,6 @@ from .poly import (
     divided_difference,
     negate_x,
     permute_x,
-    specialize_y_to_x,
     verify_demazure_relations,
 )
 from .schubert import (
@@ -47,7 +43,6 @@ from .schubert import (
     double_schubert,
     double_schubert_expansion,
     schubert_poly,
-    specialization_check,
     staircase,
 )
 from .stability import (
@@ -84,7 +79,6 @@ __all__ = [
     "double_delta",
     "double_schubert",
     "double_schubert_expansion",
-    "f_map",
     "graph_twist_table",
     "hn_split_p1",
     "isogeny_pullback",
@@ -93,19 +87,15 @@ __all__ = [
     "negate_x",
     "permute_x",
     "phase",
-    "rank_deg",
     "replay_twist_chain",
     "right_multiply",
     "s_basis_coordinates",
     "s_element",
     "schubert_poly",
-    "specialization_check",
-    "specialize_y_to_x",
     "staircase",
     "symmetric_group",
     "twist",
     "v_of_line_bundle",
-    "v_of_point",
     "vector_from_rank_deg",
     "verify_bimodule_closure",
     "verify_charge_transforms",

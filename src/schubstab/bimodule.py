@@ -58,8 +58,7 @@ identity: S_{w0}(x; y) is the product of (x_i - y_j) over i + j <= n
 coordinates of S_{w0}, moved to the y-alphabet beside the schubert_u(x),
 are checked to sum to it.  F_w is a ring map on that two-alphabet
 polynomial, x_i -> x_{w(i)} and y_j -> x_j, so F_w(S_{w0}) is the product
-of x_{w(i)} - x_j over i + j <= n, zero unless w = w0.  No certificate
-evaluates f_map, the definition; it stays as the tests' oracle.  The
+of x_{w(i)} - x_j over i + j <= n, zero unless w = w0.  The
 certificate assumes nothing it checks: the Cauchy identity and every
 step's (1 (x) d_i) S_u = S_v are compared on the stored coordinates, and
 every division is exact or raises.
@@ -72,13 +71,12 @@ from functools import lru_cache, partial
 from typing import Iterator, Mapping
 
 from .perms import Permutation, check_rank, sort_key, symmetric_group
-from .poly import Exponent, Poly, divide_exact, permute_x, sum_of_products
+from .poly import Exponent, Poly, divide_exact, sum_of_products
 from .schubert import (
     cauchy_coefficients,
     cauchy_sum,
     delta_w,
     double_delta,
-    schubert_poly,
 )
 
 
@@ -136,16 +134,6 @@ def s_element(w: Permutation) -> BimoduleElement:
     w, coordinate[u] = schubert_v(-x) for each additive factorization
     w = v^{-1} u; v = e gives coordinate[w] = 1."""
     return BimoduleElement(w.n, cauchy_coefficients(w))
-
-
-def f_map(w: Permutation, elem: BimoduleElement) -> Poly:
-    """Evaluation against the w-twisted diagonal: sum of
-    coordinate[u] * permute_x(w, schubert_u), added up in one sum of products."""
-    if w.n != elem.n:
-        raise ValueError(f"rank mismatch: {w.n} vs {elem.n}")
-    return sum_of_products(
-        ((c, permute_x(w, schubert_poly(u))) for u, c in elem.coords.items()), elem.n
-    )
 
 
 def _monk_covers(u: Permutation, k: int) -> list[tuple[int, Permutation]]:

@@ -44,7 +44,7 @@ from .bimodule import (
     verify_triangular_injectivity,
     verify_unitriangular,
 )
-from .lattice import ChargeParams, verify_charge_transforms
+from .lattice import ChargeParams, check_charge_trials, verify_charge_transforms
 from .perms import Permutation
 from .poly import Poly, check_demazure_rank, verify_demazure_relations
 from .schubert import double_schubert, schubert_poly
@@ -197,13 +197,6 @@ def _json_write(obj, nl: str, put) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_text(obj) -> str:
-    """The text _emit writes for obj, without its final newline."""
-    pieces = []
-    _json_write(obj, "\n", pieces.append)
-    return "".join(pieces)
-
-
 def _emit(args, payload, lines) -> None:
     if args.json:
         pieces = []
@@ -273,6 +266,7 @@ def _cmd_verify_soergel(args) -> int:
 
 def _cmd_verify_charges(args) -> int:
     p = ChargeParams(args.a, args.b, args.n)
+    check_charge_trials(args.trials, args.n)
     _progress(f"checking charge transformation laws at n={args.n}, m={args.m} ...")
     cert = verify_charge_transforms(p, args.m, args.trials, args.seed)
     _emit(args, cert, _cert_lines(cert))

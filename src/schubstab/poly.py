@@ -13,18 +13,18 @@ write fields by shift and mask (Monagan and Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
 
 A field must never carry into its neighbour.  Every Poly keeps an upper
-bound on its exponents; a product, and the y -> x specialization, which
-adds fields, first check the bound of their result and repack into wider
-fields when it does not fit.  The width is _FIELD_BITS unless an exponent
-needs more, so no exponent is refused for its size.  The package reads
-terms only in packed form; `Fraction` and exponent tuples appear only at
-the edge: `as_fraction`, `__str__` and `to_json`, which walk the terms in
-`_graded` order, and `terms`, a read-only mapping of exponent tuples to
-Fractions unpacked afresh on each read, which the package reads only for
-the few terms of a right factor in `bimodule.right_multiply`.  The CLI's
-JSON writer takes the same walk with form makers of its own, so each
-distinct half of an exponent key is rendered as JSON text once and no term
-builds an exponent tuple.
+bound on its exponents; a product, which adds fields, first checks the
+bound of its result and repacks into wider fields when it does not fit.
+The width is _FIELD_BITS unless an exponent needs more, so no exponent is
+refused for its size.  The package reads terms only in packed form;
+`Fraction` and exponent tuples appear only at the edge: `as_fraction`,
+`__str__` and `to_json`, which walk the terms in `_graded` order, and
+`terms`, a read-only mapping of exponent tuples to Fractions unpacked
+afresh on each read, which the package reads only for the few terms of a
+right factor in `bimodule.right_multiply`.  The CLI's JSON writer takes the
+same walk with form makers of its own, so each distinct half of an
+exponent key is rendered as JSON text once and no term builds an exponent
+tuple.
 
 Most of the package works in the pure-x ring (ny = 0); the y-block exists
 for two-alphabet polynomials, and to tag the trials that
@@ -600,21 +600,6 @@ def x_to_y(f: Poly, nx: int) -> Poly:
     The y-block is the least significant one, so every key stays as it is."""
     _require_pure_x(f)
     return Poly._trusted(nx, f.nx, f._num, f._den, f._bits, f._top)
-
-
-def specialize_y_to_x(f: Poly) -> Poly:
-    """Ring map y_i -> x_i; requires equal numbers of x- and y-variables.
-
-    The x-block shifted down plus the y-block adds the fields pairwise, in
-    fields first widened to hold twice the exponent bound."""
-    if f.ny != f.nx:
-        raise ValueError(f"need matching alphabets, got {f.nx} x- and {f.ny} y-variables")
-    n, top = f.nx, 2 * f._top
-    bits = max(f._bits, _width_for(top))
-    shift = bits * n
-    low = (1 << shift) - 1
-    moved = (((k >> shift) + (k & low), c) for k, c in f._at(bits).items())
-    return Poly._reduced(n, 0, _accumulate({}, moved), f._den, bits, top)
 
 
 def negate_x(f: Poly) -> Poly:

@@ -31,7 +31,6 @@ from .poly import (
     divided_difference,
     negate_x,
     permute_x,
-    specialize_y_to_x,
     sum_of_products,
     widen_with_y,
     x_to_y,
@@ -193,20 +192,3 @@ def double_schubert_expansion(w: Permutation) -> Poly:
     """Rebuild the two-alphabet polynomial from single ones: the Cauchy sum
     of w's coefficients."""
     return cauchy_sum(cauchy_coefficients(w), w.n)
-
-
-def specialization_check(w: Permutation, w_prime: Permutation) -> Poly:
-    """The two-alphabet polynomial of w evaluated at x -> w'(x), y -> x.
-
-    Concretely: permute the x-alphabet of double_schubert(w) by w', then
-    identify y_i with x_i.  For length(w') <= length(w) this collapses to
-    (-1)^{length(w)} delta_w(w.inverse()) when w' = w and to zero otherwise;
-    callers verify exactly that.  (The inverse matters: already for
-    w = (2,3,1) the value is (x1-x2)(x1-x3), the inversion product of
-    w^{-1} = (3,1,2), not of w.  The two agree on involutions.)
-    """
-    if w.n != w_prime.n:
-        raise ValueError(f"rank mismatch: {w.n} vs {w_prime.n}")
-    if w_prime.length() > w.length():
-        raise ValueError("identity regime needs length(w') <= length(w)")
-    return specialize_y_to_x(permute_x(w_prime, double_schubert(w)))

@@ -208,6 +208,18 @@ class TestVerifyCommands:
             f"error: rank {n} is outside 1..12 for charge lattices"
         ]
 
+    def test_trials_beyond_the_component_limit_are_refused(self, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("check started")
+
+        monkeypatch.setattr("schubstab.lattice.random_lattice_vector", boom)
+        code, out, err = run(["verify", "charges", "--n", "12", "--trials", "400", "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: 400 trials of 4096 components exceed the limit of 524288 components"
+        ]
+
 
 class TestScanCommand:
     def test_curve_scan(self, capsys):
@@ -432,6 +444,13 @@ def _polys(draw):
     return Poly(nx, ny, terms)
 
 
+def json_text(obj) -> str:
+    """The text main writes for obj with --json, without its final newline."""
+    pieces = []
+    cli._json_write(obj, "\n", pieces.append)
+    return "".join(pieces)
+
+
 class TestJsonWriter:
     """cli._json_write writes what json.dumps(sort_keys=True, indent=2)
     renders, byte for byte, and refuses what the exact contract excludes."""
@@ -439,7 +458,7 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(_TREES)
     def test_matches_json_dumps(self, obj):
-        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
     @settings(max_examples=150, deadline=None)
     @given(_polys())
@@ -455,7 +474,7 @@ class TestJsonWriter:
         ]
         for place in placements:
             want = json.dumps(place(p.to_json()), sort_keys=True, indent=2)
-            assert cli._json_text(place(p)) == want
+            assert json_text(place(p)) == want
 
     @pytest.mark.parametrize(
         "obj",
@@ -464,7 +483,7 @@ class TestJsonWriter:
     )
     def test_refuses_non_json_values(self, obj):
         with pytest.raises(TypeError):
-            cli._json_text(obj)
+            json_text(obj)
 
     def test_main_raises_on_a_fraction_in_a_payload(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "hn_factors_to_json", lambda factors: [{"re": Fraction(1, 2)}])
@@ -478,9 +497,9 @@ class TestJsonWriter:
         p = Poly(2, 1, {(i // 40, i % 40, i % 3): Fraction(i + 1, 1 + i % 4) for i in range(count)})
         assert len(p.terms) == count
         want = json.dumps(p.to_json(), sort_keys=True, indent=2)
-        assert cli._json_text(p) == want
+        assert json_text(p) == want
         nested = {"entries": [p], "n": 1}
-        assert cli._json_text(nested) == json.dumps(
+        assert json_text(nested) == json.dumps(
             {"entries": [p.to_json()], "n": 1}, sort_keys=True, indent=2
         )
 

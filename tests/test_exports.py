@@ -2,15 +2,16 @@
 and the helpers that only tests use live in the tests."""
 
 import schubstab
+import schubstab.cli
 from schubstab.bimodule import BimoduleElement, GraphTwistEntry
-from schubstab.lattice import ExactComplex
+from schubstab.lattice import ExactComplex, LatticeVector
 from schubstab.perms import Permutation
 from schubstab.poly import Poly
 from schubstab.stability import SplitSheafP1
 
 
 def test_all_names_resolve_and_are_unique():
-    assert len(schubstab.__all__) == len(set(schubstab.__all__))
+    assert len(schubstab.__all__) == len(set(schubstab.__all__)) == 43
     missing = [name for name in schubstab.__all__ if not hasattr(schubstab, name)]
     assert missing == []
 
@@ -56,5 +57,19 @@ def test_test_only_helpers_are_not_in_the_package():
         (Permutation, "is_identity"),
         (SplitSheafP1, "summands"),
         (schubstab.stability, "BAYER_FACT"),
+        (schubstab.bimodule, "f_map"),
+        (schubstab.schubert, "specialization_check"),
+        (schubstab.poly, "specialize_y_to_x"),
+        (schubstab.lattice, "v_of_point"),
+        (schubstab.lattice, "rank_deg"),
+        (schubstab.cli, "_json_text"),
+        (schubstab, "f_map"),
+        (schubstab, "specialization_check"),
+        (schubstab, "specialize_y_to_x"),
+        (schubstab, "v_of_point"),
+        (schubstab, "rank_deg"),
+        *((LatticeVector, name) for name in (
+            "values", "component", "is_zero", "_combine", "__add__", "__sub__", "__neg__", "scale",
+        )),
     ):
         assert not hasattr(module, name), name

@@ -29,13 +29,13 @@ from schubstab.poly import (
     negate_x,
     permute_x,
     random_poly,
-    specialize_y_to_x,
     sum_of_products,
     verify_demazure_relations,
     widen_with_y,
     x_to_y,
 )
 from test_perms import reduced_words
+from test_specialization_oracle import specialize_y_to_x
 
 
 def x(i, n):
@@ -709,9 +709,7 @@ def test_unvalidated_results_are_clean(data):
         f + g, f - g, f - f, (f + g) - g, -f, f * g, f * c, c * f, f * 0,
         permute_x(w, f), divided_difference(j, f), negate_x(f),
     ]
-    if ny:
-        results.append(specialize_y_to_x(f))
-    else:
+    if not ny:
         results += [widen_with_y(f, nx), x_to_y(f, nx)]
     for p in results:
         _assert_clean(p)
@@ -882,14 +880,6 @@ def _o_divided_difference(j, f):
     return _o_clean(out)
 
 
-def _o_specialize(f, n):
-    out = {}
-    for e, c in f.items():
-        key = tuple(e[i] + e[n + i] for i in range(n))
-        out[key] = out.get(key, 0) + c
-    return _o_clean(out)
-
-
 def _near_field_top(nx, ny):
     top = 2 ** poly_module._FIELD_BITS - 1
     exponent = st.one_of(st.integers(0, 2), st.integers(top - 1, top + 1))
@@ -916,9 +906,6 @@ def test_packed_arithmetic_matches_tuple_oracle(data):
     if nx >= 2:
         j = data.draw(st.integers(1, nx - 1))
         cases.append((divided_difference(j, f * g), _o_divided_difference(j, _o_mul(of, og))))
-    if ny:
-        cases.append((specialize_y_to_x(f), _o_specialize(of, nx)))
-        cases.append((specialize_y_to_x(f * g), _o_specialize(_o_mul(of, og), nx)))
     for got, want in cases:
         assert _view(got) == want
         assert got == Poly(got.nx, got.ny, want)
@@ -931,7 +918,6 @@ def test_a_full_field_widens_instead_of_carrying():
     assert _view(f) == {(top + 1, 0): 1}
     assert f == Poly.monomial((top + 1, 0), 1, 2) != x2
     assert _view(x1**top * x2**top * (x1 + x2)) == {(top + 1, top): 1, (top, top + 1): 1}
-    assert _view(specialize_y_to_x(Poly(1, 1, {(top, top): 1}))) == {(2 * top,): 1}
 
 
 def test_terms_view():

@@ -15,7 +15,6 @@ from schubstab.perms import Permutation, symmetric_group
 from schubstab.poly import (
     Poly,
     random_poly,
-    specialize_y_to_x,
     sum_of_products,
     widen_with_y,
 )
@@ -25,11 +24,11 @@ from schubstab.schubert import (
     double_schubert,
     double_schubert_expansion,
     schubert_poly,
-    specialization_check,
     staircase,
 )
 from test_poly import demazure, set_y_to_zero, total_degree, y
 from test_schubert_oracle import expand, fixed_by_every_swap
+from test_specialization_oracle import specialization_check, specialize_y_to_x
 
 
 def x(i, n):

@@ -11,6 +11,7 @@ Oracles, all independent of the implementation under test:
 """
 
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -518,6 +519,28 @@ class TestTwistChain:
         for cert in derive_twist_chain([1, 4, 9], 3):
             fact = replay_twist_chain(cert)
             assert fact.to_json() == cert["fact"]
+
+    def test_a_wrong_weakening_is_named_and_still_replays(self, monkeypatch, capsys):
+        """A weaken_twist that lowers the twist by two misses every goal
+        that needs a weakening.  The certificate names the miss, the command
+        exits 1, and the replay, which uses the same rule, agrees with every
+        recorded step."""
+        from schubstab import cli
+
+        monkeypatch.setattr(
+            stability_module,
+            "weaken_twist",
+            lambda fact: RelationFact(fact.twist - 2, fact.shift, fact.strict),
+        )
+        certs = derive_twist_chain([2, 5], 3)
+        missed = {"twist": 1, "shift": 1, "strict": True}
+        assert certs[0]["fact"] == missed
+        assert certs[0]["violations"] == [{"kind": "derivation_missed_goal", "fact": missed}]
+        assert [v["kind"] for c in certs for v in c["violations"]] == ["derivation_missed_goal"] * 2
+        for cert in certs:
+            assert replay_twist_chain(cert).to_json() == cert["fact"]
+        assert cli.main(["derive", "chain", "--adegrees", "2,5", "--N", "3", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["certificates"] == certs
 
     def test_replay_detects_tampering(self):
         cert = derive_twist_chain([2], 3)[0]
