@@ -1,40 +1,32 @@
 """Command-line front end.
 
-Every subcommand prints its result to stdout and progress notes to stderr,
-so pipelines can parse the primary stream cleanly.  With --json the result
-is a single JSON document written by _json_write, byte for byte as the
-standard library's json.dumps renders it with sort_keys=True and indent=2:
-sorted keys, a two-space indent, "," between items and ": " after keys,
-strings escaped to ASCII by json's C encoder, and each list of ints written
-in one join.  The writer appends the document to a list in pieces and never
-copies a child's text into its parent's; _emit hands the list to stdout
-only once the whole payload has rendered, so a payload the writer refuses
-prints nothing.  A Poly in a payload is written as its to_json, straight
-from its packed terms, without building to_json's dicts and lists: each
-distinct half of its exponent keys becomes exponent text once, and each
-term is one concatenation of two half texts, numerator and denominator.
-The writer refuses floats, Fractions, sets and non-str keys with
-TypeError.  Identical invocations (including seeds) produce byte-identical
-output.
+Every command prints its result to stdout and progress notes to stderr.
+The commands and their options are one table, COMMANDS, from which main
+parses argv and --help prints.  An option is spelled out in full and takes
+its value as the next word or after "=", so a value may start with "-";
+the last of a repeated option wins.  With --json the result is one JSON
+document, written by _json_write byte for byte as json.dumps renders it
+with sort_keys=True and indent=2, and handed to stdout only once it has
+rendered whole.  Identical invocations (seeds included) print identical
+bytes.
 
 Exit codes: 0 when every emitted certificate has an empty violations list,
 1 when some check found violations or a derivation was refused, 2 for
-usage errors.  Rational arguments are "p/q" or integer strings; floats are
-rejected to keep the exactness contract end to end.  A ValueError, which
-the library raises for invalid input and from its budget gates before any
-work, is a usage error: main prints "error: <message>".  Handlers that
+usage errors.  Rational arguments are "p/q" or integers; floats are
+refused.  A ValueError, from the parser, a converter, or the library's
+input checks and budget gates before any work, is a usage error: main
+prints one line, "error: <message>", and nothing on stdout.  Handlers that
 print progress call the gate first.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
+from types import SimpleNamespace
 
 from .bimodule import (
     check_soergel_rank,
@@ -63,13 +55,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def rational(text: str) -> Fraction:
     """Parse "p/q" or an integer string; floats are usage errors."""
     if not _RATIONAL_RE.match(text.strip()):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an exact rational (use p/q or an integer)"
-        )
+        raise ValueError(f"{text!r} is not an exact rational (use p/q or an integer)")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator")
+        raise ValueError(f"{text!r} has a zero denominator")
 
 
 def int_list(text: str) -> tuple[int, ...]:
@@ -80,16 +70,16 @@ def int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list")
+        raise ValueError(f"{text!r} is not a comma-separated integer list")
 
 
 def positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        raise ValueError(f"{text!r} is not an integer")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be positive")
+        raise ValueError(f"{text!r} must be positive")
     return value
 
 
@@ -266,7 +256,7 @@ def _cmd_verify_soergel(args) -> int:
 
 def _cmd_verify_charges(args) -> int:
     p = ChargeParams(args.a, args.b, args.n)
-    check_charge_trials(args.trials, args.n)
+    check_charge_trials(p, args.m, args.trials)
     _progress(f"checking charge transformation laws at n={args.n}, m={args.m} ...")
     cert = verify_charge_transforms(p, args.m, args.trials, args.seed)
     _emit(args, cert, _cert_lines(cert))
@@ -293,10 +283,7 @@ def _cmd_hn_p1(args) -> int:
         raise ValueError("give at least one bundle degree or torsion length")
     factors = hn_split_p1(sheaf, ChargeParams(args.a, args.b, 1))
     payload = {"sheaf": sheaf.to_json(), "factors": hn_factors_to_json(factors)}
-    lines = [
-        f"{i}. {factor}   {point}"
-        for i, (factor, point) in enumerate(factors, start=1)
-    ]
+    lines = [f"{i}. {factor}   {point}" for i, (factor, point) in enumerate(factors, start=1)]
     _emit(args, payload, lines)
     return 0
 
@@ -338,98 +325,110 @@ def _cmd_table_graph_twists(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+# Each command's words, handler, help line and options, as name:
+# (converter, default), from which main parses argv and --help prints.  An
+# option that must be given has the default _REQUIRED; a flag, False unless
+# given, is _FLAG.
+_REQUIRED = object()
+_FLAG = (None, False)
+COMMANDS = {
+    ("schubert",): (_cmd_schubert, "print a Schubert polynomial", {
+        "n": (positive_int, _REQUIRED), "w": (int_list, _REQUIRED), "double": _FLAG,
+        "json": _FLAG}),
+    ("verify", "demazure"): (_cmd_verify_demazure, "divided-difference relations", {
+        "n": (positive_int, _REQUIRED), "trials": (positive_int, 20), "seed": (int, 0),
+        "json": _FLAG}),
+    ("verify", "soergel"): (_cmd_verify_soergel, "filtration structure checks", {
+        "n": (positive_int, _REQUIRED), "json": _FLAG}),
+    ("verify", "charges"): (_cmd_verify_charges, "charge transformation laws", {
+        "n": (positive_int, _REQUIRED), "m": (positive_int, 2), "a": (rational, Fraction(1)),
+        "b": (rational, Fraction(0)), "trials": (positive_int, 100), "seed": (int, 0),
+        "json": _FLAG}),
+    ("scan", "bayer"): (_cmd_scan_bayer, "twist shadow over a box", {
+        "n": (positive_int, _REQUIRED), "a": (rational, Fraction(1)),
+        "b": (rational, Fraction(0)), "bound": (positive_int, 25), "json": _FLAG}),
+    ("hn", "p1"): (_cmd_hn_p1, "Harder-Narasimhan filtration of a split sheaf on the line", {
+        "degrees": (int_list, ()), "torsion": (int_list, ()), "a": (rational, Fraction(1)),
+        "b": (rational, Fraction(0)), "json": _FLAG}),
+    ("derive", "chain"): (_cmd_derive_chain, "twist-shift chain goals", {
+        "adegrees": (int_list, _REQUIRED), "N": (positive_int, _REQUIRED), "json": _FLAG}),
+    ("table", "graph-twists"): (_cmd_table_graph_twists, "inversion data per permutation", {
+        "n": (positive_int, _REQUIRED), "json": _FLAG}),
+}
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every main()
-    call: parse_args keeps its state in the namespace it returns."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit a JSON document instead of text"
-    )
 
-    parser = argparse.ArgumentParser(
-        prog="schubstab",
-        description="Exact Schubert calculus, Soergel-type filtrations, and "
-        "stability charge checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _under(words: tuple) -> list[tuple]:
+    """The commands whose words start with words."""
+    return [command for command in COMMANDS if command[: len(words)] == words]
 
-    p = sub.add_parser("schubert", parents=[common], help="print a Schubert polynomial")
-    p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--w", type=int_list, required=True, metavar="ONELINE")
-    p.add_argument("--double", action="store_true", help="two-alphabet version")
-    p.set_defaults(func=_cmd_schubert)
 
-    verify = sub.add_parser("verify", help="run verification sweeps")
-    vsub = verify.add_subparsers(dest="target", required=True)
+def _help(words: tuple) -> str:
+    """Usage of the commands under words: each option, its converter and
+    its default."""
+    lines = [
+        "usage: schubstab COMMAND [--OPTION VALUE | --OPTION=VALUE | --FLAG] ...",
+        "Exact Schubert calculus, Soergel-type filtrations, and stability charge checks.",
+        "A value may start with '-'; options are spelled out in full.",
+    ]
+    for command in _under(words):
+        _, text, options = COMMANDS[command]
+        lines += ["", f"{' '.join(command)}: {text}"]
+        for name, (convert, default) in options.items():
+            if convert is None:
+                lines.append(f"  --{name}  flag")
+            else:
+                note = "required" if default is _REQUIRED else f"default {default}"
+                lines.append(f"  --{name} {convert.__name__.upper()}  {note}")
+    return "\n".join(lines)
 
-    p = vsub.add_parser("demazure", parents=[common], help="divided-difference relations")
-    p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--trials", type=positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify_demazure)
 
-    p = vsub.add_parser("soergel", parents=[common], help="filtration structure checks")
-    p.add_argument("--n", type=positive_int, required=True)
-    p.set_defaults(func=_cmd_verify_soergel)
-
-    p = vsub.add_parser("charges", parents=[common], help="charge transformation laws")
-    p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--m", type=positive_int, default=2)
-    p.add_argument("--a", type=rational, default=Fraction(1))
-    p.add_argument("--b", type=rational, default=Fraction(0))
-    p.add_argument("--trials", type=positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify_charges)
-
-    scan = sub.add_parser("scan", help="run shadow scans")
-    ssub = scan.add_subparsers(dest="target", required=True)
-
-    p = ssub.add_parser("bayer", parents=[common], help="twist shadow over a box")
-    p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--a", type=rational, default=Fraction(1))
-    p.add_argument("--b", type=rational, default=Fraction(0))
-    p.add_argument("--bound", type=positive_int, default=25)
-    p.set_defaults(func=_cmd_scan_bayer)
-
-    hn = sub.add_parser("hn", help="Harder-Narasimhan filtrations")
-    hsub = hn.add_subparsers(dest="target", required=True)
-
-    p = hsub.add_parser("p1", parents=[common], help="split sheaves on the line")
-    p.add_argument("--degrees", type=int_list, default=())
-    p.add_argument("--torsion", type=int_list, default=())
-    p.add_argument("--a", type=rational, default=Fraction(1))
-    p.add_argument("--b", type=rational, default=Fraction(0))
-    p.set_defaults(func=_cmd_hn_p1)
-
-    derive = sub.add_parser("derive", help="certificate derivations")
-    dsub = derive.add_subparsers(dest="target", required=True)
-
-    p = dsub.add_parser("chain", parents=[common], help="twist-shift chain goals")
-    p.add_argument("--adegrees", type=int_list, required=True)
-    p.add_argument("--N", type=positive_int, required=True)
-    p.set_defaults(func=_cmd_derive_chain)
-
-    table = sub.add_parser("table", help="printable tables")
-    tsub = table.add_subparsers(dest="target", required=True)
-
-    p = tsub.add_parser("graph-twists", parents=[common], help="inversion data per permutation")
-    p.add_argument("--n", type=positive_int, required=True)
-    p.set_defaults(func=_cmd_table_graph_twists)
-
-    return parser
+def _parse(argv) -> tuple:
+    """The words of the command argv names and its arguments, or None for
+    the arguments when argv asks for help.  A usage error raises
+    ValueError."""
+    words = tuple(takewhile(lambda token: not token.startswith("-"), argv))
+    rest = argv[len(words) :]
+    helping = "-h" in rest or "--help" in rest
+    if words not in COMMANDS and not (helping and _under(words)):
+        known = ", ".join(" ".join(command) for command in _under(words) or COMMANDS)
+        raise ValueError(f"{' '.join(words)!r} is not a command; choose from {known}")
+    if helping:
+        return words, None
+    options = COMMANDS[words][2]
+    values = {name: default for name, (_, default) in options.items()}
+    tokens = iter(rest)
+    for token in tokens:
+        option, has_value, text = token.partition("=")
+        name = option[2:]
+        if not option.startswith("--") or name not in options:
+            raise ValueError(f"unrecognized argument {token!r}")
+        convert = options[name][0]
+        if convert is None:
+            if has_value:
+                raise ValueError(f"argument {option}: takes no value")
+            values[name] = True
+            continue
+        if not has_value:
+            text = next(tokens, None)
+            if text is None:
+                raise ValueError(f"argument {option}: expected one argument")
+        try:
+            values[name] = convert(text)
+        except ValueError as exc:
+            raise ValueError(f"argument {option}: {exc}") from None
+    missing = [f"--{name}" for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise ValueError("the following arguments are required: " + ", ".join(missing))
+    return words, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        return args.func(args)
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_help(command))
+            return 0
+        return COMMANDS[command][0](args)
     except ValueError as exc:
         _progress(f"error: {exc}")
         return 2

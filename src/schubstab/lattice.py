@@ -402,23 +402,40 @@ def isogeny_pushforward(m: int, vec: LatticeVector) -> LatticeVector:
 _DRAW_BOUND = 10
 
 # verify_charge_transforms holds all trials * 2^n drawn components at once,
-# and the stacked class a lane per trial in each of its 2^n components.  At
-# this limit, rank 12 with 128 trials (a = 1, b = 0, m = 2), a whole-process
-# `verify charges --json` takes 0.24 s at 33 MiB peak RSS on a 2-core Xeon
-# container under Python 3.11.7; the default 100 trials take 30 MiB.  The
-# lane also widens with the bit size of a, b and m.
+# and the stacked class a lane of _lane_bytes per trial in each of its 2^n
+# components; the lane widens with the bit size of a, b and m, and the
+# transformed stacked classes are as large again.  Both are bounded.  At
+# these limits, on a 2-core Xeon container under Python 3.11.7, a
+# whole-process `verify charges --n 12 --json` takes 0.26 s at 33 MiB peak
+# RSS with 128 trials and the defaults (lanes of 8 bytes, 4 MiB of them),
+# and 0.25 s at 38 MiB at --m 5 --a 7/9 --b=-5/3 with 81 trials (lanes of
+# 25 bytes, 7.9 MiB); 128 trials in lanes of 160 bytes took 196 MiB.
 MAX_CHARGE_COMPONENTS = 1 << 19
+MAX_CHARGE_LANE_BYTES = 1 << 23
 
 
-def check_charge_trials(trials: int, n: int) -> None:
-    """Refuse trials that are not a positive int, or whose trials * 2^n
-    drawn components exceed MAX_CHARGE_COMPONENTS, before any work."""
+def check_charge_trials(p: ChargeParams, m: int, trials: int) -> tuple[tuple, int]:
+    """Refuse an isogeny degree m or trials that is not a positive int,
+    trials * 2^n drawn components above MAX_CHARGE_COMPONENTS, or stacked
+    lanes of trials * 2^n * _lane_bytes above MAX_CHARGE_LANE_BYTES, before
+    any work.  Return the laws verify_charge_transforms certifies and the
+    bytes of a trial's lane."""
+    check_count(m, "isogeny degree")
     check_count(trials, "trials")
-    if trials << n > MAX_CHARGE_COMPONENTS:
+    components = trials << p.n
+    if components > MAX_CHARGE_COMPONENTS:
         raise ValueError(
-            f"{trials} trials of {1 << n} components exceed the limit of "
+            f"{trials} trials of {1 << p.n} components exceed the limit of "
             f"{MAX_CHARGE_COMPONENTS} components"
         )
+    laws = _charge_laws(p, m)
+    lane = _lane_bytes(p, laws)
+    if components * lane > MAX_CHARGE_LANE_BYTES:
+        raise ValueError(
+            f"{trials} trials of {1 << p.n} components in lanes of {lane} bytes exceed "
+            f"the limit of {MAX_CHARGE_LANE_BYTES} bytes"
+        )
+    return laws, lane
 
 
 def random_lattice_vector(rng: random.Random, n: int) -> LatticeVector:
@@ -560,17 +577,15 @@ def verify_charge_transforms(p: ChargeParams, m: int, trials: int, seed: int) ->
     linear, and raises RuntimeError.
 
     An m, trials or seed that is not an int (a bool included) raises
-    TypeError, and m < 1, trials < 1 or trials * 2^n beyond
-    MAX_CHARGE_COMPONENTS ValueError, before any trial.
+    TypeError, and m < 1, trials < 1, or trials beyond either limit of
+    check_charge_trials ValueError, before any trial.
     """
-    check_count(m, "isogeny degree")
-    check_charge_trials(trials, p.n)
+    laws, lane = check_charge_trials(p, m, trials)
     check_seed(seed)
     rng = random.Random(seed)
     n = p.n
-    laws = _charge_laws(p, m)
     vectors = [random_lattice_vector(rng, n) for _ in range(trials)]
-    stacked = _stack(vectors, _lane_bytes(p, laws))
+    stacked = _stack(vectors, lane)
     failing = [
         law
         for law, (got, expected) in zip(laws, _law_sides(p, laws, stacked))

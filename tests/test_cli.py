@@ -1,6 +1,5 @@
 """Command-line interface: parsing, output discipline, exit codes."""
 
-import argparse
 import hashlib
 import json
 import os
@@ -9,6 +8,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,17 +45,17 @@ class TestArgumentTypes:
 
     @pytest.mark.parametrize("bad", ["0.5", "1e3", "", "3/0", "pi", "1 / 2"])
     def test_rational_rejects_inexact_forms(self, bad):
-        with pytest.raises(argparse.ArgumentTypeError):
+        with pytest.raises(ValueError):
             rational(bad)
 
     def test_int_list(self):
         assert int_list("2,1") == (2, 1)
         assert int_list(" 3 , -4 ") == (3, -4)
         assert int_list("") == ()
-        with pytest.raises(argparse.ArgumentTypeError):
+        with pytest.raises(ValueError):
             int_list("a,b")
         for text in ("2,,3,1", "2,3,"):
-            with pytest.raises(argparse.ArgumentTypeError, match="comma-separated"):
+            with pytest.raises(ValueError, match="comma-separated"):
                 int_list(text)
 
 
@@ -206,6 +206,25 @@ class TestVerifyCommands:
         assert out == ""
         assert err.splitlines() == [
             f"error: rank {n} is outside 1..12 for charge lattices"
+        ]
+
+    def test_trials_beyond_the_lane_byte_limit_are_refused(self, capsys, monkeypatch):
+        """128 trials at rank 12 are within the component limit, but with
+        these parameters their lanes of 160 bytes are not: refused before
+        the progress line and any draw."""
+
+        def boom(*args):
+            raise AssertionError("check started")
+
+        monkeypatch.setattr("schubstab.lattice.random_lattice_vector", boom)
+        argv = ["verify", "charges", "--n", "12", "--m", "1000", "--a", "99991/99989",
+                "--b", "-99971/99961", "--trials", "128", "--json"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: 128 trials of 4096 components in lanes of 160 bytes exceed the limit of "
+            "8388608 bytes"
         ]
 
     def test_trials_beyond_the_component_limit_are_refused(self, capsys, monkeypatch):
@@ -541,7 +560,7 @@ def test_emit_holds_about_one_copy_of_a_large_document(monkeypatch):
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        cli._emit(argparse.Namespace(json=True), payload, [])
+        cli._emit(SimpleNamespace(json=True), payload, [])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -586,10 +605,112 @@ class TestUsageErrors:
         assert run(["--help"], capsys)[0] == 0
 
 
+class TestParser:
+    """main reads --name value and --name=value alike from the command
+    table; every usage error prints one error line and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "charges", "--n", "2", "--m", "3", "--a", "3/2", "--b", "-1/3",
+             "--trials", "6", "--seed", "4"],
+            ["scan", "bayer", "--n", "1", "--a", "2/3", "--b", "-5/2", "--bound", "4"],
+            ["hn", "p1", "--degrees", "-2,4", "--torsion", "2", "--a", "1/3", "--b", "-1"],
+            ["derive", "chain", "--adegrees", "2,5", "--N", "3"],
+        ],
+        ids=["verify-charges", "scan-bayer", "hn-p1", "derive-chain"],
+    )
+    def test_separate_and_joined_values_give_identical_bytes(self, capsys, argv):
+        joined = argv[:2] + [f"{a}={b}" for a, b in zip(argv[2::2], argv[3::2])]
+        first = run(argv + ["--json"], capsys)
+        second = run(joined + ["--json"], capsys)
+        assert first[0] == second[0] in (0, 1)
+        assert first[1] == second[1] != ""
+
+    def test_negative_value_as_its_own_token(self, capsys):
+        code, out, _ = run(["verify", "charges", "--n", "1", "--b", "-5/2", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["params"]["b"] == "-5/2"
+
+    def test_last_of_a_repeated_option_wins(self, capsys):
+        repeated = run(["verify", "demazure", "--n", "2", "--trials", "9", "--n", "3",
+                        "--seed", "2", "--json", "--trials", "4"], capsys)
+        once = run(["verify", "demazure", "--n", "3", "--seed", "2", "--json", "--trials", "4"],
+                   capsys)
+        assert repeated == once
+        assert json.loads(once[1])["trials"] == 4
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "soergel", "--n", "3", "--bogus", "1"], "unrecognized argument '--bogus'"),
+            (["verify", "charges", "--n", "2", "--tri", "5"], "unrecognized argument '--tri'"),
+            (["verify", "soergel", "--n", "3", "7"], "unrecognized argument '7'"),
+            (["verify", "soergel", "--n"], "argument --n: expected one argument"),
+            (["verify", "soergel", "--n", "3", "--json=1"], "argument --json: takes no value"),
+            (["verify", "charges", "--n", "1", "--a", "0.5"],
+             "argument --a: '0.5' is not an exact rational (use p/q or an integer)"),
+            (["verify", "soergel"], "the following arguments are required: --n"),
+            (["derive", "chain"], "the following arguments are required: --adegrees, --N"),
+            (["frobnicate"], "'frobnicate' is not a command; choose from schubert, "
+             "verify demazure, verify soergel, verify charges, scan bayer, hn p1, "
+             "derive chain, table graph-twists"),
+            (["frobnicate", "--help"], "'frobnicate' is not a command; choose from schubert, "
+             "verify demazure, verify soergel, verify charges, scan bayer, hn p1, "
+             "derive chain, table graph-twists"),
+            (["verify"], "'verify' is not a command; choose from verify demazure, "
+             "verify soergel, verify charges"),
+            ([], "'' is not a command; choose from schubert, verify demazure, "
+             "verify soergel, verify charges, scan bayer, hn p1, derive chain, "
+             "table graph-twists"),
+        ],
+        ids=["unknown-option", "abbreviation", "stray-word", "no-value", "flag-value",
+             "float", "missing", "missing-two", "unknown-command", "unknown-command-help",
+             "group-word", "empty"],
+    )
+    def test_usage_error_prints_one_line(self, capsys, argv, message):
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["verify", "charges", "--help"], ["verify", "-h"],
+                                      ["verify", "charges", "--n", "x", "--help"]])
+    def test_help_after_command_words_exits_zero(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert "verify charges: charge transformation laws" in out
+        assert "  --trials POSITIVE_INT  default 100" in out
+        assert "schubert" not in out
+
+    def test_help_is_the_command_table_and_argparse_is_not_imported(self, capsys):
+        """A fresh interpreter imports the CLI without argparse, and --help
+        names every command in the table with each option's converter and
+        default."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, schubstab.cli; print('argparse' in sys.modules)"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        code, out, _ = run(["--help"], capsys)
+        assert code == 0
+        blocks = {block.splitlines()[0]: block.splitlines()[1:] for block in out.split("\n\n")}
+        for words, (_, text, options) in cli.COMMANDS.items():
+            lines = blocks[f"{' '.join(words)}: {text}"]
+            want = []
+            for name, (convert, default) in options.items():
+                if convert is None:
+                    want.append(f"  --{name}  flag")
+                else:
+                    note = "required" if default is cli._REQUIRED else f"default {default}"
+                    want.append(f"  --{name} {convert.__name__.upper()}  {note}")
+            assert lines == want
+        assert "  --m POSITIVE_INT  default 2" in blocks["verify charges: charge transformation laws"]
+        assert "  --json  flag" in blocks["schubert: print a Schubert polynomial"]
+
+
 class TestSharedParser:
-    """main() builds its parser once per process; calls after a usage
-    error, --help and non-default options must print what a fresh process
-    prints."""
+    """main() parses every call from the one command table and keeps no
+    state between calls: calls after a usage error, --help and non-default
+    options must print what a fresh process prints."""
 
     CALLS = [
         ["verify", "charges", "--n", "1", "--a", "0.5"],

@@ -821,6 +821,28 @@ class TestChargeTransforms:
         with pytest.raises(ValueError, match="17 trials of 4 components exceed the limit of 64"):
             verify_charge_transforms(p, 2, 17, seed=0)
 
+    def test_lanes_beyond_the_byte_limit_refused_before_any_trial(self, monkeypatch):
+        """trials * 2^n * lane bytes up to MAX_CHARGE_LANE_BYTES is admitted,
+        one trial more is refused before the first draw; the rank-12 runs
+        the README times, 128 trials with the defaults and 100 at m = 3,
+        a = 1/2, b = -1, are within the limit."""
+        for m, a, b, trials in [(2, F(1), F(0), 128), (3, F(1, 2), F(-1), 100)]:
+            p = ChargeParams(a, b, MAX_LATTICE_RANK)
+            laws, lane = lattice.check_charge_trials(p, m, trials)
+            assert lane == lattice._lane_bytes(p, laws)
+        p = ChargeParams(F(1), F(0), 2)
+        lane = lattice._lane_bytes(p, lattice._charge_laws(p, 2))
+        monkeypatch.setattr(lattice, "MAX_CHARGE_LANE_BYTES", 16 * 4 * lane)
+        assert verify_charge_transforms(p, 2, 16, seed=0)["violations"] == []
+
+        def started(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(lattice, "random_lattice_vector", started)
+        message = f"17 trials of 4 components in lanes of {lane} bytes exceed the limit of {64 * lane}"
+        with pytest.raises(ValueError, match=message):
+            verify_charge_transforms(p, 2, 17, seed=0)
+
     @pytest.mark.parametrize("seed", [None, True, 2.5, "x", F(2)])
     def test_seed_must_be_an_int(self, monkeypatch, seed):
         """A seed that is not an int would give a certificate that its
